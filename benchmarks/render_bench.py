@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the escape-time kernel: numba vs. pure numpy.
+"""Benchmark the escape-time kernel on one slice.
 
 Usage: python3 benchmarks/render_bench.py [--size 256] [--max-iter 50]
-Run with OCPOLY_NO_NUMBA=1 to confirm the fallback path is selected.
+
+Prints the best wall time of the repeats and the pixel-iterations per
+second: an escaped pixel counts its escape step, a bounded one max_iter.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import numpy as np
 
 from ocpoly.algebra import AlgebraParams, Octonion
 from ocpoly.opoly import OPolynomial
-from ocpoly.render import HAS_NUMBA, SliceSpec, escape_steps
+from ocpoly.render import SliceSpec, escape_steps
 from ocpoly.scalars import REAL
 
 
@@ -33,25 +35,17 @@ def main():
                      scale=4 / args.size, max_iter=args.max_iter,
                      escape_radius=4.0)
 
-    results = {}
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    for backend in backends:
-        escape_steps(f, spec, backend=backend)  # warm-up / JIT compile
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            steps = escape_steps(f, spec, backend=backend)
-            times.append(time.perf_counter() - t0)
-        results[backend] = (min(times), steps)
-        print(f"{backend:>6}: best of {args.repeats}: {min(times)*1e3:9.2f} ms "
-              f"({args.size}x{args.size}, max_iter={args.max_iter})")
-
-    if len(results) == 2:
-        same = np.array_equal(results["numpy"][1], results["numba"][1])
-        speedup = results["numpy"][0] / results["numba"][0]
-        print(f"outputs identical: {same}; numba speedup: {speedup:.1f}x")
-    elif not HAS_NUMBA:
-        print("numba unavailable or disabled; numpy fallback only")
+    escape_steps(f, spec)  # warm-up
+    times = []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        steps = escape_steps(f, spec)
+        times.append(time.perf_counter() - t0)
+    best = min(times)
+    iters = int(np.where(steps > 0, steps, args.max_iter).sum())
+    print(f"best of {args.repeats}: {best * 1e3:9.2f} ms, "
+          f"{iters / best:.3g} pixel-iterations/s "
+          f"({args.size}x{args.size}, max_iter={args.max_iter})")
 
 
 if __name__ == "__main__":

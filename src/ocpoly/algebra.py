@@ -17,7 +17,7 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +91,11 @@ class ProductTable:
     ``int_terms`` holds (a, b, c, v * den) with ``den`` the common
     denominator of the v, so products run on integers; in real mode it is
     empty and ``den`` is 1.  ``norm_diag`` is the diagonal of the norm form:
-    norm(sum x_a e_a) = sum norm_diag[a] * x_a^2.
+    norm(sum x_a e_a) = sum norm_diag[a] * x_a^2, and ``int_norm_diag`` is
+    the same times ``den`` (exact mode only).  ``translates`` is the
+    (8, 64) float matrix of the terms, translates[b, 8a + c] = v, so that
+    row y @ translates lists the left translates e_a y; it serves products
+    of whole float batches.
     """
 
     exact: bool
@@ -99,6 +103,8 @@ class ProductTable:
     int_terms: tuple
     den: int
     norm_diag: tuple
+    int_norm_diag: tuple
+    translates: np.ndarray = dc_field(compare=False, repr=False)
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         """Coordinates of x*y: float sums in real mode; in exact mode integer
@@ -111,6 +117,26 @@ class ProductTable:
         den = self.den * dx * dy
         return tuple(Fraction(n, den)
                      for n in _accumulate(self.int_terms, nx, ny, 0))
+
+    def norm(self, x: tuple):
+        """norm(x): a float sum in real mode; in exact mode an integer sum
+        over the common denominator of x, then one Fraction."""
+        if not self.exact:
+            return sum(d * c * c for d, c in zip(self.norm_diag, x))
+        d, n = _numerators(x)
+        return Fraction(sum(v * c * c for v, c in zip(self.int_norm_diag, n)),
+                        self.den * d * d)
+
+    def mul_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row-wise products x*y of two (p, 8) float arrays: one matrix
+        product for the translates e_a y, then x y = sum_a x_a (e_a y)."""
+        ys = (y @ self.translates).reshape(len(y), 8, 8)
+        return np.einsum("pa,pac->pc", x, ys)
+
+    def left_matrix(self, x: tuple) -> np.ndarray:
+        """The 8x8 float matrix L with x*y = y @ L for every row y."""
+        xs = np.array([float(c) for c in x])
+        return np.einsum("a,bac->bc", xs, self.translates.reshape(8, 8, 8))
 
 
 def _accumulate(terms: tuple, x, y, zero) -> list:
@@ -144,22 +170,20 @@ def _product_table(params: AlgebraParams) -> ProductTable:
     # e_a conj(e_a) = +-e_a e_a, a scalar: the sign is + for a = 0 only
     norm_diag = tuple(v if a == 0 else -v
                       for a, b, _, v in terms if a == b)
+    translates = np.zeros((8, 64))
+    for a, b, c, v in terms:
+        translates[b, 8 * a + c] = float(v)
+    per_output = np.count_nonzero(translates.reshape(8, 8, 8), axis=0)
+    assert (per_output == 1).all(), \
+        "every output coordinate must get exactly 8 terms, one per e_a"
     if not params.field.exact:
-        return ProductTable(False, tuple(terms), (), 1, norm_diag)
+        return ProductTable(False, tuple(terms), (), 1, norm_diag, (),
+                            translates)
     den = math.lcm(*(v.denominator for *_, v in terms))
     int_terms = tuple((a, b, c, int(v * den)) for a, b, c, v in terms)
-    return ProductTable(True, tuple(terms), int_terms, den, norm_diag)
-
-
-@functools.lru_cache(maxsize=32)
-def mult_table(params: "AlgebraParams"):
-    """(index, coefficient) arrays with e_a e_b = val[a,b] * e_{idx[a,b]}."""
-    idx = np.zeros((8, 8), dtype=np.int64)
-    val = np.zeros((8, 8), dtype=np.float64)
-    for a, b, c, v in params.table.terms:
-        idx[a, b] = c
-        val[a, b] = float(v)
-    return idx, val
+    int_norm_diag = tuple(int(v * den) for v in norm_diag)
+    return ProductTable(True, tuple(terms), int_terms, den, norm_diag,
+                        int_norm_diag, translates)
 
 
 @dataclass(frozen=True)
@@ -256,8 +280,7 @@ class Octonion:
                         self.params)
 
     def norm(self):
-        diag = self.params.table.norm_diag
-        return sum(d * c * c for d, c in zip(diag, self.coords))
+        return self.params.table.norm(self.coords)
 
     def abs(self) -> float:
         return self.params.field.sqrt(self.norm())

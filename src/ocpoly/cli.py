@@ -157,7 +157,7 @@ def cmd_render(args) -> int:
         dir_v=parse_octonion(args.dir_v, params),
         width=args.width, height=args.height, scale=args.scale,
         max_iter=args.max_iter, escape_radius=args.escape_radius)
-    render_mod.render(f, spec, args.out, backend=args.backend)
+    render_mod.render(f, spec, args.out)
     return EXIT_OK
 
 
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=4 / 256)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--escape-radius", type=float, default=2.0)
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"),
-                   default="auto")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("selftest", help="re-run the reference examples")

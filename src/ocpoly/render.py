@@ -1,40 +1,24 @@
 """Escape-time rendering of a 2-plane slice through the algebra.
 
 Each pixel maps to lam = base + x*dirU + y*dirV; the substitution orbit of
-lam under f is iterated until its norm exceeds the escape radius.  This is
-the one hot numeric loop in the package, so the kernel is compiled with
-numba when available; set OCPOLY_NO_NUMBA=1 (or pass backend="numpy") to
-force the vectorized pure-numpy path.  Both paths share the structure
-tensor generated from the doubling formula and produce identical images.
+lam under f is iterated until its norm exceeds the escape radius.  A single
+numpy kernel iterates all pixels at once on the algebra's multiplication
+table: the powers lam^t come from the batched product
+``ProductTable.mul_batch``, each coefficient acts as a fixed 8x8
+left-multiplication matrix, and escaped pixels leave the batch.  The norm
+bounds the orbit only when the norm form is positive definite (all
+structure constants negative), so other algebras are refused.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, Octonion, mult_table
+from .algebra import Octonion
 from .errors import InvalidInput, ModeMismatch
 from .opoly import OPolynomial
-
-_DISABLE_ENV = "OCPOLY_NO_NUMBA"
-
-try:
-    if os.environ.get(_DISABLE_ENV):
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit, prange
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-        return wrap if not (args and callable(args[0])) else args[0]
-
-    prange = range
 
 
 @dataclass(frozen=True)
@@ -66,105 +50,38 @@ class SliceSpec:
         return base[None, :] + ys[:, None] * du[None, :] + xs[:, None] * dv[None, :]
 
 
-def _tensor(params: AlgebraParams):
-    idx, val = mult_table(params)
-    diag = np.array([float(d) for d in params.table.norm_diag])
-    return idx, val, diag
-
-
-@njit(cache=True, parallel=True)
-def _escape_steps_numba(lam0, coeffs, idx, val, diag, max_iter, esc2):
-    npix = lam0.shape[0]
-    ncoef = coeffs.shape[0]
-    steps = np.zeros(npix, dtype=np.int64)
-    for p in prange(npix):
-        lam = lam0[p].copy()
-        out = 0
-        for it in range(max_iter):
-            # sum_t coeffs[t] * lam^t, powers built sequentially
-            acc = np.zeros(8)
-            power = np.zeros(8)
-            power[0] = 1.0
-            tmp = np.zeros(8)
-            for t in range(ncoef):
-                if t > 0:
-                    for c in range(8):
-                        tmp[c] = 0.0
-                    for a in range(8):
-                        if power[a] != 0.0:
-                            for b in range(8):
-                                tmp[idx[a, b]] += val[a, b] * power[a] * lam[b]
-                    for c in range(8):
-                        power[c] = tmp[c]
-                for a in range(8):
-                    ca = coeffs[t, a]
-                    if ca != 0.0:
-                        for b in range(8):
-                            acc[idx[a, b]] += val[a, b] * ca * power[b]
-            for c in range(8):
-                lam[c] = acc[c]
-            n = 0.0
-            for c in range(8):
-                n += diag[c] * acc[c] * acc[c]
-            if n > esc2:
-                out = it + 1
-                break
-        steps[p] = out
-    return steps
-
-
-def _escape_steps_numpy(lam0, coeffs, idx, val, diag, max_iter, esc2):
-    # dense structure tensor T[a, b, c]: e_a e_b = sum_c T[a,b,c] e_c
-    tensor = np.zeros((8, 8, 8))
-    for a in range(8):
-        for b in range(8):
-            tensor[a, b, idx[a, b]] = val[a, b]
-    npix = lam0.shape[0]
-    steps = np.zeros(npix, dtype=np.int64)
-    active = np.arange(npix)
-    lam = lam0.copy()
-    for it in range(max_iter):
-        acc = np.zeros_like(lam)
-        power = np.zeros_like(lam)
-        power[:, 0] = 1.0
-        for t in range(coeffs.shape[0]):
-            if t > 0:
-                power = np.einsum("abc,pa,pb->pc", tensor, power, lam)
-            acc = acc + np.einsum("abc,a,pb->pc", tensor, coeffs[t], power)
-        lam = acc
-        n = np.einsum("c,pc->p", diag, lam * lam)
-        esc = n > esc2
-        steps[active[esc]] = it + 1
-        active = active[~esc]
-        lam = lam[~esc]
-        if active.size == 0:
-            break
-    return steps
-
-
-def escape_steps(f: OPolynomial, spec: SliceSpec,
-                 backend: str = "auto") -> np.ndarray:
+def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     """(height, width) array: 0 for bounded orbits, else the escape step."""
     if f.params.field.exact:
         raise ModeMismatch("rendering is a real-mode operation")
-    idx, val, diag = _tensor(f.params)
-    coeffs = np.array([[float(v) for v in c.coords] for c in f.coeffs])
-    if coeffs.size == 0:
-        coeffs = np.zeros((1, 8))
-    lam0 = spec.lattice()
+    table = f.params.table
+    if any(d <= 0 for d in table.norm_diag):
+        raise InvalidInput("escape time needs a positive definite norm form, "
+                           f"got diagonal {table.norm_diag}")
+    coeffs = f.coeffs or (Octonion.zero(f.params),)
+    const = np.array([float(c) for c in coeffs[0].coords])
+    lefts = [table.left_matrix(c.coords) for c in coeffs[1:]]
+    diag = np.array([float(d) for d in table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
-    if backend == "auto":
-        backend = "numba" if HAS_NUMBA else "numpy"
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise InvalidInput("numba backend requested but unavailable")
-        steps = _escape_steps_numba(lam0, coeffs, idx, val, diag,
-                                    spec.max_iter, esc2)
-    elif backend == "numpy":
-        steps = _escape_steps_numpy(lam0, coeffs, idx, val, diag,
-                                    spec.max_iter, esc2)
-    else:
-        raise InvalidInput(f"unknown backend {backend!r}")
+    lam = spec.lattice()
+    steps = np.zeros(len(lam), dtype=np.int64)
+    active = np.arange(len(lam))
+    for it in range(spec.max_iter):
+        # c_0 + c_1 lam + c_2 lam^2 + ..., each power from the one before
+        acc = np.broadcast_to(const, lam.shape)
+        power = lam
+        for t, left in enumerate(lefts):
+            if t:
+                power = table.mul_batch(power, lam)
+            acc = acc + power @ left
+        lam = acc
+        esc = np.einsum("c,pc->p", diag, lam * lam) > esc2
+        if esc.any():
+            steps[active[esc]] = it + 1
+            active = active[~esc]
+            lam = lam[~esc]
+            if active.size == 0:
+                break
     return steps.reshape(spec.height, spec.width)
 
 
@@ -184,9 +101,8 @@ def write_pgm(path: str, img: np.ndarray) -> None:
         fh.write(img.astype(np.uint8).tobytes())
 
 
-def render(f: OPolynomial, spec: SliceSpec, path: str,
-           backend: str = "auto") -> np.ndarray:
-    steps = escape_steps(f, spec, backend=backend)
+def render(f: OPolynomial, spec: SliceSpec, path: str) -> np.ndarray:
+    steps = escape_steps(f, spec)
     img = steps_to_image(steps, spec.max_iter)
     write_pgm(path, img)
     return img

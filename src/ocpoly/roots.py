@@ -9,6 +9,7 @@ E*lam + G = 0; the class either contributes the single point
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -214,7 +215,11 @@ class LMRClassDescription:
     Q: QuatSubalgebra | None = None
     e_inv_g: Octonion | None = None
     g_e_inv: Octonion | None = None
-    comm_norm: object = None  # norm([conj(G), E^-1])
+    comm: Octonion | None = None  # [conj(G), E^-1]
+
+    @functools.cached_property
+    def comm_norm(self):
+        return None if self.comm is None else self.comm.norm()
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -249,7 +254,7 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
     Q = quat_subalgebra_containing(red.E, red.G)
     return LMRClassDescription(cls=cls, kind="parametrized", E=red.E,
                                G=red.G, Q=Q, e_inv_g=e_inv_g,
-                               g_e_inv=g_e_inv, comm_norm=comm.norm())
+                               g_e_inv=g_e_inv, comm=comm)
 
 
 def lmr_describe(f: OPolynomial, seed: int = 0) -> list:
@@ -283,10 +288,9 @@ def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion) -> Octonion:
     Q = desc.Q
     c = a + b * Q.ell
     n = c.norm()
-    comm = desc.G.conj().commutator(desc.E.inverse())
     core = (desc.e_inv_g * a.norm()
             - desc.g_e_inv * (Q.gamma_eff * b.norm())
-            + ((b * (comm * a.conj())) * Q.ell))
+            + ((b * (desc.comm * a.conj())) * Q.ell))
     return -(core / n)
 
 

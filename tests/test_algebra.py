@@ -93,6 +93,20 @@ class TestInvolution:
         z = random_octonion(P, rng)
         assert z.norm() == sum(c * c for c in z.coords)
 
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
+                                        (-2, 3, Fraction(-1, 2))])
+    def test_exact_norm_is_x_times_conj(self, gammas, rng):
+        # the integer-numerator norm against x conj(x) = norm(x), on
+        # non-integral coordinates and rational structure constants
+        params = AlgebraParams(EXACT, *gammas)
+        for _ in range(200):
+            z = Octonion.make(params, [Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 12))
+                                       for _ in range(8)])
+            n = z.norm()
+            assert type(n) is Fraction
+            assert (z * z.conj()).coords == (n,) + (Fraction(0),) * 7
+
     def test_trace_is_twice_real_part(self, P, rng):
         z = random_octonion(P, rng)
         assert z.trace() == 2 * z.re()

@@ -114,8 +114,7 @@ class TestSubcommands:
         path.write_text("x^2\n")
         out_path = tmp_path / "img.pgm"
         assert main(["render", str(path), "--width", "32", "--height", "32",
-                     "--scale", "0.125", "--backend", "numpy",
-                     "--out", str(out_path)]) == EXIT_OK
+                     "--scale", "0.125", "--out", str(out_path)]) == EXIT_OK
         assert out_path.read_bytes().startswith(b"P5\n")
 
     def test_selftest(self, capsys):

@@ -1,12 +1,16 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ocpoly.algebra import Octonion
+from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
+from ocpoly.errors import InvalidInput
 from ocpoly.opoly import OPolynomial
-from ocpoly.render import (HAS_NUMBA, SliceSpec, escape_steps, render,
-                           steps_to_image, write_pgm)
+from ocpoly.render import (SliceSpec, escape_steps, render, steps_to_image,
+                           write_pgm)
+from ocpoly.scalars import REAL
 
 
 @pytest.fixture
@@ -26,7 +30,7 @@ def spec(PR, basis_r):
 
 class TestEscapeSteps:
     def test_unit_disk_accuracy(self, f_square, spec):
-        steps = escape_steps(f_square, spec, backend="numpy")
+        steps = escape_steps(f_square, spec)
         lat = spec.lattice().reshape(spec.height, spec.width, 8)
         radius = np.sqrt(np.sum(lat * lat, axis=-1))
         inside = radius <= 1.0 - 1e-9
@@ -36,16 +40,61 @@ class TestEscapeSteps:
         total = np.sum(inside) + np.sum(outside)
         assert agree / total >= 0.99
 
-    def test_backend_equivalence(self, f_square, spec):
-        if not HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        a = escape_steps(f_square, spec, backend="numpy")
-        b = escape_steps(f_square, spec, backend="numba")
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
+                                        (-2, 3, Fraction(-1, 2))])
+    def test_batched_product_matches_octonion_product(self, gammas):
+        params = AlgebraParams(REAL, *gammas)
+        nrng = np.random.default_rng(5)
+        x = nrng.uniform(-4, 4, (64, 8))
+        y = nrng.uniform(-4, 4, (64, 8))
+        got = params.table.mul_batch(x, y)
+        assert got.shape == (64, 8)
+        for row, a, b in zip(got, x, y):
+            want = np.array((Octonion.make(params, a)
+                             * Octonion.make(params, b)).coords)
+            scale = max(1.0, np.abs(want).max())
+            assert np.all(np.abs(row - want) <= 1e-12 * scale)
+
+    def test_matches_scalar_orbits(self, PR, basis_r):
+        one, i, j, k, l = basis_r
+        rng = random.Random(5)
+        f = OPolynomial.make(PR, [random_octonion(PR, rng, span=1) * 0.25
+                                  for _ in range(4)])
+        assert f.degree == 3
+        spec = SliceSpec(base=j * 0.25, dir_u=one, dir_v=i, width=16,
+                         height=16, scale=3 / 16, max_iter=30,
+                         escape_radius=2.0)
+        steps = escape_steps(f, spec)
+        want = np.zeros(spec.width * spec.height, dtype=np.int64)
+        for p, start in enumerate(spec.lattice()):
+            lam = Octonion.make(PR, start)
+            for it in range(spec.max_iter):
+                lam = f.eval(lam)
+                if lam.norm() > spec.escape_radius ** 2:
+                    want[p] = it + 1
+                    break
+        # the slice holds bounded pixels and several escape times
+        assert 0 < np.sum(want == 0) < want.size
+        assert len(set(want.tolist())) > 3
+        assert np.sum(steps.ravel() != want) <= 1
+
+    def test_indefinite_norm_refused(self):
+        for gammas, definite in (((2, 3, 5), False), ((-1, -1, -1), True)):
+            params = AlgebraParams(REAL, *gammas)
+            zero, one = Octonion.zero(params), Octonion.one(params)
+            f = OPolynomial.make(params, [zero, zero, one])
+            spec = SliceSpec(base=zero, dir_u=one,
+                             dir_v=Octonion.basis(params, 1), width=4,
+                             height=4, scale=1.0)
+            if definite:
+                assert escape_steps(f, spec).shape == (4, 4)
+            else:
+                with pytest.raises(InvalidInput):
+                    escape_steps(f, spec)
 
     def test_deterministic(self, f_square, spec):
-        a = escape_steps(f_square, spec, backend="numpy")
-        b = escape_steps(f_square, spec, backend="numpy")
+        a = escape_steps(f_square, spec)
+        b = escape_steps(f_square, spec)
         assert np.array_equal(a, b)
 
     def test_off_plane_slice(self, PR, basis_r):
@@ -67,7 +116,7 @@ class TestEscapeSteps:
 
 class TestImages:
     def test_steps_to_image_range(self, f_square, spec):
-        steps = escape_steps(f_square, spec, backend="numpy")
+        steps = escape_steps(f_square, spec)
         img = steps_to_image(steps, spec.max_iter)
         assert img.dtype == np.uint8
         assert np.all(img[steps == 0] == 0)
@@ -75,7 +124,7 @@ class TestImages:
 
     def test_write_pgm(self, f_square, spec, tmp_path):
         path = tmp_path / "out.pgm"
-        render(f_square, spec, str(path), backend="numpy")
+        render(f_square, spec, str(path))
         data = path.read_bytes()
         assert data.startswith(b"P5\n")
         header, rest = data.split(b"\n", 1)
