@@ -303,6 +303,17 @@ class Octonion:
     def is_central(self) -> bool:
         return self.im().is_zero()
 
+    def negligible(self, tol: float, scale=1.0) -> bool:
+        """Exact mode: x == 0.  Real mode: |x| <= tol * scale."""
+        if self.params.field.exact:
+            return self.is_zero()
+        return float(self.norm()) <= (tol * scale) ** 2
+
+    def misfit(self, tol: float, scale=1.0) -> str:
+        """|x| and the threshold it exceeds, for a failed negligible()."""
+        return (f"residual {math.sqrt(abs(float(self.norm()))):.3e} > "
+                f"threshold {float(tol * scale):.3e}")
+
     def isclose(self, other: "Octonion", tol: float | None = None) -> bool:
         self._check(other)
         f = self.params.field
@@ -379,12 +390,9 @@ def parse_octonion(text: str, params: AlgebraParams) -> Octonion:
 
 
 def format_octonion(x: Octonion) -> str:
-    f = x.params.field
     parts = []
     for a, c in enumerate(x.coords):
-        if f.exact and c == 0:
-            continue
-        if not f.exact and c == 0.0:
+        if c == 0:
             continue
         mag = abs(c)
         s = "-" if c < 0 else "+"
@@ -439,11 +447,11 @@ def _nullspace_exact(rows: list) -> list:
     return basis
 
 
-def _nullspace_real(rows: list) -> list:
+def _nullspace_real(rows: list, rank_tol: float) -> list:
     a = np.array(rows, dtype=np.float64)
     _, s, vt = np.linalg.svd(a)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > 1e-10 * max(1.0, smax)))
+    rank = int(np.sum(s > rank_tol * max(1.0, smax)))
     return [list(vt[r]) for r in range(rank, vt.shape[0])]
 
 
@@ -466,7 +474,8 @@ def conjugating_element(lam: Octonion, mu: Octonion, seed: int = 0) -> Octonion:
         e = Octonion.basis(params, b)
         cols.append((e * lam - mu * e).coords)
     rows = [[cols[b][r] for b in range(7)] for r in range(8)]
-    basis = _nullspace_exact(rows) if f.exact else _nullspace_real(rows)
+    basis = (_nullspace_exact(rows) if f.exact
+             else _nullspace_real(rows, f.rank_tol))
     if not basis:
         raise WitnessFailure("conjugation system has trivial nullspace")
 
@@ -489,8 +498,11 @@ def conjugating_element(lam: Octonion, mu: Octonion, seed: int = 0) -> Octonion:
         else:
             raise WitnessFailure("no anisotropic conjugator found; "
                                  "is the algebra split?")
-    if not (best * lam).isclose(mu * best, tol=1e-7):
-        raise WitnessFailure("conjugation residual too large")
+    resid = best * lam - mu * best
+    scale = max(1.0, math.sqrt(abs(float(best.norm() * lam.norm()))))
+    if not resid.negligible(f.witness_tol, scale):
+        raise WitnessFailure("conjugation residual too large: "
+                             + resid.misfit(f.witness_tol, scale))
     return best
 
 
@@ -526,11 +538,8 @@ class QuatSubalgebra:
     def complement(self, x: Octonion) -> Octonion:
         return x - self.project(x)
 
-    def contains(self, x: Octonion, tol: float = 1e-8) -> bool:
-        rem = self.complement(x)
-        if self.params.field.exact:
-            return rem.is_zero()
-        return float(rem.norm()) <= tol
+    def contains(self, x: Octonion) -> bool:
+        return self.complement(x).negligible(self.params.field.span_tol)
 
 
 def _orthogonalize(x: Octonion, against: list) -> Octonion:

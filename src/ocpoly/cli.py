@@ -19,7 +19,7 @@ from .errors import (OcpolyError, ParseError, ResourceLimit)
 from .opoly import OPolynomial, parse_opolynomial
 from .roots import (lmr_contains, lmr_describe, lmr_sample, rmr_classes,
                     rmr_contains, rmr_witness, roots)
-from .scalars import Field
+from .scalars import DEFAULT_EPS, Field
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -136,8 +136,7 @@ def cmd_orbit(args) -> int:
     fld = _field(args)
     f = _load_poly(args.poly, fld)
     start = parse_octonion(args.start, f.params)
-    rec = orbit(f, start, args.max_iter,
-                escape_radius=args.escape_radius, tol=args.tol)
+    rec = orbit(f, start, args.max_iter, escape_radius=args.escape_radius)
     text = rec.to_csv()
     if rec.detected_period is not None:
         text += f"# detected_period,{rec.detected_period}\n"
@@ -180,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="octonion polynomial roots and dynamics")
     ap.add_argument("--mode", choices=("exact", "real"), default="real",
                     help="scalar arithmetic mode (default: real)")
-    ap.add_argument("--eps", type=float, default=1e-9,
-                    help="comparison tolerance in real mode")
+    ap.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                    help="real-mode tolerance; all thresholds scale with it")
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                     help="seed for randomized steps (default 0xC0FFEE)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--escape-radius", type=float, default=1e6)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
 
     p = poly_cmd("render", cmd_render, "escape-time slice image (PGM)")

@@ -19,8 +19,6 @@ from .errors import InvalidInput, ModeMismatch, NotAFixedPoint, OrderMismatch
 from .opoly import OPolynomial
 from .roots import RootSet, roots
 
-FIXED_POINT_TOL = 1e-9
-
 
 def _require_monic_quadratic(f: OPolynomial):
     if f.degree != 2 or not f.is_monic():
@@ -39,12 +37,10 @@ def fixed_points(f: OPolynomial, seed: int = 0) -> RootSet:
     return roots(f - OPolynomial.x(f.params), seed=seed)
 
 
-def _is_fixed(f: OPolynomial, alpha: Octonion) -> bool:
-    val = f.eval(alpha) - alpha
-    if f.params.field.exact:
-        return val.is_zero()
-    bound = FIXED_POINT_TOL * (1.0 + math.sqrt(float(alpha.norm())))
-    return math.sqrt(float(val.norm())) <= bound
+def _is_fixed(g: OPolynomial, alpha: Octonion, tol: float) -> bool:
+    """g(alpha) = alpha, to tol against 1 + |alpha|."""
+    scale = 1.0 + math.sqrt(abs(float(alpha.norm())))
+    return (g.eval(alpha) - alpha).negligible(tol, scale)
 
 
 def growth_bounds(alpha: Octonion, B: Octonion) -> tuple:
@@ -73,7 +69,7 @@ class FixedPointReport:
 def classify_fixed(f: OPolynomial, alpha: Octonion) -> FixedPointReport:
     _require_monic_quadratic(f)
     _require_real(f)
-    if not _is_fixed(f, alpha):
+    if not _is_fixed(f, alpha, f.params.field.fixed_tol):
         raise NotAFixedPoint(f"f({alpha}) != {alpha}")
     B = f.coeff(1)
     M, m = growth_bounds(alpha, B)
@@ -91,18 +87,11 @@ def verify_composition_fixed(f: OPolynomial, alpha: Octonion,
     """Check f^{on}(alpha) = alpha for n = 1..n_max via explicit composition
     (degree doubles each step, so keep n_max small)."""
     _require_monic_quadratic(f)
-    if not _is_fixed(f, alpha):
+    fld = f.params.field
+    if not _is_fixed(f, alpha, fld.fixed_tol):
         raise NotAFixedPoint("alpha is not fixed by f")
-    for n in range(1, n_max + 1):
-        val = f.iterate_comp(n).eval(alpha)
-        diff = val - alpha
-        if f.params.field.exact:
-            if not diff.is_zero():
-                return False
-        elif math.sqrt(float(diff.norm())) > \
-                1e-7 * (1.0 + math.sqrt(float(alpha.norm()))):
-            return False
-    return True
+    return all(_is_fixed(f.iterate_comp(n), alpha, fld.composition_tol)
+               for n in range(1, n_max + 1))
 
 
 def direction_ratio(f: OPolynomial, alpha: Octonion, direction: Octonion,
@@ -129,10 +118,11 @@ class OrbitRecord:
 
 
 def orbit(f: OPolynomial, start: Octonion, n_max: int,
-          escape_radius: float = 1e6, tol: float = 1e-9) -> OrbitRecord:
+          escape_radius: float = 1e6) -> OrbitRecord:
     """Substitution orbit of start, stopping at n_max, escape, or a revisit
-    of an earlier iterate (which sets the detected period)."""
+    of an earlier iterate to fixed_tol (which sets the detected period)."""
     _require_real(f)
+    tol = f.params.field.fixed_tol
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")
     iterates = [start]
@@ -146,7 +136,7 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
             escaped = True
             break
         hit = next((idx for idx, prev in enumerate(iterates[:-1])
-                    if math.sqrt(float((val - prev).norm())) < tol), None)
+                    if (val - prev).negligible(tol)), None)
         if hit is not None:
             period = len(iterates) - 1 - hit
             break
@@ -154,14 +144,15 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
                        escaped=escaped, detected_period=period)
 
 
-def detect_pseudo_period(f: OPolynomial, alpha: Octonion, n_max: int,
-                         tol: float = 1e-9) -> int | None:
-    """Smallest n <= n_max with |f^{*n}(alpha) - alpha| < tol, if any."""
+def detect_pseudo_period(f: OPolynomial, alpha: Octonion,
+                         n_max: int) -> int | None:
+    """Smallest n <= n_max with f^{*n}(alpha) = alpha to fixed_tol, if any."""
     _require_real(f)
+    tol = f.params.field.fixed_tol
     val = alpha
     for n in range(1, n_max + 1):
         val = f.eval(val)
-        if math.sqrt(float((val - alpha).norm())) < tol:
+        if (val - alpha).negligible(tol):
             return n
     return None
 
@@ -189,10 +180,10 @@ def cycle_factor(alpha_i: Octonion, B: Octonion) -> float:
 
 
 def classify_pseudo_periodic(f: OPolynomial, alpha: Octonion,
-                             n: int, tol: float = 1e-9) -> PseudoPeriodReport:
+                             n: int) -> PseudoPeriodReport:
     _require_monic_quadratic(f)
     _require_real(f)
-    detected = detect_pseudo_period(f, alpha, n, tol=tol)
+    detected = detect_pseudo_period(f, alpha, n)
     if detected != n:
         raise OrderMismatch(f"claimed order {n}, detected {detected}")
     B = f.coeff(1)

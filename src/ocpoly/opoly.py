@@ -7,6 +7,7 @@ ring homomorphism and nothing here assumes it is.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -63,6 +64,12 @@ class OPolynomial:
             return self.coeffs[t]
         return Octonion.zero(self.params)
 
+    @functools.cached_property
+    def coeff_scale(self) -> float:
+        """max(1, largest |coordinate|): the scale of residual thresholds."""
+        return max([1.0] + [abs(float(v)) for c in self.coeffs
+                            for v in c.coords])
+
     def is_monic(self) -> bool:
         return (not self.is_zero()
                 and self.coeffs[-1].isclose(Octonion.one(self.params)))
@@ -116,18 +123,12 @@ class OPolynomial:
             raise InvalidInput("zero polynomial has no companion")
         prod = self.conj_poly() * self
         f = self.params.field
-        scale = 1.0
-        if not f.exact:
-            scale = max(1.0, *(abs(v) for c in prod.coeffs for v in c.coords))
-        out = []
         for c in prod.coeffs:
-            imn = float(c.im().norm())
-            if (f.exact and imn != 0) or (not f.exact
-                                          and imn > (f.eps * scale) ** 2):
+            if not c.im().negligible(f.central_tol, prod.coeff_scale):
                 raise InternalError(
-                    f"non-central companion coefficient {c}; arithmetic bug")
-            out.append(c.coords[0])
-        return CentralPoly.make(f, out)
+                    f"non-central companion coefficient {c}, arithmetic bug: "
+                    + c.im().misfit(f.central_tol, prod.coeff_scale))
+        return CentralPoly.make(f, [c.coords[0] for c in prod.coeffs])
 
     # -- evaluation and iteration ------------------------------------------
 

@@ -35,23 +35,24 @@ class ConjClass:
             raise InvalidInput("not a central class")
         return self.T / 2
 
-    def matches(self, mu: Octonion, tol: float = 1e-8) -> bool:
-        f = mu.params.field
-        if f.exact:
-            return mu.trace() == self.T and mu.norm() == self.N
-        scale = max(1.0, abs(self.T), abs(self.N))
-        return (abs(mu.trace() - self.T) <= tol * scale
-                and abs(mu.norm() - self.N) <= tol * scale)
+    def gap(self, mu: Octonion):
+        """max(|tr mu - T|, |n(mu) - N|) / max(1, |T|, |N|): 0 iff mu in it."""
+        scale = max(1, abs(self.T), abs(self.N))
+        return max(abs(mu.trace() - self.T), abs(mu.norm() - self.N)) / scale
+
+    def matches(self, mu: Octonion) -> bool:
+        return self.gap(mu) <= mu.params.field.match_tol
 
     def to_json(self, f):
         return {"T": f.to_json(self.T), "N": f.to_json(self.N),
                 "central": self.central}
 
 
-def _classes_of(p: OPolynomial, seed: int = 0) -> list:
-    """Conjugacy classes of the companion polynomial's roots."""
+def rmr_classes(f: OPolynomial, seed: int = 0) -> list:
+    """Conjugacy classes of the companion polynomial's roots; their union is
+    the root set of the right scalar multiples of f."""
     out = []
-    for cand in central_roots(p.companion(), seed=seed):
+    for cand in central_roots(f.companion(), seed=seed):
         if cand.kind == "central-root":
             out.append(ConjClass(T=2 * cand.r, N=cand.r * cand.r, central=True))
         else:
@@ -100,63 +101,45 @@ class RootSet:
         }
 
 
-def _residual_tol(f: OPolynomial) -> float:
-    scale = max([1.0] + [abs(v) for c in f.coeffs for v in c.coords])
-    return 1e-8 * scale
-
-
-def _negligible(x: Octonion, f: OPolynomial) -> bool:
-    """Zero test for E/G of a linear reduction: class data carries the
-    root-finder's error, so the threshold is looser than element equality."""
-    if f.params.field.exact:
-        return x.is_zero()
-    scale = max([1.0] + [abs(v) for c in f.coeffs for v in c.coords])
-    return float(x.norm()) <= (1e-6 * scale) ** 2
-
-
 def roots(f: OPolynomial, seed: int = 0) -> RootSet:
-    """The root set of f, organized by companion conjugacy class."""
+    """The root set of f, organized by companion conjugacy class.  E, G and
+    a candidate's class are judged at class_tol, f(lam) at residual_tol."""
     if f.is_zero() or f.degree < 1:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     fld = f.params.field
-    tol = _residual_tol(f)
+    scale = f.coeff_scale
     isolated, spherical, anomalies = [], [], []
-    for cls in _classes_of(f, seed=seed):
+    for cls in rmr_classes(f, seed=seed):
         if cls.central:
             lam = Octonion.scalar(f.params, cls.r)
-            val = f.eval(lam)
-            if (val.is_zero() if fld.exact else float(val.norm()) <= tol ** 2):
-                isolated.append((lam, cls))
-            else:
-                anomalies.append((cls, "central candidate fails evaluation"))
-            continue
-        red = reduce_linear(f, cls)
-        e_zero = _negligible(red.E, f)
-        g_zero = _negligible(red.G, f)
-        if e_zero and g_zero:
-            spherical.append(cls)
-            continue
-        if e_zero:
-            anomalies.append((cls, "E = 0 but G != 0"))
-            continue
-        lam = -(red.E.inverse() * red.G)
-        ok = cls.matches(lam)
+        else:
+            red = reduce_linear(f, cls)
+            e_zero = red.E.negligible(fld.class_tol, scale)
+            if e_zero and red.G.negligible(fld.class_tol, scale):
+                spherical.append(cls)
+                continue
+            if e_zero:
+                anomalies.append((cls, "E = 0 but G != 0: "
+                                  + red.G.misfit(fld.class_tol, scale)))
+                continue
+            lam = -(red.E.inverse() * red.G)
+            gap = cls.gap(lam)
+            if gap > fld.class_tol:
+                anomalies.append((cls, "candidate -E^-1 G is off its class: "
+                                  f"residual {float(gap):.3e} > threshold "
+                                  f"{float(fld.class_tol):.3e}"))
+                continue
         val = f.eval(lam)
-        ok = ok and (val.is_zero() if fld.exact
-                     else float(val.norm()) <= tol ** 2)
-        if ok:
+        if val.negligible(fld.residual_tol, scale):
             isolated.append((lam, cls))
         else:
-            anomalies.append((cls, "candidate -E^-1 G fails verification"))
+            anomalies.append((cls, "candidate fails evaluation: "
+                              + val.misfit(fld.residual_tol, scale)))
     return RootSet(tuple(isolated), tuple(spherical), tuple(anomalies))
 
 
 # ---------------------------------------------------------------------------
 # RMR: roots of right scalar multiples
-
-def rmr_classes(f: OPolynomial, seed: int = 0) -> list:
-    return _classes_of(f, seed=seed)
-
 
 def rmr_contains(f: OPolynomial, mu: Octonion, seed: int = 0) -> bool:
     return any(c.matches(mu) for c in rmr_classes(f, seed=seed))
@@ -179,9 +162,10 @@ def rmr_witness(f: OPolynomial, mu: Octonion, seed: int = 0) -> Octonion:
             delta = conjugating_element(lam, mu, seed=seed)
             c = delta.inverse()
             val = f.scale_right(c).eval(mu)
-            if not (val.is_zero() if f.params.field.exact
-                    else float(val.norm()) <= (_residual_tol(f) * 10) ** 2):
-                raise NotInRMR("witness verification failed")
+            tol = f.params.field.witness_tol
+            if not val.negligible(tol, f.coeff_scale):
+                raise NotInRMR("witness verification failed: "
+                               + val.misfit(tol, f.coeff_scale))
             return c
     raise NotInRMR("element matches no root class of f")
 
@@ -191,7 +175,7 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
     """The root, inside the given class, of f(x)*c (side='right') or of
     c*f(x) (side='left'); bracketing follows the reduction identities."""
     red = reduce_linear(f, cls)
-    if _negligible(red.E, f):
+    if red.E.negligible(f.params.field.class_tol, f.coeff_scale):
         raise WholeClass("E = 0: the whole class consists of roots")
     Einv = red.E.inverse()
     cinv = c.inverse()
@@ -241,14 +225,14 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
         lam = Octonion.scalar(f.params, cls.r)
         return LMRClassDescription(cls=cls, kind="single-point", point=lam)
     red = reduce_linear(f, cls)
-    if _negligible(red.E, f):
+    if red.E.negligible(f.params.field.class_tol, f.coeff_scale):
         return LMRClassDescription(cls=cls, kind="whole-class",
                                    E=red.E, G=red.G)
     Einv = red.E.inverse()
     comm = red.G.conj().commutator(Einv)
     e_inv_g = Einv * red.G
     g_e_inv = red.G * Einv
-    if _negligible(comm, f):
+    if comm.negligible(f.params.field.class_tol, f.coeff_scale):
         return LMRClassDescription(cls=cls, kind="single-point",
                                    E=red.E, G=red.G, point=-e_inv_g)
     Q = quat_subalgebra_containing(red.E, red.G)
@@ -258,7 +242,7 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
 
 
 def lmr_describe(f: OPolynomial, seed: int = 0) -> list:
-    return [lmr_describe_class(f, cls) for cls in _classes_of(f, seed=seed)]
+    return [lmr_describe_class(f, cls) for cls in rmr_classes(f, seed=seed)]
 
 
 def _draw_q_pair(desc: LMRClassDescription, rng):
@@ -321,11 +305,10 @@ def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     fld = mu.params.field
     if fld.exact:
         raise ModeMismatch("lmr_contains is a real-mode operation")
-    eps = max(fld.eps, 1e-9)
     if desc.kind == "whole-class":
         return desc.cls.matches(mu)
     if desc.kind == "single-point":
-        return desc.point.isclose(mu, tol=1e-7)
+        return desc.point.isclose(mu, tol=fld.witness_tol)
     if not desc.cls.matches(mu):
         return False
     Q = desc.Q
@@ -340,12 +323,10 @@ def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     x = polar_form(rhs, d) / dd
     resid = rhs - d * x
     scale = max(1.0, float(mu.norm()), float(desc.comm_norm))
-    if float(resid.norm()) > (1e-6 * scale) ** 2:
-        return False
-    if x < -eps or x > 1 + eps:
-        return False
     target = x * (1 - x) * desc.comm_norm
-    return abs(float(w.norm()) - float(target)) <= 1e-6 * scale
+    return (resid.negligible(fld.class_tol, scale)
+            and -fld.eps <= x <= 1 + fld.eps
+            and abs(float(w.norm()) - float(target)) <= fld.class_tol * scale)
 
 
 def class_member(cls: ConjClass, params, rng) -> Octonion:

@@ -19,12 +19,30 @@ from .errors import InvalidInput, NoConvergence, UnsupportedDegree
 DEFAULT_EPS = 1e-9
 
 
+def _threshold(at_default: float) -> property:
+    """at_default times eps / DEFAULT_EPS (exactly 1.0 at the default eps);
+    0 in exact mode, which compares by equality."""
+    return property(lambda self: 0 if self.exact
+                    else at_default * (self.eps / DEFAULT_EPS))
+
+
 @dataclass(frozen=True)
 class Field:
-    """Scalar mode: exact rational arithmetic or floats with tolerance eps."""
+    """Scalar mode: exact rationals, or floats with tolerance eps, from which
+    every verification threshold derives (relative to a caller's scale)."""
 
     exact: bool
     eps: float = DEFAULT_EPS
+
+    residual_tol = _threshold(1e-8)     # |f(lam)| of a root
+    match_tol = _threshold(1e-8)        # trace and norm against a class
+    class_tol = _threshold(1e-6)        # E, G and others from class data
+    fixed_tol = _threshold(1e-9)        # f(alpha) = alpha, orbit revisits
+    composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
+    witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
+    span_tol = _threshold(1e-4)         # distance from a quaternion algebra
+    central_tol = _threshold(1e-9)      # Im of a companion coefficient
+    rank_tol = _threshold(1e-10)        # singular values in a nullspace rank
 
     def coerce(self, x):
         if isinstance(x, str):
@@ -88,7 +106,7 @@ class CentralPoly:
     @classmethod
     def make(cls, field: Field, coeffs) -> "CentralPoly":
         cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]) and (field.exact or cs[-1] == 0):
+        while cs and cs[-1] == 0:
             cs.pop()
         return cls(field, tuple(cs))
 

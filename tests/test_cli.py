@@ -109,6 +109,19 @@ class TestSubcommands:
         assert lines[0].startswith("step,")
         assert any(line.startswith("# detected_period,2") for line in lines)
 
+    def test_orbit_eps_sets_revisit_tolerance(self, tmp_path):
+        # x + 1e-7 moves every point by 1e-7: a revisit only when the
+        # revisit tolerance, fixed_tol = eps at the default, exceeds that
+        path = tmp_path / "g.txt"
+        path.write_text("x + 0.0000001\n")
+        periods = []
+        for eps in ("1e-9", "1e-6"):
+            out_path = tmp_path / f"orbit{eps}.csv"
+            assert main(["--eps", eps, "orbit", str(path), "--start=0",
+                         "--max-iter=5", "--out", str(out_path)]) == EXIT_OK
+            periods.append("# detected_period,1" in out_path.read_text())
+        assert periods == [False, True]
+
     def test_render(self, tmp_path):
         path = tmp_path / "sq.txt"
         path.write_text("x^2\n")

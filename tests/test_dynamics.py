@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import Octonion
+from ocpoly.algebra import AlgebraParams, Octonion
 from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
                              cycle_factor, detect_pseudo_period,
                              direction_ratio, fixed_points, growth_bounds,
                              orbit, verify_composition_fixed)
 from ocpoly.errors import InvalidInput, NotAFixedPoint
 from ocpoly.opoly import OPolynomial
+from ocpoly.scalars import Field
 
 
 def quad(params, B, C):
@@ -37,6 +38,41 @@ class TestFixedPoints:
         f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
         with pytest.raises(NotAFixedPoint):
             classify_fixed(f, i * 3)
+
+    def test_nearly_real_fixed_point_kept(self, PR):
+        # The companion has a near-double root here, so the class data is
+        # off by more than 1e-8; the candidate is still a root of f(x) - x.
+        C = Octonion.make(PR, [
+            0.008226459527830965, 0.0014541289154326492,
+            -0.00026601661989507494, 0.001634168405617116,
+            0.00021392785621004475, 0.0014882057388733297,
+            -0.00098081030956921, 7.237168880583735e-05])
+        B = Octonion.make(PR, [
+            1.1885513547940705, 0.012036889305851712,
+            -0.00042925735921948635, 0.014160934223678728,
+            0.0017407865174146001, 0.013157845509635741,
+            -0.009246940135381583, -0.0001556355163535993])
+        alpha = Octonion.make(PR, [
+            -0.11943636623090592, 0.0012206405873443763,
+            -0.002677674961537104, -0.0022067694570151192,
+            0.0006964708213737053, -0.0011393026150209,
+            0.002746972519063217, 0.001908407891816772])
+        fp = fixed_points(quad(PR, B, C))
+        assert not fp.anomalies
+        assert any(lam.isclose(alpha, tol=1e-7) for lam, _ in fp.isolated)
+
+    def test_eps_sets_fixed_point_threshold(self):
+        # a fixed point moved by 1e-7 leaves f(alpha) - alpha ~ 1.4e-7
+        for eps, fixed in ((1e-9, False), (1e-5, True)):
+            P = AlgebraParams(Field(exact=False, eps=eps), -1, -1, -1)
+            one, i, j = (Octonion.basis(P, a) for a in (0, 1, 2))
+            f = OPolynomial.make(P, [i * (-0.5) - one * 0.25, i, one])
+            alpha = i * (-0.5) + j * 1e-7
+            if fixed:
+                assert classify_fixed(f, alpha).verdict == "ambivalent"
+            else:
+                with pytest.raises(NotAFixedPoint):
+                    classify_fixed(f, alpha)
 
 
 class TestClassification:

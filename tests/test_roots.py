@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,19 @@ class TestRoots:
             for cls in r.spherical:
                 lam = class_member(cls, PR, py_rng)
                 assert float(f.eval(lam).abs()) < 1e-6 * scale
+
+    def test_anomaly_states_residual_and_threshold(self, PR):
+        # (x^2 + 1)(x - j): the solver splits the triple class of the
+        # companion (x^2 + 1)^3, so each candidate misses its class data
+        # (the solver loses this sphere today; once it keeps it, this
+        # test needs another input that still yields an anomaly)
+        j = Octonion.basis(PR, 2)
+        f = OPolynomial.make(PR, [1, 0, 1]) * OPolynomial.make(PR, [-j, 1])
+        _, reason = roots(f).anomalies[0]
+        m = re.search(r"residual (\S+) > threshold (\S+)$", reason)
+        residual, threshold = float(m.group(1)), float(m.group(2))
+        assert threshold == pytest.approx(REAL.class_tol, rel=1e-3)
+        assert residual > threshold
 
 
 class TestRMR:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ocpoly.errors import InvalidInput, UnsupportedDegree
-from ocpoly.scalars import (EXACT, REAL, CentralPoly, central_roots)
+from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
 
 def classes_of(cands):
@@ -105,3 +105,32 @@ class TestRealMode:
         a = central_roots(p, seed=1)
         b = central_roots(p, seed=1)
         assert a == b
+
+
+# Each named threshold and, at the default eps, the literal its sites used.
+THRESHOLDS = [
+    ("residual_tol", 1e-8),     # roots: |f(lam)| of a root
+    ("match_tol", 1e-8),        # ConjClass.matches
+    ("class_tol", 1e-6),        # E, G, [conj(G), E^-1]; LMR membership
+    ("fixed_tol", 1e-9),        # fixed points, orbit and period revisits
+    ("composition_tol", 1e-7),  # verify_composition_fixed
+    ("witness_tol", 1e-7),      # conjugation, rmr_witness, LMR point
+    ("span_tol", 1e-4),         # QuatSubalgebra.contains (norm <= 1e-8)
+    ("central_tol", 1e-9),      # companion centrality (eps)
+    ("rank_tol", 1e-10),        # real nullspace rank
+]
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("name,literal", THRESHOLDS)
+    def test_default_equals_literal(self, name, literal):
+        assert getattr(REAL, name) == literal
+
+    @pytest.mark.parametrize("name,literal", THRESHOLDS)
+    def test_scale_with_eps_and_vanish_in_exact_mode(self, name, literal):
+        assert getattr(Field(exact=False, eps=1e-7), name) == \
+            pytest.approx(100 * literal)
+        assert getattr(EXACT, name) == 0
+
+    def test_span_threshold_squares_to_old_norm_bound(self):
+        assert REAL.span_tol ** 2 == 1e-8
