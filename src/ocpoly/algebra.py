@@ -106,27 +106,6 @@ class ProductTable:
     int_norm_diag: tuple
     translates: np.ndarray = dc_field(compare=False, repr=False)
 
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        """Coordinates of x*y: float sums in real mode; in exact mode integer
-        sums over the operands' common denominators, then one Fraction per
-        coordinate."""
-        if not self.exact:
-            return tuple(_accumulate(self.terms, x, y, 0.0))
-        dx, nx = _numerators(x)
-        dy, ny = _numerators(y)
-        den = self.den * dx * dy
-        return tuple(Fraction(n, den)
-                     for n in _accumulate(self.int_terms, nx, ny, 0))
-
-    def norm(self, x: tuple):
-        """norm(x): a float sum in real mode; in exact mode an integer sum
-        over the common denominator of x, then one Fraction."""
-        if not self.exact:
-            return sum(d * c * c for d, c in zip(self.norm_diag, x))
-        d, n = _numerators(x)
-        return Fraction(sum(v * c * c for v, c in zip(self.int_norm_diag, n)),
-                        self.den * d * d)
-
     def mul_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row-wise products x*y of two (p, 8) float arrays: one matrix
         product for the translates e_a y, then x y = sum_a x_a (e_a y)."""
@@ -144,12 +123,6 @@ def _accumulate(terms: tuple, x, y, zero) -> list:
     for a, b, c, v in terms:
         out[c] += v * x[a] * y[b]
     return out
-
-
-def _numerators(x: tuple) -> tuple:
-    """The common denominator d of the rationals x, and the integers d*x."""
-    d = math.lcm(*(c.denominator for c in x))
-    return d, [c.numerator * (d // c.denominator) for c in x]
 
 
 @functools.lru_cache(maxsize=32)
@@ -186,12 +159,32 @@ def _product_table(params: AlgebraParams) -> ProductTable:
                         int_norm_diag, translates)
 
 
-@dataclass(frozen=True)
-class Octonion:
-    """Immutable element of the algebra defined by ``params``."""
+_set = object.__setattr__
 
-    coords: tuple
-    params: AlgebraParams
+
+class Octonion:
+    """Immutable element of the algebra ``params``; see ExactOctonion."""
+
+    __slots__ = ("coords", "params", "den", "num")
+
+    def __init__(self, coords: tuple, params: AlgebraParams):
+        _set(self, "coords", coords)
+        _set(self, "params", params)
+        if params.field.exact:  # exact arithmetic lives in the subclass
+            _set(self, "__class__", ExactOctonion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Octonion is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Octonion, (self.coords, self.params)
+
+    def __eq__(self, other):
+        return (isinstance(other, Octonion) and self.params == other.params
+                and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self.coords, self.params))
 
     # -- constructors -------------------------------------------------------
 
@@ -224,7 +217,7 @@ class Octonion:
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "Octonion"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise InvalidInput("operands live in different algebras")
 
     def __add__(self, other):
@@ -250,7 +243,8 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._check(other)
-            return Octonion(self.params.table.mul(self.coords, other.coords),
+            return Octonion(tuple(_accumulate(self.params.table.terms,
+                                              self.coords, other.coords, 0.0)),
                             self.params)
         s = self.params.field.coerce(other)
         return Octonion(tuple(a * s for a in self.coords), self.params)
@@ -276,18 +270,18 @@ class Octonion:
         return self.coords[0]
 
     def im(self) -> "Octonion":
-        return Octonion((self.params.field.zero(),) + self.coords[1:],
-                        self.params)
+        return Octonion((0.0,) + self.coords[1:], self.params)
 
     def norm(self):
-        return self.params.table.norm(self.coords)
+        diag = self.params.table.norm_diag
+        return sum(d * c * c for d, c in zip(diag, self.coords))
 
     def abs(self) -> float:
         return self.params.field.sqrt(self.norm())
 
     def inverse(self) -> "Octonion":
         n = self.norm()
-        if self.params.field.is_zero(n):
+        if n == 0 or not (self.params.field.exact or math.isfinite(1 / n)):
             raise NotInvertible("zero or isotropic element")
         return self.conj() / n
 
@@ -318,7 +312,7 @@ class Octonion:
         self._check(other)
         f = self.params.field
         if f.exact:
-            return self.coords == other.coords
+            return self == other
         tol = f.eps if tol is None else tol
         scale = max(1.0, max(abs(c) for c in self.coords),
                     max(abs(c) for c in other.coords))
@@ -329,6 +323,8 @@ class Octonion:
 
     def __str__(self) -> str:
         return format_octonion(self)
+
+    __repr__ = __str__
 
     def to_json(self):
         f = self.params.field
@@ -343,10 +339,87 @@ class Octonion:
         return cls.make(params, coords)
 
 
+class ExactOctonion(Octonion):
+    """Exact element: integers ``num`` over ``den`` > 0, gcd(den, *num) = 1,
+    one gcd per operation; ``coords`` (Fractions) are built when read."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):  # reached only while a slot is unset
+        if name == "coords":
+            _set(self, name, tuple(Fraction(n, self.den) for n in self.num))
+        elif name in ("den", "num"):
+            d = math.lcm(*(c.denominator for c in self.coords))
+            _set(self, "den", d)
+            _set(self, "num", tuple(c.numerator * (d // c.denominator)
+                                    for c in self.coords))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def __add__(self, other, sign=1):
+        if not isinstance(other, Octonion):
+            other = Octonion.scalar(self.params, other)
+        self._check(other)
+        d, e = self.den, other.den
+        return _exact(self.params, d * e, [a * e + sign * b * d for a, b in
+                                           zip(self.num, other.num)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, Octonion):
+            self._check(other)
+            t = self.params.table
+            return _exact(self.params, t.den * self.den * other.den,
+                          _accumulate(t.int_terms, self.num, other.num, 0))
+        s = self.params.field.coerce(other)
+        return _exact(self.params, self.den * s.denominator,
+                      [a * s.numerator for a in self.num])
+
+    def __truediv__(self, s):
+        return self * (1 / self.params.field.coerce(s))
+
+    def conj(self) -> "ExactOctonion":
+        n = self.num
+        return _exact(self.params, self.den, (n[0], *(-v for v in n[1:])))
+
+    def im(self) -> "ExactOctonion":
+        return _exact(self.params, self.den, (0,) + self.num[1:])
+
+    def norm(self):
+        t = self.params.table
+        n = sum(v * c * c for v, c in zip(t.int_norm_diag, self.num))
+        return Fraction(n, t.den * self.den * self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+
+def _exact(params: AlgebraParams, den: int, num) -> ExactOctonion:
+    """The exact element num / den, reduced by one gcd to den > 0."""
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    x = object.__new__(ExactOctonion)
+    _set(x, "params", params)
+    _set(x, "den", den // g)
+    _set(x, "num", tuple(a // g for a in num))
+    return x
+
+
 def polar_form(x: Octonion, y: Octonion):
     """Polar bilinear form of the norm: b(x,y) = norm(x+y)-norm(x)-norm(y)."""
     x._check(y)
-    diag = x.params.table.norm_diag
+    t = x.params.table
+    if t.exact:
+        s = sum(v * a * b for v, a, b in zip(t.int_norm_diag, x.num, y.num))
+        return Fraction(2 * s, t.den * x.den * y.den)
+    diag = t.norm_diag
     return sum(2 * d * a * b for d, a, b in zip(diag, x.coords, y.coords))
 
 
@@ -413,11 +486,12 @@ def format_octonion(x: Octonion) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact nullspace (Gauss-Jordan over Fraction)
+# Exact nullspace (Gauss-Jordan on integer rows: multiples of the rows over Q)
 
 def _nullspace_exact(rows: list) -> list:
     """Basis of the right nullspace of a matrix with Fraction entries."""
-    m = [list(r) for r in rows]
+    den = math.lcm(*(v.denominator for r in rows for v in r))
+    m = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
     nrows, ncols = len(m), len(m[0])
     pivots = []
     prow = 0
@@ -426,12 +500,13 @@ def _nullspace_exact(rows: list) -> list:
         if piv is None:
             continue
         m[prow], m[piv] = m[piv], m[prow]
-        inv = Fraction(1) / m[prow][col]
-        m[prow] = [v * inv for v in m[prow]]
+        p = m[prow][col]
         for r in range(nrows):
             if r != prow and m[r][col] != 0:
                 factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[prow])]
+                row = [p * v - factor * w for v, w in zip(m[r], m[prow])]
+                g = math.gcd(*row) or 1
+                m[r] = [v // g for v in row]
         pivots.append(col)
         prow += 1
         if prow == nrows:
@@ -442,7 +517,7 @@ def _nullspace_exact(rows: list) -> list:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for prow_i, pc in enumerate(pivots):
-            vec[pc] = -m[prow_i][fc]
+            vec[pc] = Fraction(-m[prow_i][fc], m[prow_i][pc])
         basis.append(vec)
     return basis
 

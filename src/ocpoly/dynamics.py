@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Octonion
 from .errors import InvalidInput, ModeMismatch, NotAFixedPoint, OrderMismatch
 from .opoly import OPolynomial
@@ -125,21 +127,24 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     tol = f.params.field.fixed_tol
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")
+    seen = np.empty((n_max + 1, 8))  # row k: iterate k, filled as reached
+    seen[0] = start.coords
     iterates = [start]
     escaped = False
     period = None
     val = start
-    for _ in range(n_max):
+    for k in range(1, n_max + 1):
         val = f.eval(val)
         iterates.append(val)
         if math.sqrt(float(val.norm())) > escape_radius:
             escaped = True
             break
-        hit = next((idx for idx, prev in enumerate(iterates[:-1])
-                    if (val - prev).negligible(tol)), None)
-        if hit is not None:
-            period = len(iterates) - 1 - hit
+        hit = np.flatnonzero(((seen[:k] - val.coords) ** 2)
+                             @ f.params.table.norm_diag <= tol ** 2)
+        if hit.size:
+            period = int(k - hit[0])
             break
+        seen[k] = val.coords
     return OrbitRecord(start=start, iterates=tuple(iterates),
                        escaped=escaped, detected_period=period)
 

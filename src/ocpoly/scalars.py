@@ -265,28 +265,28 @@ def _central_roots_real(p: CentralPoly, seed: int) -> list:
 
 
 def _central_roots_exact(p: CentralPoly) -> list:
-    import sympy
+    """Factors of p over Z (its coefficients times their common denominator)
+    from sympy's dense factoring, in the order of sympy.factor_list."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
     if p.degree > 4:
         raise UnsupportedDegree(
             f"exact mode supports degree <= 4, got {p.degree}")
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** t
-               for t, c in enumerate(p.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(p.coeffs)]
+    _, factors = dup_factor_list(ints, ZZ)
     out = []
     for fac, mult in factors:
-        fac = sympy.Poly(fac, x)
-        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        if fac.degree() == 1:
-            out.append(ClassCandidate.central(-cs[0] / cs[1], mult))
-        elif fac.degree() == 2:
-            T = -cs[1] / cs[2]
-            N = cs[0] / cs[2]
-            out.append(ClassCandidate.quadratic(T, N, mult))
+        cs = [int(c) for c in reversed(fac)]
+        if len(cs) == 2:
+            out.append(ClassCandidate.central(Fraction(-cs[0], cs[1]), mult))
+        elif len(cs) == 3:
+            out.append(ClassCandidate.quadratic(Fraction(-cs[1], cs[2]),
+                                                Fraction(cs[0], cs[2]), mult))
         else:
             raise UnsupportedDegree(
-                f"irreducible factor of degree {fac.degree()} over Q; "
+                f"irreducible factor of degree {len(cs) - 1} over Q; "
                 "no rational conjugacy-class data")
     return out
 

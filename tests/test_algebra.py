@@ -143,6 +143,13 @@ class TestInverse:
         with pytest.raises(NotInvertible):
             Octonion.zero(P).inverse()
 
+    def test_small_real_element_invertible(self, PR):
+        # norm 1e-10 lies below eps, but 1/norm is finite
+        inv = Octonion.scalar(PR, 1e-5).inverse()
+        assert inv.coords[0] == pytest.approx(1e5)
+        with pytest.raises(NotInvertible):
+            Octonion.zero(PR).inverse()
+
 
 class TestAlgebraLaws:
     N = 300

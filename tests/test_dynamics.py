@@ -196,6 +196,36 @@ class TestOrbits:
         assert rec.detected_period == 2
         assert detect_pseudo_period(f, Octonion.zero(PR), 20) == 2
 
+    def test_preperiodic_orbit(self, PR, basis_r):
+        # 1 -> 0 -> -1 -> 0: the revisit is to iterate 1, not to the start
+        one, i, j, k, l = basis_r
+        f = quad(PR, Octonion.zero(PR), -one)  # x^2 - 1
+        rec = orbit(f, one, 20)
+        assert not rec.escaped
+        assert rec.detected_period == 2
+        assert [float(x.re()) for x in rec.iterates] == [1.0, 0.0, -1.0, 0.0]
+
+    def test_revisit_matches_pairwise_loop(self, PR):
+        # reference: each iterate against every earlier one, subtract-and-norm
+        rng = random.Random(7)
+        tol = PR.field.fixed_tol
+        periods = []
+        for span in [0.1, 1.0] * 5:  # converging and escaping orbits
+            C = Octonion.make(PR, [rng.uniform(-span, span) for _ in range(8)])
+            start = Octonion.make(PR, [rng.uniform(-0.5, 0.5)
+                                       for _ in range(8)])
+            rec = orbit(quad(PR, Octonion.zero(PR), C), start, 60)
+            its, period = rec.iterates, None
+            for k in range(1, len(its)):
+                hit = next((i for i in range(k)
+                            if (its[k] - its[i]).negligible(tol)), None)
+                if hit is not None:
+                    period = k - hit
+                    break
+            assert (period, k) == (rec.detected_period, len(its) - 1)
+            periods.append(period)
+        assert 1 in periods and None in periods
+
     def test_escape(self, PR, basis_r):
         one, i, j, k, l = basis_r
         f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))

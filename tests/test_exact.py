@@ -1,0 +1,205 @@
+"""Property tests of exact-mode arithmetic on integers over one common
+denominator, against Fraction arithmetic on coordinates, the doubling-rule
+product, sympy's factoring and sympy's nullspace."""
+
+import math
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from ocpoly.algebra import (AlgebraParams, Octonion, _cd_conj, _cd_mul,
+                            _nullspace_exact, polar_form)
+from ocpoly.errors import NotInvertible
+from ocpoly.scalars import EXACT, CentralPoly, ClassCandidate, central_roots
+
+PARAMS = [AlgebraParams(EXACT, *g) for g in
+          ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
+           (Fraction(3, 7), -5, Fraction(2, 3)))]
+
+# the same examples on every run, with no saved examples replayed
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+nonzero = rationals.filter(bool)
+coords = st.tuples(*[rationals] * 8)
+
+
+@st.composite
+def elements(draw, params):
+    """An element built from coordinates, or the same value produced by
+    arithmetic, which holds integers but no coordinates."""
+    x = Octonion.make(params, draw(coords))
+    if draw(st.booleans()):
+        x = (x * 3 - x) / 2
+    return x
+
+
+@st.composite
+def operands(draw, count=2):
+    params = draw(st.sampled_from(PARAMS))
+    return (params,) + tuple(draw(elements(params)) for _ in range(count))
+
+
+def assert_exact(x, expected):
+    """x holds reduced integers over one positive denominator and equals
+    the Fraction coordinates expected."""
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert tuple(Fraction(n, x.den) for n in x.num) == tuple(expected)
+    assert x.coords == tuple(expected)
+    assert all(type(c) is Fraction for c in x.coords)
+
+
+def cd_norm(x, params):
+    return _cd_mul(x, _cd_conj(x), params.gammas)[0]
+
+
+@SETTINGS
+@given(operands(), nonzero)
+def test_linear_operations(ops, s):
+    _, x, y = ops
+    cx, cy = x.coords, y.coords
+    assert_exact(x + y, [a + b for a, b in zip(cx, cy)])
+    assert_exact(x - y, [a - b for a, b in zip(cx, cy)])
+    assert_exact(-x, [-a for a in cx])
+    assert_exact(x + s, [cx[0] + s] + list(cx[1:]))
+    assert_exact(s - x, [s - cx[0]] + [-a for a in cx[1:]])
+    assert_exact(x * s, [a * s for a in cx])
+    assert_exact(s * x, [s * a for a in cx])
+    assert_exact(x / s, [a / s for a in cx])
+
+
+@SETTINGS
+@given(operands())
+def test_product_matches_doubling_rule(ops):
+    params, x, y = ops
+    assert_exact(x * y, _cd_mul(x.coords, y.coords, params.gammas))
+
+
+@SETTINGS
+@given(operands(count=1))
+def test_involution_trace_norm(ops):
+    params, x = ops
+    cx = x.coords
+    assert_exact(x.conj(), _cd_conj(cx))
+    assert_exact(x.im(), (Fraction(0),) + cx[1:])
+    assert x.re() == cx[0] and x.trace() == 2 * cx[0]
+    assert x.norm() == cd_norm(cx, params)
+    assert x.is_zero() == (not any(cx))
+    assert all(type(v) is Fraction for v in (x.re(), x.trace(), x.norm()))
+
+
+@SETTINGS
+@given(operands())
+def test_polar_form(ops):
+    params, x, y = ops
+    s = tuple(a + b for a, b in zip(x.coords, y.coords))
+    assert polar_form(x, y) == (cd_norm(s, params) - cd_norm(x.coords, params)
+                                - cd_norm(y.coords, params))
+
+
+@SETTINGS
+@given(operands(count=1))
+def test_inverse(ops):
+    params, x = ops
+    n = cd_norm(x.coords, params)
+    if n == 0:  # zero, or isotropic where the norm form is indefinite
+        with pytest.raises(NotInvertible):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert_exact(inv, [c / n for c in _cd_conj(x.coords)])
+    one = (Fraction(1),) + (Fraction(0),) * 7
+    assert _cd_mul(x.coords, inv.coords, params.gammas) == one
+
+
+@SETTINGS
+@given(operands(count=1), nonzero)
+def test_equality_and_hash_across_representations(ops, s):
+    params, x = ops
+    built = Octonion.make(params, x.coords)
+    for same in (x, (x + s) - s, (x * s) / s, -(-x), x.conj().conj(),
+                 Octonion(x.coords, params)):
+        assert same == built and built == same
+        assert hash(same) == hash(built)
+        assert same.isclose(built)
+    assert len({built, x, (x * s) / s}) == 1
+    assert (x + 1) != built
+
+
+# ---------------------------------------------------------------------------
+# Factoring of central polynomials
+
+X = sympy.Symbol("x")
+
+
+def sympy_candidates(p: CentralPoly) -> list:
+    """Candidates from sympy.factor_list on the symbolic polynomial."""
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * X ** t
+               for t, c in enumerate(p.coeffs))
+    _, factors = sympy.factor_list(sympy.Poly(expr, X, domain="QQ"))
+    out = []
+    for fac, mult in factors:
+        cs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(sympy.Poly(fac, X).all_coeffs())]
+        assert len(cs) in (2, 3)
+        out.append(ClassCandidate.central(-cs[0] / cs[1], mult)
+                   if len(cs) == 2 else
+                   ClassCandidate.quadratic(-cs[1] / cs[2], cs[0] / cs[2],
+                                            mult))
+    return out
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for r, x in enumerate(a):
+        for s, y in enumerate(b):
+            out[r + s] += x * y
+    return out
+
+
+factor = st.one_of(
+    st.tuples(rationals).map(lambda r: [-r[0], Fraction(1)]),   # x - r
+    st.tuples(rationals, rationals).map(                     # x^2 - Tx + N
+        lambda tn: [tn[1], -tn[0], Fraction(1)]))
+
+
+@SETTINGS
+@given(st.lists(factor, min_size=1, max_size=4), st.booleans(), nonzero)
+def test_central_roots_match_sympy(factors, repeat, lead):
+    """lead * (the factors, the first one twice if repeat), up to degree 4,
+    the exact-mode cap."""
+    coeffs = [lead]
+    for f in factors[:1] * repeat + factors:
+        if len(coeffs) + len(f) - 2 <= 4:
+            coeffs = poly_mul(coeffs, f)
+    p = CentralPoly.make(EXACT, coeffs)
+    assert central_roots(p) == sympy_candidates(p)
+
+
+def test_central_roots_repeated_factor_with_leading_coefficient():
+    # 3 (x - 1/2)^2 (x^2 + 1)
+    coeffs = [Fraction(3)]
+    for f in ([Fraction(-1, 2), 1], [Fraction(-1, 2), 1], [1, 0, 1]):
+        coeffs = poly_mul(coeffs, [Fraction(c) for c in f])
+    p = CentralPoly.make(EXACT, coeffs)
+    assert central_roots(p) == [ClassCandidate.central(Fraction(1, 2), 2),
+                                ClassCandidate.quadratic(0, 1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Integer nullspace
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 8),
+       st.lists(st.integers(-3, 3), min_size=64, max_size=64),
+       st.integers(0, 7))
+def test_nullspace_matches_sympy(nrows, ncols, entries, rank_cut):
+    rows = [entries[r * 8:r * 8 + ncols] for r in range(nrows)]
+    # repeat rows to make rank-deficient matrices common
+    rows = [rows[r % (rank_cut + 1)] for r in range(nrows)]
+    expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                for vec in sympy.Matrix(rows).nullspace()]
+    assert _nullspace_exact(rows) == expected

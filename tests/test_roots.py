@@ -239,3 +239,20 @@ class TestLMR:
         # a = 0, b = 1 recovers -gamma-scaled left end -GE^{-1}
         pt = lmr_point(desc, Octonion.zero(P), Octonion.one(P))
         assert pt.isclose(desc.g_e_inv * -1)
+
+
+class TestSmallNonzeroE:
+    """E = T = 1e-5 for x^2 + 1 on the class (1e-5, 1): nonzero at
+    class_tol, so the class has one point, and E must be invertible."""
+
+    def test_multiple_root(self, PR):
+        f = OPolynomial.make(PR, [1, 0, 1])
+        j = Octonion.basis(PR, 2)
+        root = multiple_root(f, ConjClass(1e-5, 1), j, "left")
+        assert root.is_zero()
+
+    def test_lmr_describe_class(self, PR):
+        f = OPolynomial.make(PR, [1, 0, 1])
+        desc = lmr_describe_class(f, ConjClass(1e-5, 1))
+        assert desc.kind == "single-point"
+        assert desc.point.is_zero()
