@@ -61,7 +61,3 @@ class NotAFixedPoint(OcpolyError):
 
 class OrderMismatch(OcpolyError):
     """Claimed pseudo-period does not match the detected one."""
-
-
-class InternalError(OcpolyError):
-    """Arithmetic self-check failed (e.g. non-central companion coefficient)."""

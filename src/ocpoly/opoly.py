@@ -8,11 +8,14 @@ ring homomorphism and nothing here assumes it is.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import AlgebraParams, Octonion, parse_octonion
-from .errors import InternalError, InvalidInput, ParseError, ResourceLimit
+from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
 COMPOSE_DEGREE_CAP = 16
@@ -112,37 +115,38 @@ class OPolynomial:
                 out[r + s] = out[r + s] + a * b
         return OPolynomial.make(self.params, out)
 
-    # -- involution and companion ------------------------------------------
-
-    def conj_poly(self) -> "OPolynomial":
-        return OPolynomial.make(self.params, [c.conj() for c in self.coeffs])
+    # -- companion and evaluation ------------------------------------------
 
     def companion(self) -> CentralPoly:
-        """conj(f) * f; every coefficient must come out central."""
+        """conj(f) * f, central by construction: as conj(x) y + conj(y) x =
+        polar_form(x, y), coefficient k sums polar_form(a_s, a_t) over s < t,
+        s + t = k, plus norm(a_{k/2}); exact mode on integer numerators."""
         if self.is_zero():
             raise InvalidInput("zero polynomial has no companion")
-        prod = self.conj_poly() * self
-        f = self.params.field
-        for c in prod.coeffs:
-            if not c.im().negligible(f.central_tol, prod.coeff_scale):
-                raise InternalError(
-                    f"non-central companion coefficient {c}, arithmetic bug: "
-                    + c.im().misfit(f.central_tol, prod.coeff_scale))
-        return CentralPoly.make(f, [c.coords[0] for c in prod.coeffs])
-
-    # -- evaluation and iteration ------------------------------------------
+        cs, tb = self.coeffs, self.params.table
+        if tb.exact:
+            den = math.lcm(*(a.den for a in cs))
+            rows = [[v * (den // a.den) for v in a.num] for a in cs]
+            diag, unit = tb.int_norm_diag, Fraction(1, tb.den * den * den)
+        else:
+            rows, diag, unit = [a.coords for a in cs], tb.norm_diag, 1
+        out = [0] * (2 * len(rows) - 1)
+        for s, x in enumerate(rows):
+            wx = [w * v for w, v in zip(diag, x)]
+            out[2 * s] += sum(map(operator.mul, wx, x))
+            for t in range(s + 1, len(rows)):
+                out[s + t] += 2 * sum(map(operator.mul, wx, rows[t]))
+        return CentralPoly.make(self.params.field, [c * unit for c in out])
 
     def eval(self, lam: Octonion) -> Octonion:
-        """sum a_t lam^t; powers live in the subalgebra generated by lam."""
-        if not isinstance(lam, Octonion):
-            lam = Octonion.scalar(self.params, lam)
-        acc = Octonion.zero(self.params)
-        power = Octonion.one(self.params)
-        for t, a in enumerate(self.coeffs):
-            if t:
-                power = power * lam
-            acc = acc + a * power
+        """sum a_t lam^t by Horner's rule, exact since a_t and lam generate an
+        associative subalgebra (Artin); lam may also be a scalar."""
+        acc = self.coeff(self.degree)
+        for a in reversed(self.coeffs[:-1]):
+            acc = acc * lam + a
         return acc
+
+    # -- iteration ----------------------------------------------------------
 
     def power(self, t: int) -> "OPolynomial":
         """t-fold product f * ... * f, left-nested."""
@@ -178,25 +182,20 @@ class OPolynomial:
     def iterate_sub(self, alpha: Octonion, n: int) -> Octonion:
         if n < 1:
             raise InvalidInput("need n >= 1")
-        val = alpha if isinstance(alpha, Octonion) \
-            else Octonion.scalar(self.params, alpha)
         for _ in range(n):
-            val = self.eval(val)
-        return val
+            alpha = self.eval(alpha)
+        return alpha
 
     def right_div_linear(self, lam: Octonion):
-        """(g, r) with f = g*(x - lam) + r; r equals f(lam)."""
+        """(g, r) with f = g*(x - lam) + r: the Horner values of eval(lam)
+        are the coefficients of g, and the last is r = f(lam)."""
         if self.is_zero():
             raise InvalidInput("cannot divide the zero polynomial")
-        n = self.degree
-        if n == 0:
-            return OPolynomial.zero(self.params), self.coeffs[0]
-        b = [Octonion.zero(self.params)] * n
-        b[n - 1] = self.coeffs[n]
-        for t in range(n - 1, 0, -1):
-            b[t - 1] = self.coeffs[t] + b[t] * lam
-        r = self.coeffs[0] + b[0] * lam
-        return OPolynomial.make(self.params, b), r
+        b = [self.coeffs[-1]]
+        for a in reversed(self.coeffs[:-1]):
+            b.append(b[-1] * lam + a)
+        r = b.pop()
+        return OPolynomial.make(self.params, b[::-1]), r
 
     # -- formatting ---------------------------------------------------------
 

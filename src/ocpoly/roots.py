@@ -129,6 +129,8 @@ def roots(f: OPolynomial, seed: int = 0) -> RootSet:
                                   f"residual {float(gap):.3e} > threshold "
                                   f"{float(fld.class_tol):.3e}"))
                 continue
+            # its own class, which its conjugates match at match_tol
+            cls = ConjClass(T=lam.trace(), N=lam.norm())
         val = f.eval(lam)
         if val.negligible(fld.residual_tol, scale):
             isolated.append((lam, cls))

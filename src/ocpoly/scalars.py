@@ -41,7 +41,6 @@ class Field:
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
     witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
     span_tol = _threshold(1e-4)         # distance from a quaternion algebra
-    central_tol = _threshold(1e-9)      # Im of a companion coefficient
     rank_tol = _threshold(1e-10)        # singular values in a nullspace rank
 
     def coerce(self, x):

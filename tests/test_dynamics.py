@@ -11,6 +11,7 @@ from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
                              orbit, verify_composition_fixed)
 from ocpoly.errors import InvalidInput, NotAFixedPoint
 from ocpoly.opoly import OPolynomial
+from ocpoly.roots import rmr_witness
 from ocpoly.scalars import Field
 
 
@@ -57,9 +58,15 @@ class TestFixedPoints:
             -0.002677674961537104, -0.0022067694570151192,
             0.0006964708213737053, -0.0011393026150209,
             0.002746972519063217, 0.001908407891816772])
-        fp = fixed_points(quad(PR, B, C))
+        f = quad(PR, B, C)
+        fp = fixed_points(f)
         assert not fp.anomalies
         assert any(lam.isclose(alpha, tol=1e-7) for lam, _ in fp.isolated)
+        # each root's class is its own, so its conjugates are in the RMR
+        g = f - OPolynomial.x(PR)
+        j = Octonion.basis(PR, 2)
+        for lam, _ in fp.isolated:
+            rmr_witness(g, j * lam * j.inverse())
 
     def test_eps_sets_fixed_point_threshold(self):
         # a fixed point moved by 1e-7 leaves f(alpha) - alpha ~ 1.4e-7

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import Octonion, random_octonion
-from ocpoly.errors import InternalError, ParseError, ResourceLimit
+from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
+from ocpoly.errors import ParseError, ResourceLimit
 from ocpoly.opoly import OPolynomial, parse_opolynomial
-from ocpoly.scalars import EXACT
+from ocpoly.scalars import EXACT, REAL
+
+# structure constants of definite and split algebras, rational ones included
+GAMMAS = ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
+          (Fraction(3, 7), -5, Fraction(2, 3)))
 
 
 class TestArithmetic:
@@ -53,14 +57,28 @@ class TestCompanion:
         assert comp.coeffs == (Fraction(2), Fraction(0), Fraction(3),
                                Fraction(0), Fraction(1))
 
-    def test_coeffs_central(self, P, rng):
-        for _ in range(10):
-            f = OPolynomial.make(P, [random_octonion(P, rng)
-                                     for _ in range(4)])
-            if f.is_zero():
-                continue
-            comp = f.companion()
-            assert comp.degree == 2 * f.degree
+    def test_coeffs_central(self, rng):
+        # the polar-form sums equal the real parts of the product conj(f) f
+        for gammas in GAMMAS:
+            for field in (EXACT, REAL):
+                P = AlgebraParams(field, *gammas)
+                for _ in range(5):
+                    f = OPolynomial.make(P, [random_octonion(P, rng)
+                                             for _ in range(4)])
+                    if f.is_zero():
+                        continue
+                    prod = OPolynomial.make(
+                        P, [a.conj() for a in f.coeffs]) * f
+                    want = [c.re() for c in prod.coeffs]
+                    got = f.companion().coeffs
+                    if field.exact:
+                        assert all(c.is_central() for c in prod.coeffs)
+                        assert got == tuple(want)
+                        continue
+                    scale = max(abs(c) for c in want)
+                    assert len(got) == len(want)
+                    assert got == pytest.approx(want, rel=1e-12,
+                                                abs=1e-12 * scale)
 
     def test_roots_included(self, P, basis):
         # any root of f lies in a class cut out by the companion
@@ -76,18 +94,21 @@ class TestCompanion:
 
 
 class TestEval:
-    def test_left_bracketing(self, P, rng):
-        # term is a_t * (lambda^t) with powers formed by left products
-        for _ in range(10):
-            coeffs = [random_octonion(P, rng) for _ in range(6)]
-            f = OPolynomial.make(P, coeffs)
-            lam = random_octonion(P, rng)
-            acc = Octonion.zero(P)
-            power = Octonion.one(P)
-            for a in coeffs:
-                acc = acc + a * power
-                power = power * lam
-            assert f.eval(lam).isclose(acc)
+    def test_left_bracketing(self, rng):
+        # term is a_t * (lambda^t) with powers formed by left products;
+        # Horner's rule agrees exactly on every alternative algebra
+        for gammas in GAMMAS:
+            P = AlgebraParams(EXACT, *gammas)
+            for _ in range(10):
+                coeffs = [random_octonion(P, rng) for _ in range(6)]
+                f = OPolynomial.make(P, coeffs)
+                lam = random_octonion(P, rng)
+                acc = Octonion.zero(P)
+                power = Octonion.one(P)
+                for a in coeffs:
+                    acc = acc + a * power
+                    power = power * lam
+                assert f.eval(lam) == acc
 
     def test_power_well_defined(self, P, rng):
         # powers of a single element are association-free

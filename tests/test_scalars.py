@@ -116,7 +116,6 @@ THRESHOLDS = [
     ("composition_tol", 1e-7),  # verify_composition_fixed
     ("witness_tol", 1e-7),      # conjugation, rmr_witness, LMR point
     ("span_tol", 1e-4),         # QuatSubalgebra.contains (norm <= 1e-8)
-    ("central_tol", 1e-9),      # companion centrality (eps)
     ("rank_tol", 1e-10),        # real nullspace rank
 ]
 
