@@ -10,10 +10,13 @@ E*lam + G = 0; the class either contributes the single point
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
-from .algebra import (Octonion, QuatSubalgebra, conjugating_element,
+from .algebra import (Octonion, QuatSubalgebra, _exact, conjugating_element,
                       polar_form, quat_subalgebra_containing)
 from .errors import (InvalidInput, ModeMismatch, NotInRMR, WholeClass)
 from .opoly import OPolynomial
@@ -70,19 +73,38 @@ class LinearReduction:
 def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
     """E, G with f(lam) = E*lam + G for every lam of trace T and norm N.
 
-    Uses the central recursion lam^{t+1} = (T p_t + q_t) lam - N p_t with
-    lam^t = p_t lam + q_t.
+    With lam^t = p_t lam + q_t, the central recursion
+    lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
+    G = sum a_t q_t, summed in one pass per coordinate; exact mode on
+    integer numerators over one common denominator.
     """
-    fld = f.params.field
+    fld, cs = f.params.field, f.coeffs
+    if not cs:
+        zero = Octonion.zero(f.params)
+        return LinearReduction(E=zero, G=zero, cls=cls)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
     p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
-    E = Octonion.zero(f.params)
-    G = Octonion.zero(f.params)
-    for a in f.coeffs:
-        E = E + a * p
-        G = G + a * q
+    ps, qs = [], []
+    for _ in cs:
+        ps.append(p)
+        qs.append(q)
         p, q = T * p + q, -N * p
-    return LinearReduction(E=E, G=G, cls=cls)
+    if fld.exact:
+        den = math.lcm(*(a.den for a in cs))
+        cols = list(zip(*([v * (den // a.den) for v in a.num] for a in cs)))
+
+        def combine(xs):
+            d = math.lcm(*(x.denominator for x in xs))
+            ws = [x.numerator * (d // x.denominator) for x in xs]
+            return _exact(f.params, den * d,
+                          [sum(map(operator.mul, ws, c)) for c in cols])
+    else:
+        cols = list(zip(*(a.coords for a in cs)))
+
+        def combine(xs):
+            return Octonion(
+                tuple(sum(map(operator.mul, xs, c)) for c in cols), f.params)
+    return LinearReduction(E=combine(ps), G=combine(qs), cls=cls)
 
 
 @dataclass(frozen=True)
@@ -252,7 +274,6 @@ def _draw_q_pair(desc: LMRClassDescription, rng):
     fld = desc.Q.params.field
     while True:
         if fld.exact:
-            from fractions import Fraction
             cs = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
         else:
             cs = [rng.uniform(-2, 2) for _ in range(8)]

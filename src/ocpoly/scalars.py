@@ -192,7 +192,7 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise NoConvergence(f"Aberth solver failed for degree {n}")
 
 
-def _cluster_real(candidates, field):
+def _cluster_real(candidates):
     """Merge candidates that coincide within tolerance, summing multiplicity."""
     merged = []
     for cand in candidates:
@@ -260,24 +260,109 @@ def _central_roots_real(p: CentralPoly, seed: int) -> list:
         used[best] = True
         zz = 0.5 * (z + np.conj(centers[best][0]))
         out.append(ClassCandidate.quadratic(float(2 * zz.real), float(abs(zz) ** 2), mult))
-    return _cluster_real(out, p.field)
+    return _cluster_real(out)
+
+
+def _primitive(cs: list) -> list:
+    """Integer coefficients divided by their gcd, leading one positive."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if cs[0] > 0 else [-c // g for c in cs]
+
+
+def _quotient(f: list, g: list):
+    """f / g for descending integer coefficients, or None unless g divides f
+    exactly (over Q as over Z, since g is primitive)."""
+    f, n = list(f), len(g) - 1
+    out = []
+    for k in range(len(f) - n):
+        c, r = divmod(f[k], g[0])
+        if r:
+            return None
+        out.append(c)
+        for i in range(1, n + 1):
+            f[k + i] -= c * g[i]
+    return None if any(f[len(f) - n:]) else out
+
+
+def _split(q: list) -> list:
+    """The irreducible factors over Q of a primitive linear or quadratic q:
+    a quadratic splits exactly when its discriminant is a square."""
+    if len(q) == 3:
+        a, b, c = q
+        disc = b * b - 4 * a * c
+        d = math.isqrt(disc) if disc >= 0 else -1
+        if d * d == disc:
+            return [_primitive([2 * a, b - d]), _primitive([2 * a, b + d])]
+    return [q]
+
+
+def _divide_out(f: list, q: list, factors: list) -> list:
+    """If q divides f, f without each factor of q as often as it divides,
+    appending (factor, multiplicity) to factors; else f unchanged."""
+    if _quotient(f, q) is None:
+        return f
+    for g in _split(q):
+        m = 0
+        while (h := _quotient(f, g)) is not None:
+            f, m = h, m + 1
+        if m:
+            factors.append((tuple(g), m))
+    return f
+
+
+def _proposals(f: list):
+    """Candidate factors of f (descending integers, lc > 0) from its float
+    roots: x - r for each real root r, and x^2 - s x + p for each pair of
+    roots with real sum s and product p, times lc, rounded and primitive.
+    Non-finite values propose nothing."""
+    try:
+        zs = np.roots([float(c) for c in f]).tolist()
+    except OverflowError:  # a coefficient beyond float range
+        return
+    lc = float(f[0])
+    vals = [[-lc * z.real] for z in zs if z.imag == 0]
+    for k, z in enumerate(zs):
+        for w in zs[k + 1:]:
+            s, p = z + w, z * w
+            if s.imag == 0 and p.imag == 0:
+                vals.append([-lc * s.real, lc * p.real])
+    for v in vals:
+        if all(map(math.isfinite, v)):
+            yield _primitive([f[0]] + [round(x) for x in v])
 
 
 def _central_roots_exact(p: CentralPoly) -> list:
     """Factors of p over Z (its coefficients times their common denominator)
-    from sympy's dense factoring, in the order of sympy.factor_list."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
+    in the order of sympy.factor_list.  Factors proposed from float roots
+    are kept when they divide exactly; a remainder of degree >= 3 (an
+    irreducible factor, or coefficients floats cannot resolve) goes to
+    sympy's dense factoring."""
     if p.degree > 4:
         raise UnsupportedDegree(
             f"exact mode supports degree <= 4, got {p.degree}")
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in reversed(p.coeffs)]
-    _, factors = dup_factor_list(ints, ZZ)
+    f = _primitive([c.numerator * (den // c.denominator)
+                    for c in reversed(p.coeffs)])
+    j = next(k for k, c in enumerate(reversed(f)) if c)
+    factors = [((1, 0), j)] if j else []
+    f = f[:len(f) - j]
+    if len(f) > 3:
+        for q in _proposals(f):
+            f = _divide_out(f, q, factors)
+            if len(f) <= 3:
+                break
+    if len(f) > 3:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+        factors += [(tuple(int(c) for c in g), m)
+                    for g, m in dup_factor_list(f, ZZ)[1]]
+    elif len(f) > 1:  # a linear or quadratic remainder: itself, or split
+        _divide_out(f, f, factors)
+    # sympy's own order: by length, multiplicity, then coefficients
+    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0]))
     out = []
     for fac, mult in factors:
-        cs = [int(c) for c in reversed(fac)]
+        cs = fac[::-1]
         if len(cs) == 2:
             out.append(ClassCandidate.central(Fraction(-cs[0], cs[1]), mult))
         elif len(cs) == 3:

@@ -3,12 +3,19 @@ denominator, against Fraction arithmetic on coordinates, the doubling-rule
 product, sympy's factoring and sympy's nullspace."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys import factortools
+from sympy.polys.factortools import dup_factor_list
 
+import ocpoly
 from ocpoly.algebra import (AlgebraParams, Octonion, _cd_conj, _cd_mul,
                             _nullspace_exact, polar_form)
 from ocpoly.errors import NotInvertible
@@ -160,17 +167,26 @@ def poly_mul(a, b):
     return out
 
 
-factor = st.one_of(
-    st.tuples(rationals).map(lambda r: [-r[0], Fraction(1)]),   # x - r
-    st.tuples(rationals, rationals).map(                     # x^2 - Tx + N
-        lambda tn: [tn[1], -tn[0], Fraction(1)]))
+@st.composite
+def factored(draw):
+    """A leading coefficient and 1 to 4 factors x - r or x^2 - Tx + N, all
+    with numerators and denominators up to one drawn scale: floats resolve
+    the small scales and leave the large ones to sympy."""
+    scale = draw(st.sampled_from((12, 10 ** 4, 10 ** 9, 10 ** 12)))
+    r = st.builds(Fraction, st.integers(-scale, scale), st.integers(1, scale))
+    factor = st.one_of(r.map(lambda a: [-a, Fraction(1)]),
+                       st.tuples(r, r).map(lambda tn: [tn[1], -tn[0],
+                                                       Fraction(1)]))
+    return (draw(r.filter(bool)),
+            draw(st.lists(factor, min_size=1, max_size=4)))
 
 
-@SETTINGS
-@given(st.lists(factor, min_size=1, max_size=4), st.booleans(), nonzero)
-def test_central_roots_match_sympy(factors, repeat, lead):
+@settings(SETTINGS, max_examples=200)
+@given(factored(), st.booleans())
+def test_central_roots_match_sympy(lead_factors, repeat):
     """lead * (the factors, the first one twice if repeat), up to degree 4,
     the exact-mode cap."""
+    lead, factors = lead_factors
     coeffs = [lead]
     for f in factors[:1] * repeat + factors:
         if len(coeffs) + len(f) - 2 <= 4:
@@ -187,6 +203,69 @@ def test_central_roots_repeated_factor_with_leading_coefficient():
     p = CentralPoly.make(EXACT, coeffs)
     assert central_roots(p) == [ClassCandidate.central(Fraction(1, 2), 2),
                                 ClassCandidate.quadratic(0, 1, 1)]
+
+
+@pytest.mark.parametrize("coeffs, sympy_calls", [
+    # 12 (9959x + 7247)^2: one double linear factor, not a quadratic
+    ([630228108, 1732148952, 1190180172], 0),
+    # (9959x + 7247)^2 (x^2 + 1): the same, proposed from float roots
+    (poly_mul(poly_mul([7247, 9959], [7247, 9959]), [1, 0, 1]), 0),
+    # coefficients too large for floats to resolve the factors
+    ([-4311760261558555689104695920, 4539660826875436020140040504,
+      -908098134429997914716572392, 3681820440738743586107274888,
+      393319631484299927902100760], 1),
+    # a coefficient beyond float range
+    (poly_mul(poly_mul([-10 ** 400, 1], [-1, 1]), [1, 0, 1]), 1),
+    # lc * r beyond float range for the root r = 10^150
+    (poly_mul(poly_mul([-1, 10 ** 200], [-10 ** 150, 1]), [1, 1, 1]), 1),
+], ids=["double-linear", "double-linear-quartic", "remainder", "beyond-float",
+        "overflowing-proposal"])
+def test_central_roots_fixed_cases(coeffs, sympy_calls, monkeypatch):
+    """Equal to sympy, which is called only on what float roots leave."""
+    p = CentralPoly.make(EXACT, coeffs)
+    expected = sympy_candidates(p)
+    calls = []
+
+    def counted(f, K):
+        calls.append(f)
+        return dup_factor_list(f, K)
+
+    monkeypatch.setattr(factortools, "dup_factor_list", counted)
+    assert central_roots(p) == expected
+    assert len(calls) == sympy_calls
+
+
+def test_sympy_only_on_remainder():
+    """Exact roots, witnesses and LMR classes of x^2 + ix - ij + 1 run
+    without importing sympy; an irreducible quartic still needs it and
+    still raises UnsupportedDegree."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from ocpoly.algebra import AlgebraParams, Octonion
+        from ocpoly.errors import UnsupportedDegree
+        from ocpoly.opoly import parse_opolynomial
+        from ocpoly.roots import (ConjClass, lmr_describe_class,
+                                  rmr_witness, roots)
+        from ocpoly.scalars import EXACT, CentralPoly, central_roots
+        P = AlgebraParams.octonions(EXACT)
+        f = parse_opolynomial("x^2 + ix - ij + 1", P)
+        assert len(roots(f).isolated) == 2
+        rmr_witness(f, Octonion.basis(P, 3))
+        lmr_describe_class(f, ConjClass(Fraction(0), Fraction(2)))
+        print("sympy" in sys.modules)
+        try:
+            central_roots(CentralPoly.make(EXACT, [1, 1, 0, 0, 1]))
+        except UnsupportedDegree as exc:
+            print(exc)
+        """)
+    src = os.path.dirname(os.path.dirname(ocpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == [
+        "False", "irreducible factor of degree 4 over Q; "
+        "no rational conjugacy-class data"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,23 @@ from ocpoly.scalars import EXACT, REAL
 def quad_example(P, basis):
     one, i, j, k, l = basis
     return OPolynomial.make(P, [one - k, i, one])
+
+
+GAMMAS = ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
+          (Fraction(3, 7), -5, Fraction(2, 3)))
+
+
+def reduce_by_terms(f, T, N):
+    """E = sum a_t p_t and G = sum a_t q_t by octonion additions, term by
+    term: the reference for reduce_linear."""
+    fld = f.params.field
+    p, q = fld.zero(), fld.one()
+    E = G = Octonion.zero(f.params)
+    for a in f.coeffs:
+        E = E + a * p
+        G = G + a * q
+        p, q = T * p + q, -N * p
+    return E, G
 
 
 class TestLinearReduction:
@@ -46,6 +64,32 @@ class TestLinearReduction:
             lhs = f.eval(lam)
             rhs = red.E * lam + red.G
             assert lhs.isclose(rhs, tol=1e-6)
+
+    @pytest.mark.parametrize("gammas", GAMMAS)
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_matches_term_by_term_sums(self, gammas, field):
+        params = AlgebraParams(field, *map(field.coerce, gammas))
+        T, N = map(field.coerce, (Fraction(1, 3), Fraction(-7, 5)))
+        rng = random.Random(7)
+        for deg in range(6):
+            f = OPolynomial.make(params, [random_octonion(params, rng)
+                                          for _ in range(deg + 1)])
+            red = reduce_linear(f, ConjClass(T, N))
+            E, G = reduce_by_terms(f, T, N)
+            if field.exact or sys.version_info < (3, 12):
+                # the same sums in the same order: equal Fractions, and
+                # the same floats bit for bit
+                assert (red.E.coords, red.G.coords) == (E.coords, G.coords)
+            else:  # sum() compensates float rounding from Python 3.12 on
+                assert red.E.isclose(E, tol=1e-15)
+                assert red.G.isclose(G, tol=1e-15)
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_zero_polynomial(self, field):
+        params = AlgebraParams.octonions(field)
+        red = reduce_linear(OPolynomial.zero(params),
+                            ConjClass(field.coerce(0), field.coerce(1)))
+        assert red.E == red.G == Octonion.zero(params)
 
 
 class TestRoots:
