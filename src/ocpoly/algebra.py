@@ -94,8 +94,8 @@ class ProductTable:
     norm(sum x_a e_a) = sum norm_diag[a] * x_a^2, and ``int_norm_diag`` is
     the same times ``den`` (exact mode only).  ``translates`` is the
     (8, 64) float matrix of the terms, translates[b, 8a + c] = v, so that
-    row y @ translates lists the left translates e_a y; it serves products
-    of whole float batches.
+    row y @ translates lists the left translates e_a y; it yields the
+    left-multiplication matrices of the render kernel.
     """
 
     exact: bool
@@ -106,16 +106,10 @@ class ProductTable:
     int_norm_diag: tuple
     translates: np.ndarray = dc_field(compare=False, repr=False)
 
-    def mul_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row-wise products x*y of two (p, 8) float arrays: one matrix
-        product for the translates e_a y, then x y = sum_a x_a (e_a y)."""
-        ys = (y @ self.translates).reshape(len(y), 8, 8)
-        return np.einsum("pa,pac->pc", x, ys)
-
     def left_matrix(self, x: tuple) -> np.ndarray:
-        """The 8x8 float matrix L with x*y = y @ L for every row y."""
+        """The 8x8 float matrix L with x*y = L @ y for every column y."""
         xs = np.array([float(c) for c in x])
-        return np.einsum("a,bac->bc", xs, self.translates.reshape(8, 8, 8))
+        return np.einsum("a,bac->cb", xs, self.translates.reshape(8, 8, 8))
 
 
 def _accumulate(terms: tuple, x, y, zero) -> list:

@@ -2,10 +2,12 @@
 
 Each pixel maps to lam = base + x*dirU + y*dirV; the substitution orbit of
 lam under f is iterated until its norm exceeds the escape radius.  A single
-numpy kernel iterates all pixels at once on the algebra's multiplication
-table: the powers lam^t come from the batched product
-``ProductTable.mul_batch``, each coefficient acts as a fixed 8x8
-left-multiplication matrix, and escaped pixels leave the batch.  The norm
+numpy kernel iterates all pixels at once.  Every element satisfies
+lam^2 = T lam - N with T = tr(lam) and N = n(lam), so lam^t = p_t lam + q_t
+for real p_t, q_t, and f(lam) = sum_t p_t (a_t lam) + sum_t q_t a_t is one
+matrix product of the fixed left-multiplication matrices of the a_t with a
+column of features per pixel (``substitute``).  The norms of the escape test
+are the N of the next step, and escaped pixels leave the batch.  The norm
 bounds the orbit only when the norm form is positive definite (all
 structure constants negative), so other algebras are refused.
 """
@@ -50,6 +52,45 @@ class SliceSpec:
         return base[None, :] + ys[:, None] * du[None, :] + xs[:, None] * dv[None, :]
 
 
+def step_matrix(f: OPolynomial) -> np.ndarray:
+    """The (8, 9n+1) matrix [L(a_1) ... L(a_n) | a_0 ... a_n] of a real-mode
+    f of degree n, the zero polynomial taken as the constant 0: the
+    left-multiplication matrices of the coefficients a_t, t >= 1, then the
+    coefficients themselves as columns."""
+    table = f.params.table
+    coeffs = f.coeffs or (Octonion.zero(f.params),)
+    lefts = [table.left_matrix(c.coords) for c in coeffs[1:]]
+    consts = np.array([[float(v) for v in c.coords] for c in coeffs]).T
+    return np.hstack(lefts + [consts])
+
+
+def substitute(mat: np.ndarray, lam: np.ndarray,
+               norm: np.ndarray) -> np.ndarray:
+    """f(lam) for each column of the (8, m) array ``lam``, where ``mat`` is
+    the ``step_matrix`` of f and ``norm`` holds the (m,) norms n(lam).  With
+    T = tr(lam) = 2 lam_0 and N = n(lam), lam^t = p_t lam + q_t where
+    p_1 = 1, q_1 = 0, p_{t+1} = T p_t + q_t and q_{t+1} = -N p_t, so
+    f(lam) = mat @ [p_1 lam; ...; p_n lam; q_0; ...; q_n].  Any algebra of
+    the family will do: only the escape test needs a definite norm."""
+    n = (mat.shape[1] - 1) // 9
+    feats = np.empty((mat.shape[1], lam.shape[1]))
+    qs = feats[8 * n:]
+    qs[0] = 1.0
+    if n:
+        feats[:8] = lam
+        qs[1] = 0.0
+    if n > 1:
+        trace, neg_norm = 2.0 * lam[0], -norm
+        p = trace
+        qs[2] = neg_norm
+        for t in range(2, n + 1):
+            np.multiply(lam, p, out=feats[8 * (t - 1):8 * t])
+            if t < n:
+                np.multiply(neg_norm, p, out=qs[t + 1])
+                p = trace * p + qs[t]
+    return mat @ feats
+
+
 def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     """(height, width) array: 0 for bounded orbits, else the escape step."""
     if f.params.field.exact:
@@ -58,28 +99,23 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     if any(d <= 0 for d in table.norm_diag):
         raise InvalidInput("escape time needs a positive definite norm form, "
                            f"got diagonal {table.norm_diag}")
-    coeffs = f.coeffs or (Octonion.zero(f.params),)
-    const = np.array([float(c) for c in coeffs[0].coords])
-    lefts = [table.left_matrix(c.coords) for c in coeffs[1:]]
+    mat = step_matrix(f)
     diag = np.array([float(d) for d in table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
-    lam = spec.lattice()
-    steps = np.zeros(len(lam), dtype=np.int64)
-    active = np.arange(len(lam))
+    lam = np.ascontiguousarray(spec.lattice().T)
+    norm = diag @ (lam * lam)
+    steps = np.zeros(lam.shape[1], dtype=np.int64)
+    active = np.arange(lam.shape[1])
     for it in range(spec.max_iter):
-        # c_0 + c_1 lam + c_2 lam^2 + ..., each power from the one before
-        acc = np.broadcast_to(const, lam.shape)
-        power = lam
-        for t, left in enumerate(lefts):
-            if t:
-                power = table.mul_batch(power, lam)
-            acc = acc + power @ left
-        lam = acc
-        esc = np.einsum("c,pc->p", diag, lam * lam) > esc2
+        lam = substitute(mat, lam, norm)
+        norm = diag @ (lam * lam)
+        esc = norm > esc2
         if esc.any():
             steps[active[esc]] = it + 1
-            active = active[~esc]
-            lam = lam[~esc]
+            keep = ~esc
+            active = active[keep]
+            lam = lam[:, keep]
+            norm = norm[keep]
             if active.size == 0:
                 break
     return steps.reshape(spec.height, spec.width)

@@ -316,9 +316,13 @@ def _proposals(f: list):
     roots with real sum s and product p, times lc, rounded and primitive.
     Non-finite values propose nothing."""
     try:
-        zs = np.roots([float(c) for c in f]).tolist()
+        cs = np.array([float(c) for c in f])
     except OverflowError:  # a coefficient beyond float range
         return
+    # np.roots's own companion matrix, without its setup (f has no zero ends)
+    comp = np.diag(np.ones(len(cs) - 2), -1)
+    comp[0] = -cs[1:] / cs[0]
+    zs = np.linalg.eigvals(comp).tolist()
     lc = float(f[0])
     vals = [[-lc * z.real] for z in zs if z.imag == 0]
     for k, z in enumerate(zs):

@@ -8,9 +8,23 @@ import pytest
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.errors import InvalidInput
 from ocpoly.opoly import OPolynomial
-from ocpoly.render import (SliceSpec, escape_steps, render, steps_to_image,
-                           write_pgm)
+from ocpoly.render import (SliceSpec, escape_steps, render, step_matrix,
+                           steps_to_image, substitute, write_pgm)
 from ocpoly.scalars import REAL
+
+
+def scalar_steps(f, spec):
+    """Escape steps of the lattice one pixel at a time, by f.eval and
+    Octonion.norm."""
+    want = np.zeros(spec.width * spec.height, dtype=np.int64)
+    for p, start in enumerate(spec.lattice()):
+        lam = Octonion.make(f.params, start)
+        for it in range(spec.max_iter):
+            lam = f.eval(lam)
+            if lam.norm() > spec.escape_radius ** 2:
+                want[p] = it + 1
+                break
+    return want
 
 
 @pytest.fixture
@@ -40,18 +54,22 @@ class TestEscapeSteps:
         total = np.sum(inside) + np.sum(outside)
         assert agree / total >= 0.99
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8])
     @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
                                         (-2, 3, Fraction(-1, 2))])
-    def test_batched_product_matches_octonion_product(self, gammas):
+    def test_step_matches_eval(self, gammas, degree):
+        # the p_t/q_t identity holds in every algebra, definite or not
         params = AlgebraParams(REAL, *gammas)
-        nrng = np.random.default_rng(5)
-        x = nrng.uniform(-4, 4, (64, 8))
-        y = nrng.uniform(-4, 4, (64, 8))
-        got = params.table.mul_batch(x, y)
-        assert got.shape == (64, 8)
-        for row, a, b in zip(got, x, y):
-            want = np.array((Octonion.make(params, a)
-                             * Octonion.make(params, b)).coords)
+        rng = random.Random(degree)
+        f = OPolynomial.make(params, [random_octonion(params, rng, span=1)
+                                      for _ in range(degree + 1)])
+        assert f.degree == degree
+        lam = np.random.default_rng(5).uniform(-4, 4, (64, 8))
+        diag = np.array([float(d) for d in params.table.norm_diag])
+        got = substitute(step_matrix(f), lam.T.copy(), (lam * lam) @ diag)
+        assert got.shape == (8, 64)
+        for row, x in zip(got.T, lam):
+            want = np.array(f.eval(Octonion.make(params, x)).coords)
             scale = max(1.0, np.abs(want).max())
             assert np.all(np.abs(row - want) <= 1e-12 * scale)
 
@@ -64,19 +82,38 @@ class TestEscapeSteps:
         spec = SliceSpec(base=j * 0.25, dir_u=one, dir_v=i, width=16,
                          height=16, scale=3 / 16, max_iter=30,
                          escape_radius=2.0)
-        steps = escape_steps(f, spec)
-        want = np.zeros(spec.width * spec.height, dtype=np.int64)
-        for p, start in enumerate(spec.lattice()):
-            lam = Octonion.make(PR, start)
-            for it in range(spec.max_iter):
-                lam = f.eval(lam)
-                if lam.norm() > spec.escape_radius ** 2:
-                    want[p] = it + 1
-                    break
+        want = scalar_steps(f, spec)
         # the slice holds bounded pixels and several escape times
         assert 0 < np.sum(want == 0) < want.size
         assert len(set(want.tolist())) > 3
-        assert np.sum(steps.ravel() != want) <= 1
+        assert np.sum(escape_steps(f, spec).ravel() != want) <= 1
+
+    @pytest.mark.parametrize("degree", ["zero", 0, 1, 5, 8])
+    def test_matches_scalar_orbits_nonstandard(self, degree):
+        # a definite algebra whose norm diagonal is not all ones
+        params = AlgebraParams(REAL, -2, -3, Fraction(-1, 2))
+        one = Octonion.one(params)
+        i, j = Octonion.basis(params, 1), Octonion.basis(params, 2)
+        if degree == "zero":
+            f = OPolynomial.zero(params)
+        elif degree == 0:
+            f = OPolynomial.make(params, [i * 1.5 + j])  # norm 7.5
+        else:
+            rng = random.Random(degree)
+            f = OPolynomial.make(params, [
+                random_octonion(params, rng, span=1) * 0.1
+                for _ in range(degree)] + [one])
+        spec = SliceSpec(base=j * 0.1, dir_u=one, dir_v=i, width=16,
+                         height=16, scale=3 / 16, max_iter=30,
+                         escape_radius=2.0)
+        want = scalar_steps(f, spec)
+        if degree == "zero":
+            assert np.all(want == 0)
+        elif degree == 0:
+            assert np.all(want == 1)  # the orbit jumps to the constant
+        else:
+            assert len(set(want.tolist())) > 3
+        assert np.sum(escape_steps(f, spec).ravel() != want) <= 1
 
     def test_indefinite_norm_refused(self):
         for gammas, definite in (((2, 3, 5), False), ((-1, -1, -1), True)):
