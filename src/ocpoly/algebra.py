@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -291,15 +290,22 @@ class Octonion:
     def is_central(self) -> bool:
         return self.im().is_zero()
 
+    def size2(self) -> float:
+        """sum |w_a| x_a^2 over the norm diagonal w: the norm on a definite
+        algebra, and a squared size that no sign cancels on the others."""
+        diag = self.params.table.norm_diag
+        return float(sum(abs(d) * c * c for d, c in zip(diag, self.coords)))
+
     def negligible(self, tol: float, scale=1.0) -> bool:
-        """Exact mode: x == 0.  Real mode: |x| <= tol * scale."""
+        """Exact mode: x == 0.  Real mode: sqrt(size2) <= tol * scale."""
         if self.params.field.exact:
             return self.is_zero()
-        return float(self.norm()) <= (tol * scale) ** 2
+        return self.size2() <= (tol * scale) ** 2
 
     def misfit(self, tol: float, scale=1.0) -> str:
-        """|x| and the threshold it exceeds, for a failed negligible()."""
-        return (f"residual {math.sqrt(abs(float(self.norm()))):.3e} > "
+        """sqrt(size2) and the threshold it exceeds, for a failed
+        negligible()."""
+        return (f"residual {math.sqrt(self.size2()):.3e} > "
                 f"threshold {float(tol * scale):.3e}")
 
     def isclose(self, other: "Octonion", tol: float | None = None) -> bool:
@@ -392,6 +398,11 @@ class ExactOctonion(Octonion):
         n = sum(v * c * c for v, c in zip(t.int_norm_diag, self.num))
         return Fraction(n, t.den * self.den * self.den)
 
+    def size2(self) -> float:
+        t = self.params.table
+        n = sum(abs(v) * c * c for v, c in zip(t.int_norm_diag, self.num))
+        return n / (t.den * self.den * self.den)
+
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -479,55 +490,14 @@ def format_octonion(x: Octonion) -> str:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Exact nullspace (Gauss-Jordan on integer rows: multiples of the rows over Q)
-
-def _nullspace_exact(rows: list) -> list:
-    """Basis of the right nullspace of a matrix with Fraction entries."""
-    den = math.lcm(*(v.denominator for r in rows for v in r))
-    m = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        piv = next((r for r in range(prow, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[prow], m[piv] = m[piv], m[prow]
-        p = m[prow][col]
-        for r in range(nrows):
-            if r != prow and m[r][col] != 0:
-                factor = m[r][col]
-                row = [p * v - factor * w for v, w in zip(m[r], m[prow])]
-                g = math.gcd(*row) or 1
-                m[r] = [v // g for v in row]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow_i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-m[prow_i][fc], m[prow_i][pc])
-        basis.append(vec)
-    return basis
-
-
-def _nullspace_real(rows: list, rank_tol: float) -> list:
-    a = np.array(rows, dtype=np.float64)
-    _, s, vt = np.linalg.svd(a)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rank_tol * max(1.0, smax)))
-    return [list(vt[r]) for r in range(rank, vt.shape[0])]
-
-
-def conjugating_element(lam: Octonion, mu: Octonion, seed: int = 0) -> Octonion:
-    """A trace-zero invertible delta with delta*lam = mu*delta, i.e.
-    mu = delta lam delta^{-1}.  Exists whenever lam and mu share trace and
-    norm over a division algebra."""
+def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
+    """A trace-zero invertible delta with delta*lam = mu*delta, for lam and
+    mu of equal trace and norm.  With v = im lam, w = im mu, v^2 = w^2
+    gives (v + w) v = w (v + w): delta = v + w, the line of solutions over
+    a division algebra.  For mu = conj(lam) it vanishes, and the first
+    anisotropic [e_a, v] serves, since it anticommutes with v.  Zero and
+    isotropic are judged relative to the size of v; real mode returns a
+    delta of unit size."""
     lam._check(mu)
     params = lam.params
     f = params.field
@@ -537,42 +507,24 @@ def conjugating_element(lam: Octonion, mu: Octonion, seed: int = 0) -> Octonion:
         if lam.isclose(mu):
             return Octonion.basis(params, 1)
         raise NotConjugate("central element conjugates only to itself")
-    # unknowns: coords 1..7 of delta (trace zero); equations: delta*lam-mu*delta=0
-    cols = []
-    for b in range(1, 8):
-        e = Octonion.basis(params, b)
-        cols.append((e * lam - mu * e).coords)
-    rows = [[cols[b][r] for b in range(7)] for r in range(8)]
-    basis = (_nullspace_exact(rows) if f.exact
-             else _nullspace_real(rows, f.rank_tol))
-    if not basis:
-        raise WitnessFailure("conjugation system has trivial nullspace")
-
-    def embed(vec) -> Octonion:
-        return Octonion.make(params, [0] + list(vec))
-
-    candidates = [embed(v) for v in basis]
-    best = max(candidates, key=lambda d: abs(float(d.norm())))
-    if f.is_zero(best.norm()):
-        rng = random.Random(seed)
-        for _ in range(64):
-            combo = Octonion.zero(params)
-            for c in candidates:
-                w = Fraction(rng.randint(-5, 5)) if f.exact \
-                    else rng.uniform(-1, 1)
-                combo = combo + c * w
-            if not f.is_zero(combo.norm()):
-                best = combo
-                break
-        else:
-            raise WitnessFailure("no anisotropic conjugator found; "
-                                 "is the algebra split?")
-    resid = best * lam - mu * best
-    scale = max(1.0, math.sqrt(abs(float(best.norm() * lam.norm()))))
+    v, tol = lam.im(), f.witness_tol
+    size = math.sqrt(v.size2())
+    cands = [v + mu.im()]
+    if cands[0].negligible(tol, size):  # mu = conj(lam)
+        cands = (Octonion.basis(params, a).commutator(v) for a in range(1, 8))
+    delta = next((d for d in cands if not d.negligible(tol, size)
+                  and abs(d.norm()) > tol * d.size2()), None)
+    if delta is None:
+        raise WitnessFailure("no anisotropic conjugator found; "
+                             "is the algebra split?")
+    if not f.exact:  # unit size: rmr_witness judges c = delta^-1 at f's scale
+        delta = delta / math.sqrt(delta.size2())
+    resid = delta * lam - mu * delta
+    scale = max(1.0, math.sqrt(abs(float(delta.norm() * lam.norm()))))
     if not resid.negligible(f.witness_tol, scale):
         raise WitnessFailure("conjugation residual too large: "
                              + resid.misfit(f.witness_tol, scale))
-    return best
+    return delta
 
 
 # ---------------------------------------------------------------------------

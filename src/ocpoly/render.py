@@ -41,7 +41,8 @@ class SliceSpec:
             raise InvalidInput("bad raster dimensions")
 
     def lattice(self) -> np.ndarray:
-        """(height*width, 8) array of the per-pixel start elements."""
+        """(height*width, 8) per-pixel start elements, as the transposed
+        view of the kernel's (8, height*width) layout."""
         base = np.array([float(c) for c in self.base.coords])
         du = np.array([float(c) for c in self.dir_u.coords])
         dv = np.array([float(c) for c in self.dir_v.coords])
@@ -49,7 +50,7 @@ class SliceSpec:
         rows = (np.arange(self.height) + 0.5 - self.height / 2) * self.scale
         xs = np.repeat(rows, self.width)
         ys = np.tile(cols, self.height)
-        return base[None, :] + ys[:, None] * du[None, :] + xs[:, None] * dv[None, :]
+        return (base[:, None] + np.outer(du, ys) + np.outer(dv, xs)).T
 
 
 def step_matrix(f: OPolynomial) -> np.ndarray:
@@ -102,7 +103,7 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     mat = step_matrix(f)
     diag = np.array([float(d) for d in table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
-    lam = np.ascontiguousarray(spec.lattice().T)
+    lam = spec.lattice().T
     norm = diag @ (lam * lam)
     steps = np.zeros(lam.shape[1], dtype=np.int64)
     active = np.arange(lam.shape[1])

@@ -44,7 +44,8 @@ class ConjClass:
         return max(abs(mu.trace() - self.T), abs(mu.norm() - self.N)) / scale
 
     def matches(self, mu: Octonion) -> bool:
-        return self.gap(mu) <= mu.params.field.match_tol
+        """At class_tol, the rule roots() applies to its candidates."""
+        return self.gap(mu) <= mu.params.field.class_tol
 
     def to_json(self, f):
         return {"T": f.to_json(self.T), "N": f.to_json(self.N),
@@ -151,7 +152,7 @@ def roots(f: OPolynomial, seed: int = 0) -> RootSet:
                                   f"residual {float(gap):.3e} > threshold "
                                   f"{float(fld.class_tol):.3e}"))
                 continue
-            # its own class, which its conjugates match at match_tol
+            # its own class, which its conjugates match at class_tol
             cls = ConjClass(T=lam.trace(), N=lam.norm())
         val = f.eval(lam)
         if val.negligible(fld.residual_tol, scale):
@@ -170,28 +171,23 @@ def rmr_contains(f: OPolynomial, mu: Octonion, seed: int = 0) -> bool:
 
 
 def rmr_witness(f: OPolynomial, mu: Octonion, seed: int = 0) -> Octonion:
-    """A scalar c such that mu is a root of f(x)*c.
-
-    For an isolated root lam conjugate to mu, c = delta^{-1} where delta is a
-    trace-zero conjugator with mu = delta lam delta^{-1}.
-    """
+    """A scalar c such that mu is a root of f(x)*c, checked by its residual:
+    c = 1 on a sphere or at a root lam = mu, else c = delta^{-1} for the
+    conjugator delta = im lam + im mu from the root lam of mu's class."""
     rs = roots(f, seed=seed)
-    for cls in rs.spherical:
-        if cls.matches(mu):
-            return Octonion.one(f.params)
-    for lam, cls in rs.isolated:
-        if cls.matches(mu):
-            if lam.isclose(mu):
-                return Octonion.one(f.params)
-            delta = conjugating_element(lam, mu, seed=seed)
-            c = delta.inverse()
-            val = f.scale_right(c).eval(mu)
-            tol = f.params.field.witness_tol
-            if not val.negligible(tol, f.coeff_scale):
-                raise NotInRMR("witness verification failed: "
-                               + val.misfit(tol, f.coeff_scale))
-            return c
-    raise NotInRMR("element matches no root class of f")
+    c = Octonion.one(f.params)
+    if not any(cls.matches(mu) for cls in rs.spherical):
+        lam = next((lam for lam, cls in rs.isolated if cls.matches(mu)), None)
+        if lam is None:
+            raise NotInRMR("element matches no root class of f")
+        if not lam.isclose(mu):
+            c = conjugating_element(lam, mu).inverse()
+    val = f.scale_right(c).eval(mu)
+    tol = f.params.field.witness_tol
+    if not val.negligible(tol, f.coeff_scale):
+        raise NotInRMR("witness verification failed: "
+                       + val.misfit(tol, f.coeff_scale))
+    return c
 
 
 def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,

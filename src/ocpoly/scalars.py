@@ -35,13 +35,11 @@ class Field:
     eps: float = DEFAULT_EPS
 
     residual_tol = _threshold(1e-8)     # |f(lam)| of a root
-    match_tol = _threshold(1e-8)        # trace and norm against a class
-    class_tol = _threshold(1e-6)        # E, G and others from class data
+    class_tol = _threshold(1e-6)        # E, G, class membership
     fixed_tol = _threshold(1e-9)        # f(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
     witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
     span_tol = _threshold(1e-4)         # distance from a quaternion algebra
-    rank_tol = _threshold(1e-10)        # singular values in a nullspace rank
 
     def coerce(self, x):
         if isinstance(x, str):

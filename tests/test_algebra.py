@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from ocpoly.algebra import (AlgebraParams, Octonion, _cd_mul,
                             parse_octonion, polar_form,
                             quat_subalgebra_containing, random_octonion)
 from ocpoly.errors import (DegenerateCommutative, InvalidInput, NotConjugate,
-                           NotInvertible, ParseError)
+                           NotInvertible, OcpolyError, ParseError)
+from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import EXACT, REAL
 
 
@@ -239,6 +241,85 @@ class TestConjugatingElement:
         d = conjugating_element(lam, mu)
         assert abs(d.trace()) < 1e-9
         assert ((d * lam) * d.inverse()).isclose(mu, tol=1e-7)
+
+
+CONJ_GAMMAS = ((-1, -1, -1), (-1, -2, -3), (2, 3, 5),
+               (-2, 3, Fraction(-1, 2)))
+
+
+def product_magnitude(x, y):
+    """sum |v x_a y_b| per output coordinate: the size of the terms the
+    product x*y sums, against which its rounding error is measured."""
+    out = [0.0] * 8
+    for a, b, c, v in x.params.table.terms:
+        out[c] += abs(float(v) * float(x.coords[a]) * float(y.coords[b]))
+    return out
+
+
+class TestClosedFormConjugator:
+    """conjugating_element on generic conjugates, conj(lam) and lam itself:
+    each delta is pure with delta*lam = mu*delta, or the call raises a
+    typed error (over the split algebras only)."""
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    @pytest.mark.parametrize("gammas", CONJ_GAMMAS)
+    def test_delta_solves_conjugation(self, gammas, field):
+        P = AlgebraParams(field, *gammas)
+        definite = all(d > 0 for d in P.table.norm_diag)
+        rng = random.Random(f"{gammas}-{field.exact}")
+        solved = 0
+        for n in range(40):
+            lam = random_octonion(P, rng, span=3)
+            if not field.exact:  # |im lam| down to 1e-7
+                lam = lam.re() + lam.im() * 10.0 ** -(n % 8)
+            q = random_octonion(P, rng, span=3)
+            if lam.is_central() or q.norm() == 0:
+                continue
+            for mu in (lam, lam.conj(), (q * lam) * q.inverse()):
+                try:
+                    d = conjugating_element(lam, mu)
+                except OcpolyError:
+                    assert not definite
+                    continue
+                assert d.coords[0] == 0 and not d.is_zero()
+                resid = d * lam - mu * d
+                if field.exact:
+                    assert resid.is_zero()
+                else:
+                    bound = [s + t for s, t in zip(product_magnitude(d, lam),
+                                                   product_magnitude(mu, d))]
+                    assert all(abs(r) <= 1e-8 * b
+                               for r, b in zip(resid.coords, bound))
+                solved += 1
+        assert solved >= 100
+
+    def test_small_imaginary_part(self, PR):
+        i = Octonion.basis(PR, 1)
+        lam = 1 + i * 1e-5
+        d = conjugating_element(lam, lam.conj())
+        assert d.coords[0] == 0
+        assert ((d * lam) * d.inverse()).isclose(lam.conj(), tol=1e-12)
+
+
+class TestNegligible:
+    def test_indefinite_residual_is_not_zero(self):
+        """x - j at j + 3i over (2, 3, 5) is 3i, of norm -18: a negative
+        norm is no evidence of a small element."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        i, j = Octonion.basis(P, 1), Octonion.basis(P, 2)
+        val = OPolynomial.make(P, [-j, 1]).eval(j + 3 * i)
+        assert val == 3 * i and val.norm() == -18
+        assert not val.negligible(REAL.residual_tol)
+        assert val.misfit(REAL.residual_tol).startswith(
+            f"residual {3 * math.sqrt(2):.3e} > ")
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_size_is_norm_on_definite_algebras(self, field):
+        P = AlgebraParams(field, -1, -2, -3)
+        rng = random.Random(4)
+        for _ in range(50):
+            x = random_octonion(P, rng, span=3) / 7
+            assert x.size2() == float(x.norm())
 
 
 class TestQuatSubalgebra:

@@ -1,6 +1,6 @@
 """Property tests of exact-mode arithmetic on integers over one common
 denominator, against Fraction arithmetic on coordinates, the doubling-rule
-product, sympy's factoring and sympy's nullspace."""
+product and sympy's factoring."""
 
 import math
 import os
@@ -17,7 +17,7 @@ from sympy.polys.factortools import dup_factor_list
 
 import ocpoly
 from ocpoly.algebra import (AlgebraParams, Octonion, _cd_conj, _cd_mul,
-                            _nullspace_exact, polar_form)
+                            polar_form)
 from ocpoly.errors import NotInvertible
 from ocpoly.scalars import EXACT, CentralPoly, ClassCandidate, central_roots
 
@@ -267,18 +267,3 @@ def test_sympy_only_on_remainder():
         "False", "irreducible factor of degree 4 over Q; "
         "no rational conjugacy-class data"]
 
-
-# ---------------------------------------------------------------------------
-# Integer nullspace
-
-@SETTINGS
-@given(st.integers(1, 8), st.integers(1, 8),
-       st.lists(st.integers(-3, 3), min_size=64, max_size=64),
-       st.integers(0, 7))
-def test_nullspace_matches_sympy(nrows, ncols, entries, rank_cut):
-    rows = [entries[r * 8:r * 8 + ncols] for r in range(nrows)]
-    # repeat rows to make rank-deficient matrices common
-    rows = [rows[r % (rank_cut + 1)] for r in range(nrows)]
-    expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
-                for vec in sympy.Matrix(rows).nullspace()]
-    assert _nullspace_exact(rows) == expected

@@ -54,6 +54,20 @@ class TestEscapeSteps:
         total = np.sum(inside) + np.sum(outside)
         assert agree / total >= 0.99
 
+    def test_lattice_rows_and_layout(self, PR, basis_r):
+        """Row r * width + c is base + x_c dir_u + y_r dir_v, and its
+        transpose is the kernel's C-contiguous (8, h*w) array, no copy."""
+        one, i, j, k, l = basis_r
+        spec = SliceSpec(base=j, dir_u=one, dir_v=i + l, width=3, height=2,
+                         scale=0.5)
+        lat = spec.lattice()
+        assert lat.shape == (6, 8) and lat.T.flags.c_contiguous
+        for r in range(2):
+            for c in range(3):
+                x, y = (c + 0.5 - 1.5) * 0.5, (r + 0.5 - 1.0) * 0.5
+                want = (j + one * x + (i + l) * y).coords
+                assert tuple(lat[3 * r + c]) == want
+
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8])
     @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
                                         (-2, 3, Fraction(-1, 2))])

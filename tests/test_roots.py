@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -198,6 +199,67 @@ class TestRMR:
             assert f.scale_right(c).eval(mu).is_zero()
             mu = multiple_root(f, cls, c, "left")
             assert f.scale_left(c).eval(mu).is_zero()
+
+    def test_contains_every_root_it_returns(self, PR):
+        """g = f(x) - x for a fixed_points input of real-queries seed 11
+        (random.Random(69)): roots(g) accepts its root at class_tol, and
+        rmr_contains must judge it by the same rule."""
+        g = OPolynomial.make(PR, [Octonion.make(PR, c) for c in [
+            [0.008226459527830965, 0.0014541289154326492,
+             -0.00026601661989507494, 0.001634168405617116,
+             0.00021392785621004475, 0.0014882057388733297,
+             -0.00098081030956921, 7.237168880583735e-05],
+            [0.18855135479407048, 0.012036889305851712,
+             -0.00042925735921948635, 0.014160934223678728,
+             0.0017407865174146001, 0.013157845509635741,
+             -0.009246940135381583, -0.0001556355163535993],
+            [1.0]]])
+        rs = roots(g)
+        assert len(rs.isolated) == 2
+        l = Octonion.basis(PR, 4)
+        for lam, _ in rs.isolated:
+            assert rmr_contains(g, lam)
+            mu = (l * lam) * l.inverse()
+            c = rmr_witness(g, mu)
+            assert g.scale_right(c).eval(mu).negligible(1e-7, g.coeff_scale)
+
+    def test_witness_on_conjugate_root_exact(self):
+        """rmr_witness at conj(lam) for each root lam of an exact product of
+        linear factors over (-1, -2, -3): f(x) c vanishes exactly there."""
+        P = AlgebraParams(EXACT, -1, -2, -3)
+        one = Octonion.one(P)
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(6):
+            lam, mu = (random_octonion(P, rng, 2) for _ in range(2))
+            f = (OPolynomial.make(P, [-mu, one])
+                 * OPolynomial.make(P, [-lam, one]))
+            for root, _ in roots(f).isolated:
+                c = rmr_witness(f, root.conj())
+                assert f.scale_right(c).eval(root.conj()).is_zero()
+                checked += 1
+        assert checked >= 10
+
+    def test_split_algebra_roots_have_small_residuals(self):
+        """Over (2, 3, 5) the norm is indefinite; an isolated root must have
+        a small residual by coordinate size, not merely a small norm."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        diag = [abs(float(d)) for d in P.table.norm_diag]
+
+        def size(x):
+            return math.sqrt(sum(d * c * c for d, c in zip(diag, x.coords)))
+
+        rng = random.Random(2)
+        found = 0
+        for _ in range(30):
+            f = OPolynomial.make(P, [random_octonion(P, rng, 3)
+                                     for _ in range(2)] + [1])
+            for lam, _ in roots(f).isolated:
+                scale = sum(size(a) * size(lam) ** t
+                            for t, a in enumerate(f.coeffs))
+                assert size(f.eval(lam)) <= 1e-8 * scale
+                found += 1
+        assert found >= 10
 
 
 class TestLMR:

@@ -110,13 +110,11 @@ class TestRealMode:
 # Each named threshold and, at the default eps, the literal its sites used.
 THRESHOLDS = [
     ("residual_tol", 1e-8),     # roots: |f(lam)| of a root
-    ("match_tol", 1e-8),        # ConjClass.matches
-    ("class_tol", 1e-6),        # E, G, [conj(G), E^-1]; LMR membership
+    ("class_tol", 1e-6),        # E, G, [conj(G), E^-1]; ConjClass.matches
     ("fixed_tol", 1e-9),        # fixed points, orbit and period revisits
     ("composition_tol", 1e-7),  # verify_composition_fixed
     ("witness_tol", 1e-7),      # conjugation, rmr_witness, LMR point
     ("span_tol", 1e-4),         # QuatSubalgebra.contains (norm <= 1e-8)
-    ("rank_tol", 1e-10),        # real nullspace rank
 ]
 
 
