@@ -14,8 +14,7 @@ from .roots import (ConjClass, LinearReduction, LMRClassDescription, RootSet,
                     lmr_describe_class, lmr_point, lmr_sample,
                     lmr_sample_detailed, multiple_root, reduce_linear,
                     rmr_classes, rmr_contains, rmr_witness, roots)
-from .scalars import EXACT, REAL, CentralPoly, ClassCandidate, Field, \
-    central_roots
+from .scalars import EXACT, REAL, CentralPoly, Field, central_roots
 
 __all__ = [
     "AlgebraParams", "Octonion", "QuatSubalgebra", "conjugating_element",
@@ -29,8 +28,7 @@ __all__ = [
     "FixedPointReport", "OrbitRecord", "PseudoPeriodReport", "classify_fixed",
     "classify_pseudo_periodic", "detect_pseudo_period", "direction_ratio",
     "fixed_points", "growth_bounds", "orbit", "verify_composition_fixed",
-    "EXACT", "REAL", "CentralPoly", "ClassCandidate", "Field",
-    "central_roots",
+    "EXACT", "REAL", "CentralPoly", "Field", "central_roots",
 ]
 
 __version__ = "0.1.0"

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateCommutative, InvalidInput, NotConjugate,
-                     NotInvertible, ParseError, WitnessFailure)
-from .scalars import EXACT, REAL, Field
+from .errors import (DegenerateCommutative, InvalidInput, ModeMismatch,
+                     NotConjugate, NotInvertible, ParseError, WitnessFailure)
+from .scalars import EXACT, REAL, ConjClass, Field
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
 
@@ -57,6 +57,16 @@ class AlgebraParams:
     def table(self) -> "ProductTable":
         """The multiplication table; equal params share one instance."""
         return _product_table(self)
+
+    def require_real_definite(self, what: str) -> None:
+        """For what takes sqrt(n(x)) as the size of x: real mode
+        (ModeMismatch) and a positive definite norm form, all structure
+        constants negative (InvalidInput)."""
+        if self.field.exact:
+            raise ModeMismatch(f"{what} is a real-mode operation")
+        if any(d <= 0 for d in self.table.norm_diag):
+            raise InvalidInput(f"{what} needs a positive definite norm form, "
+                               f"got diagonal {self.table.norm_diag}")
 
 
 def _cd_conj(x: tuple) -> tuple:
@@ -491,18 +501,21 @@ def format_octonion(x: Octonion) -> str:
 
 
 def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
-    """A trace-zero invertible delta with delta*lam = mu*delta, for lam and
-    mu of equal trace and norm.  With v = im lam, w = im mu, v^2 = w^2
-    gives (v + w) v = w (v + w): delta = v + w, the line of solutions over
-    a division algebra.  For mu = conj(lam) it vanishes, and the first
-    anisotropic [e_a, v] serves, since it anticommutes with v.  Zero and
-    isotropic are judged relative to the size of v; real mode returns a
-    delta of unit size."""
+    """A trace-zero invertible delta with delta*lam = mu*delta, for mu in
+    the class of lam (ConjClass.matches, at class_tol).  With v = im lam,
+    w = im mu, v^2 = w^2 gives (v + w) v = w (v + w): delta = v + w, the
+    line of solutions over a division algebra.  For mu = conj(lam) it
+    vanishes, and the first anisotropic [e_a, v] serves, since it
+    anticommutes with v.  Zero and isotropic are judged relative to the
+    size of v; real mode returns a delta of unit size."""
     lam._check(mu)
     params = lam.params
     f = params.field
-    if not (f.eq(lam.trace(), mu.trace()) and f.eq(lam.norm(), mu.norm())):
-        raise NotConjugate("trace or norm mismatch")
+    cls = ConjClass(lam.trace(), lam.norm())
+    if not cls.matches(mu):
+        raise NotConjugate("trace or norm mismatch: gap "
+                           f"{float(cls.gap(mu)):.3e} > threshold "
+                           f"{float(f.class_tol):.3e}")
     if lam.is_central():
         if lam.isclose(mu):
             return Octonion.basis(params, 1)

@@ -67,7 +67,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_roots(args) -> int:
     fld = _field(args)
     f = _load_poly(args.poly, fld)
-    _emit(roots(f, seed=args.seed).to_json(fld))
+    _emit(roots(f).to_json(fld))
     return EXIT_OK
 
 
@@ -84,12 +84,12 @@ def cmd_rmr(args) -> int:
     f = _load_poly(args.poly, fld)
     if args.element is None:
         _emit({"classes": [c.to_json(fld)
-                           for c in rmr_classes(f, seed=args.seed)]})
+                           for c in rmr_classes(f)]})
         return EXIT_OK
     mu = parse_octonion(args.element, f.params)
-    out = {"contains": rmr_contains(f, mu, seed=args.seed)}
+    out = {"contains": rmr_contains(f, mu)}
     if out["contains"] and args.witness:
-        out["witness"] = rmr_witness(f, mu, seed=args.seed).to_json()
+        out["witness"] = rmr_witness(f, mu).to_json()
     _emit(out)
     return EXIT_OK
 
@@ -97,7 +97,7 @@ def cmd_rmr(args) -> int:
 def cmd_lmr(args) -> int:
     fld = _field(args)
     f = _load_poly(args.poly, fld)
-    descs = lmr_describe(f, seed=args.seed)
+    descs = lmr_describe(f)
     if args.contains is not None:
         mu = parse_octonion(args.contains, f.params)
         _emit({"contains": any(lmr_contains(d, mu) for d in descs)})
@@ -126,7 +126,7 @@ def cmd_classify(args) -> int:
         else:
             _emit(classify_fixed(f, alpha).to_json())
         return EXIT_OK
-    fp = fixed_points(f, seed=args.seed)
+    fp = fixed_points(f)
     reports = [classify_fixed(f, lam).to_json() for lam, _ in fp.isolated]
     _emit({"fixed_points": fp.to_json(fld), "reports": reports})
     return EXIT_OK
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--eps", type=float, default=DEFAULT_EPS,
                     help="real-mode tolerance; all thresholds scale with it")
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                    help="seed for randomized steps (default 0xC0FFEE)")
+                    help="seed for the points of lmr --sample; root finding "
+                    "is deterministic (default 0xC0FFEE)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def poly_cmd(name, fn, help_):

@@ -27,16 +27,11 @@ def _require_monic_quadratic(f: OPolynomial):
         raise InvalidInput("need a monic quadratic polynomial")
 
 
-def _require_real(f: OPolynomial):
-    if f.params.field.exact:
-        raise ModeMismatch("classification needs real mode (absolute values)")
-
-
-def fixed_points(f: OPolynomial, seed: int = 0) -> RootSet:
+def fixed_points(f: OPolynomial) -> RootSet:
     """Roots of f(x) - x; each one is a genuine fixed point of every
     composition iterate of a monic quadratic."""
     _require_monic_quadratic(f)
-    return roots(f - OPolynomial.x(f.params), seed=seed)
+    return roots(f - OPolynomial.x(f.params))
 
 
 def _is_fixed(g: OPolynomial, alpha: Octonion, tol: float) -> bool:
@@ -70,7 +65,7 @@ class FixedPointReport:
 
 def classify_fixed(f: OPolynomial, alpha: Octonion) -> FixedPointReport:
     _require_monic_quadratic(f)
-    _require_real(f)
+    f.params.require_real_definite("classify_fixed")
     if not _is_fixed(f, alpha, f.params.field.fixed_tol):
         raise NotAFixedPoint(f"f({alpha}) != {alpha}")
     B = f.coeff(1)
@@ -99,6 +94,7 @@ def verify_composition_fixed(f: OPolynomial, alpha: Octonion,
 def direction_ratio(f: OPolynomial, alpha: Octonion, direction: Octonion,
                     t: float) -> float:
     """|f(alpha + t*u) - alpha| / t for the unit direction u = direction/|direction|."""
+    f.params.require_real_definite("direction_ratio")
     u = direction / direction.abs()
     lam = alpha + u * t
     return math.sqrt(float((f.eval(lam) - alpha).norm())) / t
@@ -123,7 +119,7 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
           escape_radius: float = 1e6) -> OrbitRecord:
     """Substitution orbit of start, stopping at n_max, escape, or a revisit
     of an earlier iterate to fixed_tol (which sets the detected period)."""
-    _require_real(f)
+    f.params.require_real_definite("orbit")
     tol = f.params.field.fixed_tol
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")
@@ -152,7 +148,8 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
 def detect_pseudo_period(f: OPolynomial, alpha: Octonion,
                          n_max: int) -> int | None:
     """Smallest n <= n_max with f^{*n}(alpha) = alpha to fixed_tol, if any."""
-    _require_real(f)
+    if f.params.field.exact:
+        raise ModeMismatch("detect_pseudo_period is a real-mode operation")
     tol = f.params.field.fixed_tol
     val = alpha
     for n in range(1, n_max + 1):
@@ -187,7 +184,7 @@ def cycle_factor(alpha_i: Octonion, B: Octonion) -> float:
 def classify_pseudo_periodic(f: OPolynomial, alpha: Octonion,
                              n: int) -> PseudoPeriodReport:
     _require_monic_quadratic(f)
-    _require_real(f)
+    f.params.require_real_definite("classify_pseudo_periodic")
     detected = detect_pseudo_period(f, alpha, n)
     if detected != n:
         raise OrderMismatch(f"claimed order {n}, detected {detected}")

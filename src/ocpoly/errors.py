@@ -26,7 +26,8 @@ class NotInvertible(OcpolyError):
 
 
 class NotConjugate(OcpolyError):
-    """Trace/norm mismatch, or a central element conjugated to a different one."""
+    """mu outside lam's class at class_tol (the message states the gap and
+    threshold), or a central element conjugated to a different one."""
 
 
 class WitnessFailure(OcpolyError):
@@ -39,7 +40,8 @@ class DegenerateCommutative(OcpolyError):
 
 
 class NotInRMR(OcpolyError):
-    """Element does not belong to any companion root class."""
+    """Element outside every companion root class, a failed witness, or a
+    class with E = 0 but G != 0, which holds no root of any multiple."""
 
 
 class WholeClass(OcpolyError):

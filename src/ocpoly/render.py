@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Octonion
-from .errors import InvalidInput, ModeMismatch
+from .errors import InvalidInput
 from .opoly import OPolynomial
 
 
@@ -94,14 +94,9 @@ def substitute(mat: np.ndarray, lam: np.ndarray,
 
 def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     """(height, width) array: 0 for bounded orbits, else the escape step."""
-    if f.params.field.exact:
-        raise ModeMismatch("rendering is a real-mode operation")
-    table = f.params.table
-    if any(d <= 0 for d in table.norm_diag):
-        raise InvalidInput("escape time needs a positive definite norm form, "
-                           f"got diagonal {table.norm_diag}")
+    f.params.require_real_definite("escape time")
     mat = step_matrix(f)
-    diag = np.array([float(d) for d in table.norm_diag])
+    diag = np.array([float(d) for d in f.params.table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
     lam = spec.lattice().T
     norm = diag @ (lam * lam)

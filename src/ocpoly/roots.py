@@ -4,7 +4,8 @@ root sets of right/left scalar multiples (RMR / LMR).
 On a fixed conjugacy class (trace T, norm N) the relation
 lam^2 = T*lam - N collapses f(lam) = 0 to a linear equation
 E*lam + G = 0; the class either contributes the single point
--E^{-1} G, or (E = G = 0) lies entirely in the root set.
+-E^{-1} G, or (E = G = 0) lies entirely in the root set, or (E = 0,
+G != 0) holds no root.
 """
 
 from __future__ import annotations
@@ -18,50 +19,15 @@ from fractions import Fraction
 
 from .algebra import (Octonion, QuatSubalgebra, _exact, conjugating_element,
                       polar_form, quat_subalgebra_containing)
-from .errors import (InvalidInput, ModeMismatch, NotInRMR, WholeClass)
+from .errors import InvalidInput, ModeMismatch, NotInRMR, WholeClass
 from .opoly import OPolynomial
-from .scalars import central_roots
+from .scalars import ConjClass, central_roots
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    """Conjugacy class encoded by trace and norm; central classes are the
-    singletons {r} with T = 2r, N = r^2."""
-
-    T: object
-    N: object
-    central: bool = False
-
-    @property
-    def r(self):
-        if not self.central:
-            raise InvalidInput("not a central class")
-        return self.T / 2
-
-    def gap(self, mu: Octonion):
-        """max(|tr mu - T|, |n(mu) - N|) / max(1, |T|, |N|): 0 iff mu in it."""
-        scale = max(1, abs(self.T), abs(self.N))
-        return max(abs(mu.trace() - self.T), abs(mu.norm() - self.N)) / scale
-
-    def matches(self, mu: Octonion) -> bool:
-        """At class_tol, the rule roots() applies to its candidates."""
-        return self.gap(mu) <= mu.params.field.class_tol
-
-    def to_json(self, f):
-        return {"T": f.to_json(self.T), "N": f.to_json(self.N),
-                "central": self.central}
-
-
-def rmr_classes(f: OPolynomial, seed: int = 0) -> list:
+def rmr_classes(f: OPolynomial) -> list:
     """Conjugacy classes of the companion polynomial's roots; their union is
     the root set of the right scalar multiples of f."""
-    out = []
-    for cand in central_roots(f.companion(), seed=seed):
-        if cand.kind == "central-root":
-            out.append(ConjClass(T=2 * cand.r, N=cand.r * cand.r, central=True))
-        else:
-            out.append(ConjClass(T=cand.T, N=cand.N))
-    return out
+    return central_roots(f.companion())
 
 
 @dataclass(frozen=True)
@@ -108,6 +74,18 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
     return LinearReduction(E=combine(ps), G=combine(qs), cls=cls)
 
 
+def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
+    """True if E = G = 0 at class_tol: every member of the class is a root.
+    False if E != 0.  E = 0 with G != 0 leaves f(lam) = G on the class, and
+    E c = 0, G c != 0 for every multiple f(x) c: NotInRMR."""
+    tol, scale = f.params.field.class_tol, f.coeff_scale
+    if not red.E.negligible(tol, scale):
+        return False
+    if red.G.negligible(tol, scale):
+        return True
+    raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, scale))
+
+
 @dataclass(frozen=True)
 class RootSet:
     isolated: tuple       # of (Octonion, ConjClass)
@@ -124,7 +102,7 @@ class RootSet:
         }
 
 
-def roots(f: OPolynomial, seed: int = 0) -> RootSet:
+def roots(f: OPolynomial) -> RootSet:
     """The root set of f, organized by companion conjugacy class.  E, G and
     a candidate's class are judged at class_tol, f(lam) at residual_tol."""
     if f.is_zero() or f.degree < 1:
@@ -132,18 +110,17 @@ def roots(f: OPolynomial, seed: int = 0) -> RootSet:
     fld = f.params.field
     scale = f.coeff_scale
     isolated, spherical, anomalies = [], [], []
-    for cls in rmr_classes(f, seed=seed):
+    for cls in rmr_classes(f):
         if cls.central:
             lam = Octonion.scalar(f.params, cls.r)
         else:
             red = reduce_linear(f, cls)
-            e_zero = red.E.negligible(fld.class_tol, scale)
-            if e_zero and red.G.negligible(fld.class_tol, scale):
-                spherical.append(cls)
-                continue
-            if e_zero:
-                anomalies.append((cls, "E = 0 but G != 0: "
-                                  + red.G.misfit(fld.class_tol, scale)))
+            try:
+                if _whole_class(f, red):
+                    spherical.append(cls)
+                    continue
+            except NotInRMR as exc:
+                anomalies.append((cls, str(exc)))
                 continue
             lam = -(red.E.inverse() * red.G)
             gap = cls.gap(lam)
@@ -153,7 +130,8 @@ def roots(f: OPolynomial, seed: int = 0) -> RootSet:
                                   f"{float(fld.class_tol):.3e}"))
                 continue
             # its own class, which its conjugates match at class_tol
-            cls = ConjClass(T=lam.trace(), N=lam.norm())
+            cls = ConjClass(lam.trace(), lam.norm(),
+                            multiplicity=cls.multiplicity)
         val = f.eval(lam)
         if val.negligible(fld.residual_tol, scale):
             isolated.append((lam, cls))
@@ -166,15 +144,15 @@ def roots(f: OPolynomial, seed: int = 0) -> RootSet:
 # ---------------------------------------------------------------------------
 # RMR: roots of right scalar multiples
 
-def rmr_contains(f: OPolynomial, mu: Octonion, seed: int = 0) -> bool:
-    return any(c.matches(mu) for c in rmr_classes(f, seed=seed))
+def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
+    return any(c.matches(mu) for c in rmr_classes(f))
 
 
-def rmr_witness(f: OPolynomial, mu: Octonion, seed: int = 0) -> Octonion:
+def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
     """A scalar c such that mu is a root of f(x)*c, checked by its residual:
     c = 1 on a sphere or at a root lam = mu, else c = delta^{-1} for the
     conjugator delta = im lam + im mu from the root lam of mu's class."""
-    rs = roots(f, seed=seed)
+    rs = roots(f)
     c = Octonion.one(f.params)
     if not any(cls.matches(mu) for cls in rs.spherical):
         lam = next((lam for lam, cls in rs.isolated if cls.matches(mu)), None)
@@ -195,7 +173,7 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
     """The root, inside the given class, of f(x)*c (side='right') or of
     c*f(x) (side='left'); bracketing follows the reduction identities."""
     red = reduce_linear(f, cls)
-    if red.E.negligible(f.params.field.class_tol, f.coeff_scale):
+    if _whole_class(f, red):
         raise WholeClass("E = 0: the whole class consists of roots")
     Einv = red.E.inverse()
     cinv = c.inverse()
@@ -245,7 +223,7 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
         lam = Octonion.scalar(f.params, cls.r)
         return LMRClassDescription(cls=cls, kind="single-point", point=lam)
     red = reduce_linear(f, cls)
-    if red.E.negligible(f.params.field.class_tol, f.coeff_scale):
+    if _whole_class(f, red):
         return LMRClassDescription(cls=cls, kind="whole-class",
                                    E=red.E, G=red.G)
     Einv = red.E.inverse()
@@ -261,8 +239,8 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
                                g_e_inv=g_e_inv, comm=comm)
 
 
-def lmr_describe(f: OPolynomial, seed: int = 0) -> list:
-    return [lmr_describe_class(f, cls) for cls in rmr_classes(f, seed=seed)]
+def lmr_describe(f: OPolynomial) -> list:
+    return [lmr_describe_class(f, cls) for cls in rmr_classes(f)]
 
 
 def _draw_q_pair(desc: LMRClassDescription, rng):

@@ -1,15 +1,16 @@
 """Ground-field scalars (exact rationals / tolerance-carrying floats) and
-root finding for central, scalar-coefficient polynomials.
+root finding for central, scalar-coefficient polynomials, whose roots come
+as conjugacy classes (:class:`ConjClass`).
 
 Scalars themselves are plain ``fractions.Fraction`` (exact mode) or ``float``
 (real mode); a :class:`Field` instance carries the mode and the comparison
-tolerance and does coercion, parsing and equality.
+tolerance and does coercion, parsing and zero tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,11 +64,6 @@ class Field:
                     pass
             raise InvalidInput(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else float(frac)
-
-    def eq(self, a, b) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.eps * max(1.0, abs(a), abs(b))
 
     def is_zero(self, a) -> bool:
         if self.exact:
@@ -132,24 +128,38 @@ class CentralPoly:
 
 
 @dataclass(frozen=True)
-class ClassCandidate:
-    """A root candidate of a central polynomial: either a single central root
-    r, or an irreducible quadratic factor x^2 - T x + N encoding a conjugacy
-    class with trace T and norm N."""
+class ConjClass:
+    """Conjugacy class encoded by trace and norm, with its multiplicity as a
+    root class of a central polynomial; central classes are the singletons
+    {r} with T = 2r, N = r^2."""
 
-    kind: str  # "central-root" | "quadratic-class"
+    T: object
+    N: object
+    central: bool = False
     multiplicity: int = 1
-    r: object = None
-    T: object = None
-    N: object = None
 
     @classmethod
-    def central(cls, r, multiplicity=1):
-        return cls("central-root", multiplicity, r=r)
+    def of_scalar(cls, r, multiplicity=1) -> "ConjClass":
+        return cls(2 * r, r * r, True, multiplicity)
 
-    @classmethod
-    def quadratic(cls, T, N, multiplicity=1):
-        return cls("quadratic-class", multiplicity, T=T, N=N)
+    @property
+    def r(self):
+        if not self.central:
+            raise InvalidInput("not a central class")
+        return self.T / 2
+
+    def gap(self, mu):
+        """max(|tr mu - T|, |n(mu) - N|) / max(1, |T|, |N|): 0 iff mu in it."""
+        scale = max(1, abs(self.T), abs(self.N))
+        return max(abs(mu.trace() - self.T), abs(mu.norm() - self.N)) / scale
+
+    def matches(self, mu) -> bool:
+        """At class_tol, the one rule for membership of a class."""
+        return self.gap(mu) <= mu.params.field.class_tol
+
+    def to_json(self, f):
+        return {"T": f.to_json(self.T), "N": f.to_json(self.N),
+                "central": self.central}
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +201,28 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _cluster_real(candidates):
-    """Merge candidates that coincide within tolerance, summing multiplicity."""
+    """Merge classes that coincide within tolerance, summing multiplicity."""
     merged = []
     for cand in candidates:
-        for m in merged:
-            if m.kind != cand.kind:
+        for k, m in enumerate(merged):
+            if m.central != cand.central:
                 continue
-            if cand.kind == "central-root":
-                if abs(m.r - cand.r) <= 1e-6 * (1.0 + abs(m.r)):
-                    merged[merged.index(m)] = ClassCandidate.central(
-                        m.r, m.multiplicity + cand.multiplicity)
-                    break
+            if cand.central:
+                near = abs(m.r - cand.r) <= 1e-6 * (1.0 + abs(m.r))
             else:
-                if (abs(m.T - cand.T) <= 1e-6 * (1.0 + abs(m.T))
-                        and abs(m.N - cand.N) <= 1e-6 * (1.0 + abs(m.N))):
-                    merged[merged.index(m)] = ClassCandidate.quadratic(
-                        m.T, m.N, m.multiplicity + cand.multiplicity)
-                    break
+                near = (abs(m.T - cand.T) <= 1e-6 * (1.0 + abs(m.T))
+                        and abs(m.N - cand.N) <= 1e-6 * (1.0 + abs(m.N)))
+            if near:
+                merged[k] = replace(
+                    m, multiplicity=m.multiplicity + cand.multiplicity)
+                break
         else:
             merged.append(cand)
     return merged
 
 
-def _central_roots_real(p: CentralPoly, seed: int) -> list:
-    rng = np.random.default_rng(seed)
+def _central_roots_real(p: CentralPoly) -> list:
+    rng = np.random.default_rng(0)  # fixed: the same inputs, the same roots
     coeffs = np.array([float(c) for c in p.coeffs])
     if p.degree == 0:
         return []
@@ -241,7 +249,7 @@ def _central_roots_real(p: CentralPoly, seed: int) -> list:
             continue
         used[idx] = True
         if abs(z.imag) <= pair_tol:
-            out.append(ClassCandidate.central(float(z.real), mult))
+            out.append(ConjClass.of_scalar(float(z.real), mult))
             continue
         best, bestd = None, np.inf
         for jdx, (w, wmult) in enumerate(centers):
@@ -253,11 +261,13 @@ def _central_roots_real(p: CentralPoly, seed: int) -> list:
         if best is None or bestd > pair_tol:
             # unpaired complex root: record the class of (z, conj z) anyway;
             # with real coefficients this only happens from noise
-            out.append(ClassCandidate.quadratic(float(2 * z.real), float(abs(z) ** 2), mult))
+            out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
+                                 multiplicity=mult))
             continue
         used[best] = True
         zz = 0.5 * (z + np.conj(centers[best][0]))
-        out.append(ClassCandidate.quadratic(float(2 * zz.real), float(abs(zz) ** 2), mult))
+        out.append(ConjClass(float(2 * zz.real), float(abs(zz) ** 2),
+                             multiplicity=mult))
     return _cluster_real(out)
 
 
@@ -366,10 +376,10 @@ def _central_roots_exact(p: CentralPoly) -> list:
     for fac, mult in factors:
         cs = fac[::-1]
         if len(cs) == 2:
-            out.append(ClassCandidate.central(Fraction(-cs[0], cs[1]), mult))
+            out.append(ConjClass.of_scalar(Fraction(-cs[0], cs[1]), mult))
         elif len(cs) == 3:
-            out.append(ClassCandidate.quadratic(Fraction(-cs[1], cs[2]),
-                                                Fraction(cs[0], cs[2]), mult))
+            out.append(ConjClass(Fraction(-cs[1], cs[2]),
+                                 Fraction(cs[0], cs[2]), multiplicity=mult))
         else:
             raise UnsupportedDegree(
                 f"irreducible factor of degree {len(cs) - 1} over Q; "
@@ -377,11 +387,11 @@ def _central_roots_exact(p: CentralPoly) -> list:
     return out
 
 
-def central_roots(p: CentralPoly, seed: int = 0) -> list:
-    """Root candidates of a central polynomial: real roots as central-root
-    entries, conjugate pairs merged into quadratic-class (T, N) entries."""
+def central_roots(p: CentralPoly) -> list:
+    """The root classes of a central polynomial, with multiplicities: a real
+    root r as the central class (2r, r^2), a conjugate pair as (T, N)."""
     if p.is_zero():
         raise InvalidInput("zero polynomial has no well-defined root set")
     if p.field.exact:
         return _central_roots_exact(p)
-    return _central_roots_real(p, seed)
+    return _central_roots_real(p)

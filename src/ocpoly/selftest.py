@@ -49,7 +49,7 @@ def run_selftest() -> list:
 
     # its conjugacy classes
     classes = sorted((c.T, c.N) for c in central_roots(comp)
-                     if c.kind == "quadratic-class")
+                     if not c.central)
     check("scalar.companion_classes",
           [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))], classes)
 

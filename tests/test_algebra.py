@@ -232,6 +232,15 @@ class TestConjugatingElement:
         with pytest.raises(NotConjugate):
             conjugating_element(one, -one)
 
+    def test_mismatch_judged_at_class_tol(self, PR):
+        """One class rule: a gap within class_tol conjugates, a larger one
+        raises NotConjugate stating the gap and its threshold."""
+        i, j = Octonion.basis(PR, 1), Octonion.basis(PR, 2)
+        assert conjugating_element(i, j * (1 + 1e-8)).trace() == 0
+        with pytest.raises(NotConjugate,
+                           match=r"gap 4\.000e-06 > threshold 1\.000e-06"):
+            conjugating_element(i, j * (1 + 2e-6))
+
     def test_real_mode(self, PR, basis_r):
         one, i, j, k, l = basis_r
         rng = random.Random(5)

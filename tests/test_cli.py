@@ -83,6 +83,19 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert len(out) == 10  # 5 per class, 2 classes
 
+    def test_seed_moves_only_lmr_samples(self, quad_file, capsys):
+        """Root finding is deterministic: --seed seeds lmr --sample only."""
+        outs = []
+        for seed in ("1", "2"):
+            assert main(["--seed", seed, "roots", quad_file]) == EXIT_OK
+            found = capsys.readouterr().out
+            assert main(["--seed", seed, "lmr", quad_file,
+                         "--sample", "3"]) == EXIT_OK
+            outs.append((found, capsys.readouterr().out))
+        (roots_1, sample_1), (roots_2, sample_2) = outs
+        assert roots_1 == roots_2
+        assert sample_1 != sample_2
+
     def test_classify_alpha(self, tmp_path, capsys):
         path = tmp_path / "f5.txt"
         path.write_text("x^2 + ix - 1/2i - 1/4\n")

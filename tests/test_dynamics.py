@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import AlgebraParams, Octonion
+from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
                              cycle_factor, detect_pseudo_period,
                              direction_ratio, fixed_points, growth_bounds,
@@ -12,7 +12,7 @@ from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
 from ocpoly.errors import InvalidInput, NotAFixedPoint
 from ocpoly.opoly import OPolynomial
 from ocpoly.roots import rmr_witness
-from ocpoly.scalars import Field
+from ocpoly.scalars import REAL, Field
 
 
 def quad(params, B, C):
@@ -292,3 +292,39 @@ class TestPseudoPeriodic:
             lhs = math.prod(math.sqrt(cycle_factor(a, zero)) for a in pts)
             rhs = math.prod(2 * float(a.abs()) for a in pts)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
+
+
+class TestIndefiniteAlgebra:
+    """Over (2, 3, 5) the norm form is indefinite: n(x) < 0 for some x, so
+    sqrt(n(x)) is no size, and the real-mode dynamics refuse the algebra."""
+
+    P = AlgebraParams(REAL, 2, 3, 5)
+
+    def test_orbit_refused(self):
+        P = self.P
+        f = OPolynomial.make(P, [0.2, 0, 1])
+        start = Octonion.make(P, [0.3, 0.05] + [0] * 6)
+        # a revisit test by the signed norm reads step 1 as period 1
+        assert detect_pseudo_period(f, start, 50) is None
+        with pytest.raises(InvalidInput, match="positive definite"):
+            orbit(f, start, 50)
+        # the orbit reaches n(x) < 0, where sqrt(n(x)) has no value
+        g = OPolynomial.make(P, [Octonion.basis(P, 1) * 0.5, 0, 1])
+        with pytest.raises(InvalidInput, match="positive definite"):
+            orbit(g, Octonion.scalar(P, 0.1), 20)
+
+    def test_classification_refused(self):
+        P, i = self.P, Octonion.basis(self.P, 1)
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(50):
+            f = OPolynomial.make(P, [random_octonion(P, rng, 1)
+                                     for _ in range(2)] + [1])
+            for alpha, _ in fixed_points(f).isolated:
+                checked += 1
+                for call in (lambda: classify_fixed(f, alpha),
+                             lambda: classify_pseudo_periodic(f, alpha, 1),
+                             lambda: direction_ratio(f, alpha, i, 1e-4)):
+                    with pytest.raises(InvalidInput, match="definite"):
+                        call()
+        assert checked == 53

@@ -19,7 +19,7 @@ import ocpoly
 from ocpoly.algebra import (AlgebraParams, Octonion, _cd_conj, _cd_mul,
                             polar_form)
 from ocpoly.errors import NotInvertible
-from ocpoly.scalars import EXACT, CentralPoly, ClassCandidate, central_roots
+from ocpoly.scalars import EXACT, CentralPoly, central_roots
 
 PARAMS = [AlgebraParams(EXACT, *g) for g in
           ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
@@ -142,8 +142,13 @@ def test_equality_and_hash_across_representations(ops, s):
 X = sympy.Symbol("x")
 
 
+def class_keys(classes) -> list:
+    return [(c.T, c.N, c.central, c.multiplicity) for c in classes]
+
+
 def sympy_candidates(p: CentralPoly) -> list:
-    """Candidates from sympy.factor_list on the symbolic polynomial."""
+    """(T, N, central, multiplicity) of each factor from sympy.factor_list
+    on the symbolic polynomial: x - r is the central class (2r, r^2)."""
     expr = sum(sympy.Rational(c.numerator, c.denominator) * X ** t
                for t, c in enumerate(p.coeffs))
     _, factors = sympy.factor_list(sympy.Poly(expr, X, domain="QQ"))
@@ -152,10 +157,11 @@ def sympy_candidates(p: CentralPoly) -> list:
         cs = [Fraction(int(c.p), int(c.q))
               for c in reversed(sympy.Poly(fac, X).all_coeffs())]
         assert len(cs) in (2, 3)
-        out.append(ClassCandidate.central(-cs[0] / cs[1], mult)
-                   if len(cs) == 2 else
-                   ClassCandidate.quadratic(-cs[1] / cs[2], cs[0] / cs[2],
-                                            mult))
+        if len(cs) == 2:
+            r = -cs[0] / cs[1]
+            out.append((2 * r, r * r, True, mult))
+        else:
+            out.append((-cs[1] / cs[2], cs[0] / cs[2], False, mult))
     return out
 
 
@@ -192,7 +198,7 @@ def test_central_roots_match_sympy(lead_factors, repeat):
         if len(coeffs) + len(f) - 2 <= 4:
             coeffs = poly_mul(coeffs, f)
     p = CentralPoly.make(EXACT, coeffs)
-    assert central_roots(p) == sympy_candidates(p)
+    assert class_keys(central_roots(p)) == sympy_candidates(p)
 
 
 def test_central_roots_repeated_factor_with_leading_coefficient():
@@ -201,8 +207,8 @@ def test_central_roots_repeated_factor_with_leading_coefficient():
     for f in ([Fraction(-1, 2), 1], [Fraction(-1, 2), 1], [1, 0, 1]):
         coeffs = poly_mul(coeffs, [Fraction(c) for c in f])
     p = CentralPoly.make(EXACT, coeffs)
-    assert central_roots(p) == [ClassCandidate.central(Fraction(1, 2), 2),
-                                ClassCandidate.quadratic(0, 1, 1)]
+    assert class_keys(central_roots(p)) == [(1, Fraction(1, 4), True, 2),
+                                            (0, 1, False, 1)]
 
 
 @pytest.mark.parametrize("coeffs, sympy_calls", [
@@ -231,7 +237,7 @@ def test_central_roots_fixed_cases(coeffs, sympy_calls, monkeypatch):
         return dup_factor_list(f, K)
 
     monkeypatch.setattr(factortools, "dup_factor_list", counted)
-    assert central_roots(p) == expected
+    assert class_keys(central_roots(p)) == expected
     assert len(calls) == sympy_calls
 
 

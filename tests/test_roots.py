@@ -261,6 +261,30 @@ class TestRMR:
                 found += 1
         assert found >= 10
 
+    def test_witness_on_split_algebra_conjugates(self):
+        """rmr_witness at two conjugates (q lam) q^-1 of each isolated root
+        of 200 quadratics over (2, 3, 5): 312 calls.  Each conjugate is in
+        the class of lam at class_tol, and conjugating_element judges it by
+        that same rule; a failure is a NotInRMR that states its numbers."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        rng = random.Random(2)
+        calls = failed = 0
+        for _ in range(200):
+            f = OPolynomial.make(P, [random_octonion(P, rng, 3)
+                                     for _ in range(2)] + [1])
+            for lam, _ in roots(f).isolated:
+                for _ in range(2):
+                    q = random_octonion(P, rng, 3)
+                    calls += 1
+                    try:
+                        rmr_witness(f, (q * lam) * q.inverse())
+                    except NotInRMR as exc:
+                        assert re.search(r"residual \S+ > threshold \S+",
+                                         str(exc))
+                        failed += 1
+        assert calls == 312
+        assert failed <= 2
+
 
 class TestLMR:
     def test_describe_quadratic_example(self, P, basis):
@@ -334,6 +358,21 @@ class TestLMR:
         f = OPolynomial.make(P, [one, Octonion.zero(P), one])
         desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
         assert desc.kind == "whole-class"
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_class_without_roots(self, field):
+        """f = x^2 + i on the class (0, 1): E = 0 but G = i - 1, so f(j) =
+        -1 + i, and no member is a root of f or of a scalar multiple."""
+        P = AlgebraParams.octonions(field)
+        one, i, j = (Octonion.basis(P, a) for a in range(3))
+        f = OPolynomial.make(P, [i, Octonion.zero(P), one])
+        cls = ConjClass(field.coerce(0), field.coerce(1))
+        assert f.eval(j).isclose(i - one)
+        misfit = r"E = 0 but G != 0: residual 1\.414e\+00 > threshold"
+        with pytest.raises(NotInRMR, match=misfit):
+            lmr_describe_class(f, cls)
+        with pytest.raises(NotInRMR, match=misfit):
+            multiple_root(f, cls, j, "left")
 
     def test_point_formula_endpoints(self, P, basis):
         one, i, j, k, l = basis
