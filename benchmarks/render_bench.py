@@ -7,7 +7,8 @@ Times x^2 + ix - i/2 - 1/4, then fixed seeded polynomials of degrees 3, 5
 and 8 (the kernel's work grows as 9n+1 features per pixel at degree n).
 Prints, per polynomial, the best wall time of the repeats and the
 pixel-iterations per second: an escaped pixel counts its escape step, a
-bounded one max_iter.
+bounded one max_iter.  That is the work of the answer, not the steps the
+kernel executed: a pixel retired on a fixed point still counts max_iter.
 """
 
 import argparse

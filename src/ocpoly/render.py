@@ -7,9 +7,14 @@ lam^2 = T lam - N with T = tr(lam) and N = n(lam), so lam^t = p_t lam + q_t
 for real p_t, q_t, and f(lam) = sum_t p_t (a_t lam) + sum_t q_t a_t is one
 matrix product of the fixed left-multiplication matrices of the a_t with a
 column of features per pixel (``substitute``).  The norms of the escape test
-are the N of the next step, and escaped pixels leave the batch.  The norm
-bounds the orbit only when the norm form is positive definite (all
-structure constants negative), so other algebras are refused.
+are the N of the next step, and escaped pixels leave the batch.  Every
+``RETIRE_EVERY`` steps, so do pixels whose iterate has landed exactly on a
+fixed point (orbits drawn to an attracting fixed point, such as 0 for x^2,
+do within a few steps): a step is a fixed float function of the pixel's 8
+coordinates, so the orbit stays there and never escapes, and step 0 is
+exactly what running it to ``max_iter`` would return.  The norm bounds the
+orbit only when the norm form is positive definite (all structure
+constants negative), so other algebras are refused.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 from .algebra import Octonion
 from .errors import InvalidInput
 from .opoly import OPolynomial
+
+RETIRE_EVERY = 8  # steps between fixed-point checks
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,16 @@ class SliceSpec:
 
     def lattice(self) -> np.ndarray:
         """(height*width, 8) per-pixel start elements, as the transposed
-        view of the kernel's (8, height*width) layout."""
-        base = np.array([float(c) for c in self.base.coords])
-        du = np.array([float(c) for c in self.dir_u.coords])
-        dv = np.array([float(c) for c in self.dir_v.coords])
-        cols = (np.arange(self.width) + 0.5 - self.width / 2) * self.scale
-        rows = (np.arange(self.height) + 0.5 - self.height / 2) * self.scale
-        xs = np.repeat(rows, self.width)
-        ys = np.tile(cols, self.height)
-        return (base[:, None] + np.outer(du, ys) + np.outer(dv, xs)).T
+        view of the kernel's (8, height*width) layout: the (8, 3) matrix
+        [base dir_u dir_v] times the rows (1, x, y) of the pixels."""
+        frame = np.array([self.base.coords, self.dir_u.coords,
+                          self.dir_v.coords], dtype=float).T
+        xs = (np.arange(self.width) + 0.5 - self.width / 2) * self.scale
+        ys = (np.arange(self.height) + 0.5 - self.height / 2) * self.scale
+        pix = np.ones((3, self.height, self.width))
+        pix[1] = xs
+        pix[2] = ys[:, None]
+        return (frame @ pix.reshape(3, -1)).T
 
 
 def step_matrix(f: OPolynomial) -> np.ndarray:
@@ -93,7 +101,13 @@ def substitute(mat: np.ndarray, lam: np.ndarray,
 
 
 def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
-    """(height, width) array: 0 for bounded orbits, else the escape step."""
+    """(height, width) array: 0 for bounded orbits, else the escape step.
+
+    Escaped pixels leave the batch, and so, every ``RETIRE_EVERY`` steps,
+    do pixels whose new iterate equals the previous one in all 8
+    coordinates.  Such an iterate maps to itself at every later step and
+    its norm is within the escape radius, so the pixel keeps step 0, as
+    the loop run to max_iter would give it.  Escape is tested first."""
     f.params.require_real_definite("escape time")
     mat = step_matrix(f)
     diag = np.array([float(d) for d in f.params.table.norm_diag])
@@ -102,13 +116,15 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     norm = diag @ (lam * lam)
     steps = np.zeros(lam.shape[1], dtype=np.int64)
     active = np.arange(lam.shape[1])
-    for it in range(spec.max_iter):
-        lam = substitute(mat, lam, norm)
+    for it in range(1, spec.max_iter + 1):
+        prev, lam = lam, substitute(mat, lam, norm)
         norm = diag @ (lam * lam)
-        esc = norm > esc2
-        if esc.any():
-            steps[active[esc]] = it + 1
-            keep = ~esc
+        esc = drop = norm > esc2
+        if it % RETIRE_EVERY == 0:
+            drop = esc | (lam == prev).all(axis=0)
+        if drop.any():
+            steps[active[esc]] = it
+            keep = ~drop
             active = active[keep]
             lam = lam[:, keep]
             norm = norm[keep]

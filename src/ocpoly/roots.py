@@ -149,9 +149,11 @@ def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
 
 
 def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
-    """A scalar c such that mu is a root of f(x)*c, checked by its residual:
-    c = 1 on a sphere or at a root lam = mu, else c = delta^{-1} for the
-    conjugator delta = im lam + im mu from the root lam of mu's class."""
+    """A scalar c such that mu is a root of f(x)*c: c = 1 on a sphere or at
+    a root lam = mu, else c = delta^{-1} for the conjugator
+    delta = im lam + im mu from the root lam of mu's class.  Real mode
+    checks its backward error, |(f c)(mu)| <= witness_tol *
+    sum_t |a_t c| |mu|^t with sqrt(size2) as size; exact mode checks 0."""
     rs = roots(f)
     c = Octonion.one(f.params)
     if not any(cls.matches(mu) for cls in rs.spherical):
@@ -160,11 +162,15 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
             raise NotInRMR("element matches no root class of f")
         if not lam.isclose(mu):
             c = conjugating_element(lam, mu).inverse()
-    val = f.scale_right(c).eval(mu)
+    fc = f.scale_right(c)
+    val = fc.eval(mu)
+    size = math.sqrt(mu.size2())
+    scale = sum(math.sqrt(a.size2()) * size ** t
+                for t, a in enumerate(fc.coeffs))
     tol = f.params.field.witness_tol
-    if not val.negligible(tol, f.coeff_scale):
+    if not val.negligible(tol, scale):
         raise NotInRMR("witness verification failed: "
-                       + val.misfit(tol, f.coeff_scale))
+                       + val.misfit(tol, scale))
     return c
 
 

@@ -8,6 +8,7 @@ import pytest
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.errors import InvalidInput
 from ocpoly.opoly import OPolynomial
+import ocpoly.render
 from ocpoly.render import (SliceSpec, escape_steps, render, step_matrix,
                            steps_to_image, substitute, write_pgm)
 from ocpoly.scalars import REAL
@@ -25,6 +26,55 @@ def scalar_steps(f, spec):
                 want[p] = it + 1
                 break
     return want
+
+
+def reference_steps(f, spec):
+    """The escape-only loop: escaped pixels leave the batch, bounded ones
+    run all max_iter steps of substitute."""
+    mat = step_matrix(f)
+    diag = np.array([float(d) for d in f.params.table.norm_diag])
+    esc2 = float(spec.escape_radius) ** 2
+    lam = spec.lattice().T
+    norm = diag @ (lam * lam)
+    steps = np.zeros(lam.shape[1], dtype=np.int64)
+    active = np.arange(lam.shape[1])
+    for it in range(spec.max_iter):
+        lam = substitute(mat, lam, norm)
+        norm = diag @ (lam * lam)
+        esc = norm > esc2
+        if esc.any():
+            steps[active[esc]] = it + 1
+            keep = ~esc
+            active, lam, norm = active[keep], lam[:, keep], norm[keep]
+            if active.size == 0:
+                break
+    return steps.reshape(spec.height, spec.width)
+
+
+def named_view(name, params):
+    """(f, spec) of a view whose orbits settle in different ways."""
+    zero, one = Octonion.zero(params), Octonion.one(params)
+    i, j = Octonion.basis(params, 1), Octonion.basis(params, 2)
+    if name == "z^2":       # superattracting 0, landed on exactly
+        f = OPolynomial.make(params, [zero, zero, one])
+        return f, SliceSpec(base=zero, dir_u=one, dir_v=i, width=64,
+                            height=64, scale=4 / 64)
+    if name == "z^2 zoom":  # every pixel bounded
+        f = OPolynomial.make(params, [zero, zero, one])
+        return f, SliceSpec(base=zero, dir_u=one, dir_v=i, width=24,
+                            height=24, scale=1 / 24)
+    if name == "z^2 near 1":  # orbits leave the repelling 1 slowly
+        f = OPolynomial.make(params, [zero, zero, one])
+        return f, SliceSpec(base=one, dir_u=one, dir_v=i, width=8,
+                            height=8, scale=2.0 ** -30)
+    if name == "x^2 - 1":   # the superattracting 2-cycle 0, -1
+        f = OPolynomial.make(params, [-one, zero, one])
+        return f, SliceSpec(base=zero, dir_u=one, dir_v=i, width=64,
+                            height=64, scale=4 / 64)
+    # render_bench.py's slice: bounded orbits near a parabolic point
+    f = OPolynomial.make(params, [i * (-0.5) - one * 0.25, i, one])
+    return f, SliceSpec(base=j * 0.1, dir_u=one, dir_v=i, width=64,
+                        height=64, scale=4 / 64, escape_radius=4.0)
 
 
 @pytest.fixture
@@ -128,6 +178,53 @@ class TestEscapeSteps:
         else:
             assert len(set(want.tolist())) > 3
         assert np.sum(escape_steps(f, spec).ravel() != want) <= 1
+
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1),
+                                        (-2, -3, Fraction(-1, 2))])
+    @pytest.mark.parametrize("name", ["z^2", "z^2 zoom", "z^2 near 1",
+                                      "x^2 - 1", "bench"])
+    def test_retirement_matches_reference_views(self, name, gammas):
+        f, spec = named_view(name, AlgebraParams(REAL, *gammas))
+        assert np.array_equal(escape_steps(f, spec),
+                              reference_steps(f, spec))
+
+    @pytest.mark.parametrize("degree", ["zero"] + list(range(9)))
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1),
+                                        (-2, -3, Fraction(-1, 2))])
+    @pytest.mark.parametrize("size", [0.2, 0.05])
+    def test_retirement_matches_reference_degrees(self, size, gammas,
+                                                  degree):
+        # at size 0.05 the bounded orbits of degree >= 3 land on their
+        # fixed point; at 0.2 they approach it and run to max_iter
+        params = AlgebraParams(REAL, *gammas)
+        one = Octonion.one(params)
+        rng = random.Random(degree)
+        if degree == "zero":
+            f = OPolynomial.zero(params)
+        else:
+            f = OPolynomial.make(params, [
+                random_octonion(params, rng, span=1) * size
+                for _ in range(degree)] + [one])
+        spec = SliceSpec(base=Octonion.basis(params, 2) * 0.1, dir_u=one,
+                         dir_v=Octonion.basis(params, 1), width=32,
+                         height=32, scale=3 / 32, max_iter=40)
+        assert np.array_equal(escape_steps(f, spec),
+                              reference_steps(f, spec))
+
+    def test_retirement_fires(self, PR, monkeypatch):
+        """On the all-bounded z^2 view every orbit lands on 0, so the
+        batch empties long before max_iter."""
+        f, spec = named_view("z^2 zoom", PR)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return substitute(*args)
+
+        monkeypatch.setattr(ocpoly.render, "substitute", counted)
+        steps = escape_steps(f, spec)
+        assert np.all(steps == 0)
+        assert len(calls) < spec.max_iter / 2
 
     def test_indefinite_norm_refused(self):
         for gammas, definite in (((2, 3, 5), False), ((-1, -1, -1), True)):

@@ -264,26 +264,54 @@ class TestRMR:
     def test_witness_on_split_algebra_conjugates(self):
         """rmr_witness at two conjugates (q lam) q^-1 of each isolated root
         of 200 quadratics over (2, 3, 5): 312 calls.  Each conjugate is in
-        the class of lam at class_tol, and conjugating_element judges it by
-        that same rule; a failure is a NotInRMR that states its numbers."""
+        the class of lam at class_tol, and its witness c passes the
+        backward-error check, whose sum holds the sizes of c and mu."""
         P = AlgebraParams(REAL, 2, 3, 5)
         rng = random.Random(2)
-        calls = failed = 0
+        calls = 0
         for _ in range(200):
             f = OPolynomial.make(P, [random_octonion(P, rng, 3)
                                      for _ in range(2)] + [1])
             for lam, _ in roots(f).isolated:
                 for _ in range(2):
                     q = random_octonion(P, rng, 3)
+                    mu = (q * lam) * q.inverse()
+                    c = rmr_witness(f, mu)
+                    assert not c.is_zero()
                     calls += 1
-                    try:
-                        rmr_witness(f, (q * lam) * q.inverse())
-                    except NotInRMR as exc:
-                        assert re.search(r"residual \S+ > threshold \S+",
-                                         str(exc))
-                        failed += 1
         assert calls == 312
-        assert failed <= 2
+
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5)])
+    def test_witness_refuses_planted_conjugator(self, gammas, monkeypatch):
+        """A conjugator off by 1e-4 of its size gives a c whose residual
+        the backward-error check refuses, with its numbers."""
+        # the module: the package attribute ocpoly.roots is the function
+        roots_mod = sys.modules["ocpoly.roots"]
+        P = AlgebraParams(REAL, *gammas)
+        rng = random.Random(4)
+        true_conj = roots_mod.conjugating_element
+
+        def planted(lam, mu):
+            delta = true_conj(lam, mu)
+            kick = random_octonion(P, rng, 1)
+            size = math.sqrt(delta.size2() / kick.size2())
+            return delta + kick * (1e-4 * size)
+
+        monkeypatch.setattr(roots_mod, "conjugating_element", planted)
+        refused = 0
+        for _ in range(10):
+            f = OPolynomial.make(P, [random_octonion(P, rng, 3)
+                                     for _ in range(2)] + [1])
+            for lam, _ in roots(f).isolated:
+                q = random_octonion(P, rng, 3)
+                mu = (q * lam) * q.inverse()
+                if lam.isclose(mu):
+                    continue
+                with pytest.raises(NotInRMR,
+                                   match=r"residual \S+ > threshold \S+"):
+                    rmr_witness(f, mu)
+                refused += 1
+        assert refused >= 5
 
 
 class TestLMR:
