@@ -12,10 +12,10 @@ import json
 import sys
 
 from . import render as render_mod
-from .algebra import AlgebraParams, Octonion, parse_octonion
+from .algebra import AlgebraParams, parse_octonion
 from .dynamics import (classify_fixed, classify_pseudo_periodic,
                        detect_pseudo_period, fixed_points, orbit)
-from .errors import (OcpolyError, ParseError, ResourceLimit)
+from .errors import OcpolyError, ParseError, ResourceLimit
 from .opoly import OPolynomial, parse_opolynomial
 from .roots import (lmr_contains, lmr_describe, lmr_sample, rmr_classes,
                     rmr_contains, rmr_witness, roots)
@@ -28,10 +28,6 @@ EXIT_PARSE = 2
 EXIT_MATH = 3
 EXIT_RESOURCE = 4
 EXIT_SELFTEST = 5
-
-
-def _field(args) -> Field:
-    return Field(exact=(args.mode == "exact"), eps=args.eps)
 
 
 def _load_poly(path: str, field: Field) -> OPolynomial:
@@ -51,90 +47,54 @@ def _load_poly(path: str, field: Field) -> OPolynomial:
     return parse_opolynomial(text, params)
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+# Each polynomial command takes the loaded polynomial and the parsed
+# arguments, and returns what main writes to stdout: a JSON value, text,
+# or None when the command wrote a file instead.
+
+def cmd_roots(f: OPolynomial, args):
+    return roots(f).to_json(f.params.field)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def cmd_companion(f: OPolynomial, args):
+    return {"coeffs": [f.params.field.to_json(c)
+                       for c in f.companion().coeffs]}
 
 
-def cmd_roots(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
-    _emit(roots(f).to_json(fld))
-    return EXIT_OK
-
-
-def cmd_companion(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
-    comp = f.companion()
-    _emit({"coeffs": [fld.to_json(c) for c in comp.coeffs]})
-    return EXIT_OK
-
-
-def cmd_rmr(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
+def cmd_rmr(f: OPolynomial, args):
     if args.element is None:
-        _emit({"classes": [c.to_json(fld)
-                           for c in rmr_classes(f)]})
-        return EXIT_OK
+        return {"classes": [c.to_json(f.params.field)
+                            for c in rmr_classes(f)]}
     mu = parse_octonion(args.element, f.params)
     out = {"contains": rmr_contains(f, mu)}
     if out["contains"] and args.witness:
         out["witness"] = rmr_witness(f, mu).to_json()
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
-def cmd_lmr(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
+def cmd_lmr(f: OPolynomial, args):
     descs = lmr_describe(f)
     if args.contains is not None:
         mu = parse_octonion(args.contains, f.params)
-        _emit({"contains": any(lmr_contains(d, mu) for d in descs)})
-        return EXIT_OK
+        return {"contains": any(lmr_contains(d, mu) for d in descs)}
     if args.sample:
-        points = []
-        for d in descs:
-            if d.kind == "whole-class":
-                continue
-            points.extend(p.to_json()
-                          for p in lmr_sample(d, args.sample, seed=args.seed))
-        _emit(points)
-        return EXIT_OK
-    _emit([d.to_json() for d in descs])
-    return EXIT_OK
+        return [p.to_json() for d in descs if d.kind != "whole-class"
+                for p in lmr_sample(d, args.sample, seed=args.seed)]
+    return [d.to_json() for d in descs]
 
 
-def cmd_classify(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
+def cmd_classify(f: OPolynomial, args):
     if args.alpha is not None:
         alpha = parse_octonion(args.alpha, f.params)
         period = detect_pseudo_period(f, alpha, args.max_period)
         if period is not None and period > 1:
-            _emit(classify_pseudo_periodic(f, alpha, period).to_json())
-        else:
-            _emit(classify_fixed(f, alpha).to_json())
-        return EXIT_OK
+            return classify_pseudo_periodic(f, alpha, period).to_json()
+        return classify_fixed(f, alpha).to_json()
     fp = fixed_points(f)
     reports = [classify_fixed(f, lam).to_json() for lam, _ in fp.isolated]
-    _emit({"fixed_points": fp.to_json(fld), "reports": reports})
-    return EXIT_OK
+    return {"fixed_points": fp.to_json(f.params.field), "reports": reports}
 
 
-def cmd_orbit(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
+def cmd_orbit(f: OPolynomial, args):
     start = parse_octonion(args.start, f.params)
     rec = orbit(f, start, args.max_iter, escape_radius=args.escape_radius)
     text = rec.to_csv()
@@ -142,13 +102,14 @@ def cmd_orbit(args) -> int:
         text += f"# detected_period,{rec.detected_period}\n"
     if rec.escaped:
         text += "# escaped,1\n"
-    _write_or_print(text, args.out)
-    return EXIT_OK
+    if not args.out:
+        return text
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return None
 
 
-def cmd_render(args) -> int:
-    fld = _field(args)
-    f = _load_poly(args.poly, fld)
+def cmd_render(f: OPolynomial, args):
     params = f.params
     spec = render_mod.SliceSpec(
         base=parse_octonion(args.base, params),
@@ -157,10 +118,10 @@ def cmd_render(args) -> int:
         width=args.width, height=args.height, scale=args.scale,
         max_iter=args.max_iter, escape_radius=args.escape_radius)
     render_mod.render(f, spec, args.out)
-    return EXIT_OK
+    return None
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest() -> int:
     from .selftest import run_selftest
     results = run_selftest()
     width = max(len(r[0]) for r in results)
@@ -226,16 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--escape-radius", type=float, default=2.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("selftest", help="re-run the reference examples")
-    p.set_defaults(fn=cmd_selftest)
+    sub.add_parser("selftest", help="re-run the reference examples")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "selftest":
+            return cmd_selftest()
+        field = Field(exact=(args.mode == "exact"), eps=args.eps)
+        out = args.fn(_load_poly(args.poly, field), args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -245,6 +207,12 @@ def main(argv=None) -> int:
     except OcpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    if isinstance(out, str):
+        sys.stdout.write(out)
+    elif out is not None:
+        json.dump(out, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

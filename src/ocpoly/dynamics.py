@@ -123,7 +123,11 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     tol = f.params.field.fixed_tol
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")
-    seen = np.empty((n_max + 1, 8))  # row k: iterate k, filled as reached
+    if not 0 < escape_radius < math.inf:
+        raise InvalidInput(f"escape radius must be finite and positive, "
+                           f"got {escape_radius!r}")
+    # row k: iterate k, filled as reached; doubled when full
+    seen = np.empty((min(n_max, 128) + 1, 8))
     seen[0] = start.coords
     iterates = [start]
     escaped = False
@@ -140,6 +144,8 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
         if hit.size:
             period = int(k - hit[0])
             break
+        if k == len(seen):
+            seen = np.concatenate([seen, np.empty_like(seen)])
         seen[k] = val.coords
     return OrbitRecord(start=start, iterates=tuple(iterates),
                        escaped=escaped, detected_period=period)

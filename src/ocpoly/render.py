@@ -19,6 +19,7 @@ constants negative), so other algebras are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,11 @@ class SliceSpec:
             raise InvalidInput("slice directions must be nonzero")
         if self.width < 1 or self.height < 1 or self.max_iter < 1:
             raise InvalidInput("bad raster dimensions")
+        if not 0 < self.escape_radius < math.inf:
+            raise InvalidInput(f"escape radius must be finite and positive, "
+                               f"got {self.escape_radius!r}")
+        if not math.isfinite(self.scale):
+            raise InvalidInput(f"scale must be finite, got {self.scale!r}")
 
     def lattice(self) -> np.ndarray:
         """(height*width, 8) per-pixel start elements, as the transposed

@@ -42,6 +42,11 @@ class Field:
     witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
     span_tol = _threshold(1e-4)         # distance from a quaternion algebra
 
+    def __post_init__(self):
+        if not 0 < self.eps < 1:  # false for nan and inf as well
+            raise InvalidInput(f"eps must be finite with 0 < eps < 1, "
+                               f"got {self.eps!r}")
+
     def coerce(self, x):
         if isinstance(x, str):
             return self.parse(x)

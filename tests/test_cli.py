@@ -149,6 +149,54 @@ class TestSubcommands:
         assert "FAIL" not in out
 
 
+def _vec(**nonzero):
+    """Exact-mode JSON coordinates: "0" except at the named positions."""
+    return [nonzero.get(f"c{a}", "0") for a in range(8)]
+
+
+def _cls(N):
+    return {"N": N, "T": "0", "central": False}
+
+
+def _lmr(N, einv_g, g_einv):
+    return {"EinvG": einv_g, "GEinv": g_einv, "class": _cls(N),
+            "commNorm": "4", "kind": "parametrized"}
+
+
+FRONT_DOOR = [
+    ("x^2 + ix - ij + 1", ["roots"],
+     {"anomalies": [], "spherical": [],
+      "isolated": [{"class": _cls("1"), "root": _vec(c2="1")},
+                   {"class": _cls("2"), "root": _vec(c1="-1", c2="1")}]}),
+    ("x^2 + ix - ij + 1", ["companion"], {"coeffs": ["2", "0", "3", "0", "1"]}),
+    ("x^2 + ix - ij + 1", ["rmr"], {"classes": [_cls("1"), _cls("2")]}),
+    ("x^2 + ix - ij + 1", ["rmr", "--element=-ij", "--witness"],
+     {"contains": True, "witness": _vec(c2="-1/2", c3="1/2")}),
+    ("x^2 + ix - ij + 1", ["lmr"],
+     [_lmr("1", _vec(c2="-1"), _vec(c2="1")),
+      _lmr("2", _vec(c1="1", c2="-1"), _vec(c1="1", c2="1"))]),
+    ("ix + j", ["roots"],
+     {"anomalies": [], "spherical": [],
+      "isolated": [{"class": _cls("1"), "root": _vec(c3="1")}]}),
+    ("ix + j", ["companion"], {"coeffs": ["1", "0", "1"]}),
+    ("ix + j", ["rmr"], {"classes": [_cls("1")]}),
+    ("ix + j", ["rmr", "--element=-ij", "--witness"],
+     {"contains": True, "witness": _vec(c2="1/2")}),
+    ("ix + j", ["lmr"], [_lmr("1", _vec(c3="-1"), _vec(c3="1"))]),
+]
+
+
+@pytest.mark.parametrize("poly,command,expected", FRONT_DOOR)
+def test_front_door_stdout(tmp_path, capsys, poly, command, expected):
+    """Exact-mode stdout, byte for byte: sorted keys, indent 2, newline."""
+    path = tmp_path / "f.txt"
+    path.write_text(poly + "\n")
+    assert main(["--mode", "exact", command[0], str(path),
+                 *command[1:]]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -163,3 +211,28 @@ class TestExitCodes:
         path = tmp_path / "f.txt"
         path.write_text("x^2 + ix + 2j\n")
         assert main(["--mode", "exact", "roots", str(path)]) == EXIT_MATH
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "1e9"])
+    def test_eps_out_of_range(self, quad_file, capsys, eps):
+        assert main([f"--eps={eps}", "roots", quad_file]) == EXIT_MATH
+        assert repr(float(eps)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["orbit", "--start=0.5", "--escape-radius=-2"],
+        ["orbit", "--start=0.5", "--escape-radius=nan"],
+        ["render", "--escape-radius=-2", "--out=img.pgm"],
+        ["render", "--escape-radius=nan", "--out=img.pgm"],
+        ["render", "--scale=nan", "--out=img.pgm"]])
+    def test_bad_radius_or_scale(self, tmp_path, command):
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        assert main([command[0], str(path), *command[1:]]) == EXIT_MATH
+        assert not (tmp_path / "img.pgm").exists()
+
+    def test_orbit_max_iter_beyond_memory(self, tmp_path, capsys):
+        # storage grows with the orbit, which revisits at step 17
+        path = tmp_path / "g.txt"
+        path.write_text("x^2 - 1\n")
+        assert main(["orbit", str(path), "--start=0.5",
+                     "--max-iter=3000000000"]) == EXIT_OK
+        assert "# detected_period,2\n" in capsys.readouterr().out

@@ -245,6 +245,31 @@ class TestOrbits:
         f = quad(PR, Octonion.zero(PR), -one)
         assert detect_pseudo_period(f, i, 50) is None
 
+    @pytest.mark.parametrize("radius", [-2.0, 0.0, math.nan, math.inf])
+    def test_bad_escape_radius_refused(self, PR, radius):
+        # at -2 the orbit of 0.5 under x^2 reported an escape at step 1,
+        # at nan it never escaped
+        f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
+        with pytest.raises(InvalidInput, match="escape radius"):
+            orbit(f, Octonion.one(PR) * 0.5, 20, escape_radius=radius)
+
+    def test_storage_grows_with_the_orbit(self, PR):
+        # n_max bounds the steps, not what is allocated before the first
+        f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
+        rec = orbit(f, Octonion.one(PR) * 0.5, 10 ** 12)
+        assert rec.detected_period == 1 and len(rec.iterates) < 10
+
+    def test_revisit_after_storage_grows(self, PR, basis_r):
+        # x -> e^(2 pi i / 300) x: its first revisit, of the start, is at
+        # step 300, after the revisit table has doubled twice
+        one, i, j, k, l = basis_r
+        turn = 2 * math.pi / 300
+        rot = one * math.cos(turn) + i * math.sin(turn)
+        f = OPolynomial.make(PR, [Octonion.zero(PR), rot])
+        rec = orbit(f, one, 1000)
+        assert rec.detected_period == 300 and not rec.escaped
+        assert len(rec.iterates) == 301
+
     def test_csv_shape(self, PR, basis_r):
         one, i, j, k, l = basis_r
         f = quad(PR, Octonion.zero(PR), -one)

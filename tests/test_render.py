@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -239,6 +240,19 @@ class TestEscapeSteps:
             else:
                 with pytest.raises(InvalidInput):
                     escape_steps(f, spec)
+
+    # radius -2 drew the radius-2 image (the radius is squared); nan left
+    # every pixel bounded, with overflow warnings
+    @pytest.mark.parametrize("change,message", [
+        ({"escape_radius": -2.0}, "escape radius"),
+        ({"escape_radius": 0.0}, "escape radius"),
+        ({"escape_radius": math.nan}, "escape radius"),
+        ({"escape_radius": math.inf}, "escape radius"),
+        ({"scale": math.nan}, "scale"),
+        ({"scale": math.inf}, "scale")])
+    def test_bad_radius_or_scale_refused(self, spec, change, message):
+        with pytest.raises(InvalidInput, match=message):
+            dataclasses.replace(spec, **change)
 
     def test_deterministic(self, f_square, spec):
         a = escape_steps(f_square, spec)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -15,6 +16,12 @@ from ocpoly.roots import (ConjClass, class_member, lmr_contains,
                           reduce_linear, rmr_classes, rmr_contains,
                           rmr_witness, roots)
 from ocpoly.scalars import EXACT, REAL
+
+
+def test_import_binds_the_module():
+    """The package namespace is its submodules: no function shadows one."""
+    import ocpoly.roots as m
+    assert inspect.ismodule(m) and m.roots is roots
 
 
 def quad_example(P, basis):
@@ -285,8 +292,7 @@ class TestRMR:
     def test_witness_refuses_planted_conjugator(self, gammas, monkeypatch):
         """A conjugator off by 1e-4 of its size gives a c whose residual
         the backward-error check refuses, with its numbers."""
-        # the module: the package attribute ocpoly.roots is the function
-        roots_mod = sys.modules["ocpoly.roots"]
+        import ocpoly.roots as roots_mod
         P = AlgebraParams(REAL, *gammas)
         rng = random.Random(4)
         true_conj = roots_mod.conjugating_element

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -132,3 +133,11 @@ class TestThresholds:
 
     def test_span_threshold_squares_to_old_norm_bound(self):
         assert REAL.span_tol ** 2 == 1e-8
+
+    # -1 accepted every candidate (a negative threshold, squared), nan sent
+    # every root to the anomalies, 1e9 made -1 a zero structure constant
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, 1e9, 0.0, 1.0,
+                                     math.inf])
+    def test_eps_out_of_range_refused(self, eps):
+        with pytest.raises(InvalidInput, match=re.escape(repr(eps))):
+            Field(exact=False, eps=eps)
