@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateCommutative, InvalidInput, ModeMismatch,
                      NotConjugate, NotInvertible, ParseError, WitnessFailure)
-from .scalars import EXACT, REAL, ConjClass, Field
+from .scalars import REAL, ConjClass, Field
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
 
@@ -427,6 +428,23 @@ def _exact(params: AlgebraParams, den: int, num) -> ExactOctonion:
     return x
 
 
+def combination(ws, xs) -> Octonion:
+    """sum ws[t] xs[t] for scalars ws and elements xs of one algebra, in one
+    pass per coordinate; exact mode on integer numerators over one common
+    denominator."""
+    params = xs[0].params
+    if params.field.exact:
+        den = math.lcm(*(x.den for x in xs))
+        d = math.lcm(*(w.denominator for w in ws))
+        ns = [w.numerator * (d // w.denominator) for w in ws]
+        cols = zip(*([v * (den // x.den) for v in x.num] for x in xs))
+        return _exact(params, den * d,
+                      [sum(map(operator.mul, ns, c)) for c in cols])
+    cols = zip(*(x.coords for x in xs))
+    return Octonion(tuple(sum(map(operator.mul, ws, c)) for c in cols),
+                    params)
+
+
 def polar_form(x: Octonion, y: Octonion):
     """Polar bilinear form of the norm: b(x,y) = norm(x+y)-norm(x)-norm(y)."""
     x._check(y)
@@ -558,10 +576,8 @@ class QuatSubalgebra:
         return self.ell.params
 
     def element(self, cs) -> Octonion:
-        out = Octonion.zero(self.params)
-        for c, e in zip(cs, self.basis):
-            out = out + e * self.params.field.coerce(c)
-        return out
+        coerce = self.params.field.coerce
+        return combination([coerce(c) for c in cs], self.basis)
 
     def project_coeffs(self, x: Octonion) -> list:
         return [polar_form(x, e) / polar_form(e, e) for e in self.basis]

@@ -34,10 +34,11 @@ def fixed_points(f: OPolynomial) -> RootSet:
     return roots(f - OPolynomial.x(f.params))
 
 
-def _is_fixed(g: OPolynomial, alpha: Octonion, tol: float) -> bool:
-    """g(alpha) = alpha, to tol against 1 + |alpha|."""
-    scale = 1.0 + math.sqrt(abs(float(alpha.norm())))
-    return (g.eval(alpha) - alpha).negligible(tol, scale)
+def _returns(val: Octonion, target: Octonion, tol: float) -> bool:
+    """val = target, to tol against 1 + |target|: the one rule for a fixed
+    point, a pseudo-period and an orbit's revisit."""
+    scale = 1.0 + math.sqrt(abs(float(target.norm())))
+    return (val - target).negligible(tol, scale)
 
 
 def growth_bounds(alpha: Octonion, B: Octonion) -> tuple:
@@ -66,7 +67,7 @@ class FixedPointReport:
 def classify_fixed(f: OPolynomial, alpha: Octonion) -> FixedPointReport:
     _require_monic_quadratic(f)
     f.params.require_real_definite("classify_fixed")
-    if not _is_fixed(f, alpha, f.params.field.fixed_tol):
+    if not _returns(f.eval(alpha), alpha, f.params.field.fixed_tol):
         raise NotAFixedPoint(f"f({alpha}) != {alpha}")
     B = f.coeff(1)
     M, m = growth_bounds(alpha, B)
@@ -85,10 +86,10 @@ def verify_composition_fixed(f: OPolynomial, alpha: Octonion,
     (degree doubles each step, so keep n_max small)."""
     _require_monic_quadratic(f)
     fld = f.params.field
-    if not _is_fixed(f, alpha, fld.fixed_tol):
+    if not _returns(f.eval(alpha), alpha, fld.fixed_tol):
         raise NotAFixedPoint("alpha is not fixed by f")
-    return all(_is_fixed(f.iterate_comp(n), alpha, fld.composition_tol)
-               for n in range(1, n_max + 1))
+    return all(_returns(f.iterate_comp(n).eval(alpha), alpha,
+                        fld.composition_tol) for n in range(1, n_max + 1))
 
 
 def direction_ratio(f: OPolynomial, alpha: Octonion, direction: Octonion,
@@ -118,7 +119,7 @@ class OrbitRecord:
 def orbit(f: OPolynomial, start: Octonion, n_max: int,
           escape_radius: float = 1e6) -> OrbitRecord:
     """Substitution orbit of start, stopping at n_max, escape, or a revisit
-    of an earlier iterate to fixed_tol (which sets the detected period)."""
+    of an earlier iterate by _returns (which sets the detected period)."""
     f.params.require_real_definite("orbit")
     tol = f.params.field.fixed_tol
     if n_max < 1:
@@ -126,9 +127,10 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     if not 0 < escape_radius < math.inf:
         raise InvalidInput(f"escape radius must be finite and positive, "
                            f"got {escape_radius!r}")
-    # row k: iterate k, filled as reached; doubled when full
-    seen = np.empty((min(n_max, 128) + 1, 8))
-    seen[0] = start.coords
+    # row k: iterate k and its revisit threshold tol * (1 + |iterate k|),
+    # filled as reached; doubled when full
+    seen = np.empty((min(n_max, 128) + 1, 9))
+    seen[0] = (*start.coords, tol * (1 + math.sqrt(float(start.norm()))))
     iterates = [start]
     escaped = False
     period = None
@@ -136,31 +138,32 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     for k in range(1, n_max + 1):
         val = f.eval(val)
         iterates.append(val)
-        if math.sqrt(float(val.norm())) > escape_radius:
+        size = math.sqrt(float(val.norm()))
+        if size > escape_radius:
             escaped = True
             break
-        hit = np.flatnonzero(((seen[:k] - val.coords) ** 2)
-                             @ f.params.table.norm_diag <= tol ** 2)
+        hit = np.flatnonzero(((seen[:k, :8] - val.coords) ** 2)
+                             @ f.params.table.norm_diag <= seen[:k, 8] ** 2)
         if hit.size:
             period = int(k - hit[0])
             break
         if k == len(seen):
             seen = np.concatenate([seen, np.empty_like(seen)])
-        seen[k] = val.coords
+        seen[k] = (*val.coords, tol * (1 + size))
     return OrbitRecord(start=start, iterates=tuple(iterates),
                        escaped=escaped, detected_period=period)
 
 
 def detect_pseudo_period(f: OPolynomial, alpha: Octonion,
                          n_max: int) -> int | None:
-    """Smallest n <= n_max with f^{*n}(alpha) = alpha to fixed_tol, if any."""
+    """Smallest n <= n_max with f^{*n}(alpha) = alpha by _returns."""
     if f.params.field.exact:
         raise ModeMismatch("detect_pseudo_period is a real-mode operation")
     tol = f.params.field.fixed_tol
     val = alpha
     for n in range(1, n_max + 1):
         val = f.eval(val)
-        if (val - alpha).negligible(tol):
+        if _returns(val, alpha, tol):
             return n
     return None
 

@@ -8,13 +8,10 @@ ring homomorphism and nothing here assumes it is.
 from __future__ import annotations
 
 import functools
-import math
-import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import AlgebraParams, Octonion, parse_octonion
+from .algebra import AlgebraParams, Octonion, parse_octonion, polar_form
 from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
@@ -120,23 +117,16 @@ class OPolynomial:
     def companion(self) -> CentralPoly:
         """conj(f) * f, central by construction: as conj(x) y + conj(y) x =
         polar_form(x, y), coefficient k sums polar_form(a_s, a_t) over s < t,
-        s + t = k, plus norm(a_{k/2}); exact mode on integer numerators."""
+        s + t = k, plus norm(a_{k/2})."""
         if self.is_zero():
             raise InvalidInput("zero polynomial has no companion")
-        cs, tb = self.coeffs, self.params.table
-        if tb.exact:
-            den = math.lcm(*(a.den for a in cs))
-            rows = [[v * (den // a.den) for v in a.num] for a in cs]
-            diag, unit = tb.int_norm_diag, Fraction(1, tb.den * den * den)
-        else:
-            rows, diag, unit = [a.coords for a in cs], tb.norm_diag, 1
-        out = [0] * (2 * len(rows) - 1)
-        for s, x in enumerate(rows):
-            wx = [w * v for w, v in zip(diag, x)]
-            out[2 * s] += sum(map(operator.mul, wx, x))
-            for t in range(s + 1, len(rows)):
-                out[s + t] += 2 * sum(map(operator.mul, wx, rows[t]))
-        return CentralPoly.make(self.params.field, [c * unit for c in out])
+        cs = self.coeffs
+        out = [0] * (2 * len(cs) - 1)
+        for s, x in enumerate(cs):
+            out[2 * s] += x.norm()
+            for t in range(s + 1, len(cs)):
+                out[s + t] += polar_form(x, cs[t])
+        return CentralPoly.make(self.params.field, out)
 
     def eval(self, lam: Octonion) -> Octonion:
         """sum a_t lam^t by Horner's rule, exact since a_t and lam generate an

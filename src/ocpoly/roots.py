@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Octonion, QuatSubalgebra, _exact, conjugating_element,
-                      polar_form, quat_subalgebra_containing)
+from .algebra import (Octonion, QuatSubalgebra, combination,
+                      conjugating_element, polar_form,
+                      quat_subalgebra_containing)
 from .errors import InvalidInput, ModeMismatch, NotInRMR, WholeClass
 from .opoly import OPolynomial
 from .scalars import ConjClass, central_roots
@@ -42,8 +42,7 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
     With lam^t = p_t lam + q_t, the central recursion
     lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
-    G = sum a_t q_t, summed in one pass per coordinate; exact mode on
-    integer numerators over one common denominator.
+    G = sum a_t q_t, each one combination of the coefficients.
     """
     fld, cs = f.params.field, f.coeffs
     if not cs:
@@ -56,22 +55,8 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         ps.append(p)
         qs.append(q)
         p, q = T * p + q, -N * p
-    if fld.exact:
-        den = math.lcm(*(a.den for a in cs))
-        cols = list(zip(*([v * (den // a.den) for v in a.num] for a in cs)))
-
-        def combine(xs):
-            d = math.lcm(*(x.denominator for x in xs))
-            ws = [x.numerator * (d // x.denominator) for x in xs]
-            return _exact(f.params, den * d,
-                          [sum(map(operator.mul, ws, c)) for c in cols])
-    else:
-        cols = list(zip(*(a.coords for a in cs)))
-
-        def combine(xs):
-            return Octonion(
-                tuple(sum(map(operator.mul, xs, c)) for c in cols), f.params)
-    return LinearReduction(E=combine(ps), G=combine(qs), cls=cls)
+    return LinearReduction(E=combination(ps, cs), G=combination(qs, cs),
+                           cls=cls)
 
 
 def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:

@@ -37,7 +37,7 @@ class Field:
 
     residual_tol = _threshold(1e-8)     # |f(lam)| of a root
     class_tol = _threshold(1e-6)        # E, G, class membership
-    fixed_tol = _threshold(1e-9)        # f(alpha) = alpha, orbit revisits
+    fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
     witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
     span_tol = _threshold(1e-4)         # distance from a quaternion algebra
@@ -48,13 +48,22 @@ class Field:
                                f"got {self.eps!r}")
 
     def coerce(self, x):
+        """x as a scalar of this field; real mode refuses a value that is
+        not finite or is beyond float range."""
         if isinstance(x, str):
             return self.parse(x)
         if self.exact:
             if isinstance(x, float) and not x.is_integer():
                 raise InvalidInput(f"non-integral float {x!r} in exact mode")
             return Fraction(x)
-        return float(x)
+        try:
+            v = float(x)
+        except OverflowError:  # an int or Fraction
+            raise InvalidInput(f"{str(x):.20}... ({len(str(abs(int(x))))} "
+                               "digits) is beyond float range") from None
+        if not math.isfinite(v):
+            raise InvalidInput(f"{v!r} is not a finite scalar")
+        return v
 
     def parse(self, text: str):
         """Parse a decimal or 'p/q' scalar literal."""
@@ -62,13 +71,8 @@ class Field:
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            if not self.exact:
-                try:
-                    return float(text)
-                except ValueError:
-                    pass
             raise InvalidInput(f"bad scalar literal {text!r}") from exc
-        return frac if self.exact else float(frac)
+        return frac if self.exact else self.coerce(frac)
 
     def is_zero(self, a) -> bool:
         if self.exact:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -111,6 +112,16 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["order"] == 2
         assert out["verdict"] == "attracting"
+
+    def test_classify_large_two_cycle(self, tmp_path, capsys):
+        # |f(f(alpha)) - alpha| = 7.9e-7 is above fixed_tol but within
+        # fixed_tol * (1 + |alpha|): found as a 2-cycle, not refused with
+        # "f(alpha) != alpha"
+        path = tmp_path / "g.txt"
+        path.write_text("x^2 - 2000000\n")
+        alpha = repr((-1 + math.sqrt(7999997)) / 2)
+        assert main(["classify", str(path), f"--alpha={alpha}"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["order"] == 2
 
     def test_orbit_csv(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -228,6 +239,23 @@ class TestExitCodes:
         path.write_text("x^2\n")
         assert main([command[0], str(path), *command[1:]]) == EXIT_MATH
         assert not (tmp_path / "img.pgm").exists()
+
+    # real mode: the first two died with an OverflowError (exit 1), NaN and
+    # Infinity ran the solver to its cap
+    @pytest.mark.parametrize("text,named", [
+        ("(1e400 i)x + 1", "(401 digits) is beyond float range"),
+        ('{"params": [-1, -1, -1], "coeffs": [[1], [0, %d]]}' % 10 ** 400,
+         "(401 digits) is beyond float range"),
+        ('{"params": [-1, -1, -1], "coeffs": [[1], [NaN, 1]]}',
+         "nan is not a finite scalar"),
+        ('{"params": [-1, -1, -1], "coeffs": [[1], [1, Infinity]]}',
+         "inf is not a finite scalar")],
+        ids=["text-1e400", "json-10^400", "json-nan", "json-infinity"])
+    def test_non_finite_input_refused(self, tmp_path, capsys, text, named):
+        path = tmp_path / "f.txt"
+        path.write_text(text + "\n")
+        assert main(["roots", str(path)]) == EXIT_MATH
+        assert named in capsys.readouterr().err
 
     def test_orbit_max_iter_beyond_memory(self, tmp_path, capsys):
         # storage grows with the orbit, which revisits at step 17

@@ -224,8 +224,8 @@ class TestOrbits:
             rec = orbit(quad(PR, Octonion.zero(PR), C), start, 60)
             its, period = rec.iterates, None
             for k in range(1, len(its)):
-                hit = next((i for i in range(k)
-                            if (its[k] - its[i]).negligible(tol)), None)
+                hit = next((i for i in range(k) if (its[k] - its[i])
+                            .negligible(tol, 1 + float(its[i].abs()))), None)
                 if hit is not None:
                     period = k - hit
                     break
@@ -277,6 +277,28 @@ class TestOrbits:
         lines = rec.to_csv().strip().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines[0].split(",")) == 10
+
+
+class TestReturnRule:
+    """f(alpha) = alpha, a pseudo-period and an orbit's revisit, judged
+    alike at fixed_tol * (1 + |alpha|)."""
+
+    def test_large_two_cycle(self, PR):
+        # x^2 - 2e6: |f(f(alpha)) - alpha| = 7.9e-7, above fixed_tol
+        f = OPolynomial.make(PR, [-2e6, 0, 1])
+        alpha = Octonion.scalar(PR, (-1 + math.sqrt(7999997)) / 2)
+        assert detect_pseudo_period(f, alpha, 4) == 2
+        assert orbit(f, alpha, 10).detected_period == 2
+        assert classify_pseudo_periodic(f, alpha, 2).n == 2
+
+    def test_large_fixed_point(self, PR):
+        # x^2 - 2e10: classify_fixed accepted the point that
+        # detect_pseudo_period rejected, and the orbit escaped from it
+        f = OPolynomial.make(PR, [-2e10, 0, 1])
+        alpha = Octonion.scalar(PR, (1 + math.sqrt(1 + 8e10)) / 2)
+        assert classify_fixed(f, alpha).verdict == "repelling"
+        assert detect_pseudo_period(f, alpha, 1) == 1
+        assert orbit(f, alpha, 10).detected_period == 1
 
 
 class TestPseudoPeriodic:

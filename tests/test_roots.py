@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
-from ocpoly.errors import NotInRMR, UnsupportedDegree
-from ocpoly.opoly import OPolynomial
+from ocpoly.errors import (InvalidInput, ModeMismatch, NotInRMR,
+                           UnsupportedDegree, WholeClass)
+from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (ConjClass, class_member, lmr_contains,
                           lmr_describe, lmr_describe_class, lmr_point,
                           lmr_sample, lmr_sample_detailed, multiple_root,
@@ -418,6 +419,63 @@ class TestLMR:
         # a = 0, b = 1 recovers -gamma-scaled left end -GE^{-1}
         pt = lmr_point(desc, Octonion.zero(P), Octonion.one(P))
         assert pt.isclose(desc.g_e_inv * -1)
+
+
+class TestLMRKinds:
+    """Single-point, central and whole-class descriptions: x^2 - 3ix - 2 =
+    (x - 2i)(x - i), x - 2 and x^2 + 1."""
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_single_point_classes(self, field):
+        P = AlgebraParams.octonions(field)
+        i = Octonion.basis(P, 1)
+        descs = lmr_describe(parse_opolynomial("x^2 - 3ix - 2", P))
+        assert [d.kind for d in descs] == ["single-point"] * 2
+        points = sorted((d.point for d in descs), key=lambda p: p.size2())
+        assert points[0].isclose(i) and points[1].isclose(2 * i)
+        for d in descs:
+            assert d.to_json() == {"kind": "single-point",
+                                   "point": d.point.to_json(),
+                                   "class": d.cls.to_json(field)}
+            assert lmr_sample(d, 3) == [d.point] * 3
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_central_class(self, field):
+        P = AlgebraParams.octonions(field)
+        (d,) = lmr_describe(parse_opolynomial("x - 2", P))
+        assert d.cls.central and d.kind == "single-point"
+        assert d.point.isclose(Octonion.scalar(P, 2), field.witness_tol)
+        assert d.to_json()["point"] == d.point.to_json()
+        assert lmr_sample(d, 2) == [d.point] * 2
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_whole_class(self, field):
+        P = AlgebraParams.octonions(field)
+        f = parse_opolynomial("x^2 + 1", P)
+        (d,) = lmr_describe(f)
+        assert d.kind == "whole-class"
+        with pytest.raises(InvalidInput, match="whole-class"):
+            lmr_sample(d, 1)
+        with pytest.raises(WholeClass):
+            multiple_root(f, d.cls, Octonion.basis(P, 2), "right")
+
+    def test_contains_per_kind(self, PR, basis_r):
+        one, i, j, k, l = basis_r
+        cases = [("x^2 - 3ix - 2", [i, 2 * i], [j, 2 * j, -i]),
+                 ("x - 2", [2 * one], [one, 2 * i]),
+                 ("x^2 + 1", [j, -i, (j + l) * (1 / math.sqrt(2))],
+                  [2 * j, one])]
+        for text, inside, outside in cases:
+            descs = lmr_describe(parse_opolynomial(text, PR))
+            for mu in inside:
+                assert any(lmr_contains(d, mu) for d in descs), (text, mu)
+            for mu in outside:
+                assert not any(lmr_contains(d, mu) for d in descs), (text, mu)
+
+    def test_contains_is_real_mode(self, P):
+        (d,) = lmr_describe(parse_opolynomial("x - 2", P))
+        with pytest.raises(ModeMismatch):
+            lmr_contains(d, Octonion.scalar(P, 2))
 
 
 class TestSmallNonzeroE:

@@ -141,3 +141,21 @@ class TestThresholds:
     def test_eps_out_of_range_refused(self, eps):
         with pytest.raises(InvalidInput, match=re.escape(repr(eps))):
             Field(exact=False, eps=eps)
+
+
+class TestRealRange:
+    # each was kept as inf or nan, or raised OverflowError
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 10 ** 400,
+                                   Fraction(-10 ** 400, 3)],
+                             ids=["inf", "-inf", "nan", "int", "fraction"])
+    def test_coerce_refuses(self, x):
+        with pytest.raises(InvalidInput, match="not a finite|beyond float"):
+            REAL.coerce(x)
+
+    @pytest.mark.parametrize("text,named", [
+        ("1e400", "10000000000000000000... (401 digits) is beyond"),
+        ("-1e400", "-1000000000000000000... (401 digits) is beyond"),
+        ("inf", "'inf'"), ("nan", "'nan'"), ("infinity", "'infinity'")])
+    def test_parse_refuses(self, text, named):
+        with pytest.raises(InvalidInput, match=re.escape(named)):
+            REAL.parse(text)
