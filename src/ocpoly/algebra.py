@@ -14,6 +14,7 @@ once per algebra, and every product is a flat sum over it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -41,8 +42,7 @@ class AlgebraParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, self.field.coerce(getattr(self, name)))
-        if any(self.field.is_zero(getattr(self, n))
-               for n in ("alpha", "beta", "gamma")):
+        if 0 in self.gammas:
             raise InvalidInput("structure constants must be nonzero")
 
     @classmethod
@@ -295,8 +295,8 @@ class Octonion:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        f = self.params.field
-        return all(f.is_zero(c) for c in self.coords)
+        """Exactly zero, in both modes; negligible() is the real-mode test."""
+        return not any(self.coords)
 
     def is_central(self) -> bool:
         return self.im().is_zero()
@@ -320,15 +320,14 @@ class Octonion:
                 f"threshold {float(tol * scale):.3e}")
 
     def isclose(self, other: "Octonion", tol: float | None = None) -> bool:
+        """self = other, the one closeness rule: self - other negligible at
+        tol (default fixed_tol) against 1 + |other|, sizes by size2.  It
+        judges a fixed point, a pseudo-period and an orbit's revisit;
+        exact mode compares by equality."""
         self._check(other)
-        f = self.params.field
-        if f.exact:
-            return self == other
-        tol = f.eps if tol is None else tol
-        scale = max(1.0, max(abs(c) for c in self.coords),
-                    max(abs(c) for c in other.coords))
-        return all(abs(a - b) <= tol * scale
-                   for a, b in zip(self.coords, other.coords))
+        if tol is None:
+            tol = self.params.field.fixed_tol
+        return (self - other).negligible(tol, 1 + math.sqrt(other.size2()))
 
     # -- formatting ---------------------------------------------------------
 
@@ -518,6 +517,19 @@ def format_octonion(x: Octonion) -> str:
     return out
 
 
+def _units(params: AlgebraParams):
+    """e_1, ..., e_7, each built only when reached."""
+    return (Octonion.basis(params, a) for a in range(1, 8))
+
+
+def anisotropic(d: Octonion, tol, size) -> bool:
+    """d is neither negligible against size nor isotropic: |n(d)| >
+    tol * size2(d), so d^-1 = conj(d) / n(d) has a size below
+    1 / (tol |d|).  Size 0 tests isotropy alone.  Exact mode: d != 0 and
+    n(d) != 0."""
+    return not d.negligible(tol, size) and abs(d.norm()) > tol * d.size2()
+
+
 def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
     """A trace-zero invertible delta with delta*lam = mu*delta, for mu in
     the class of lam (ConjClass.matches, at class_tol).  With v = im lam,
@@ -542,9 +554,8 @@ def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
     size = math.sqrt(v.size2())
     cands = [v + mu.im()]
     if cands[0].negligible(tol, size):  # mu = conj(lam)
-        cands = (Octonion.basis(params, a).commutator(v) for a in range(1, 8))
-    delta = next((d for d in cands if not d.negligible(tol, size)
-                  and abs(d.norm()) > tol * d.size2()), None)
+        cands = (e.commutator(v) for e in _units(params))
+    delta = next((d for d in cands if anisotropic(d, tol, size)), None)
     if delta is None:
         raise WitnessFailure("no anisotropic conjugator found; "
                              "is the algebra split?")
@@ -592,55 +603,46 @@ class QuatSubalgebra:
         return self.complement(x).negligible(self.params.field.span_tol)
 
 
-def _orthogonalize(x: Octonion, against: list) -> Octonion:
-    for e in against:
-        x = x - e * (polar_form(x, e) / polar_form(e, e))
-    return x
-
-
 def _unit(x: Octonion) -> Octonion:
-    if x.params.field.exact:
-        return x
-    return x / x.abs()
+    """x / sqrt|n(x)| in real mode; exact mode keeps x (square roots leave
+    the field)."""
+    return x if x.params.field.exact else x / math.sqrt(abs(x.norm()))
+
+
+def _anisotropic_part(cands, span: list, what: str) -> Octonion:
+    """The first candidate x whose part orthogonal to span is anisotropic
+    relative to the size of x, as a unit; candidates are orthogonalized
+    only once reached."""
+    for x in cands:
+        d = x
+        for e in span:
+            d = d - e * (polar_form(d, e) / polar_form(e, e))
+        if anisotropic(d, x.params.field.witness_tol, math.sqrt(x.size2())):
+            return _unit(d)
+    raise WitnessFailure(f"no anisotropic {what} found")
 
 
 def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
     """A quaternion subalgebra Q containing E and G, with a doubling unit.
 
-    In real mode u, v and ell are normalized; in exact mode vectors are kept
-    unnormalized (square roots leave Q) and gamma_eff records ell^2.
+    u comes from im E (or im G), v from the rest of im G (or im E), ell from
+    the basis; each is the first candidate that is anisotropic once made
+    orthogonal to what came before.  In real mode u, v and ell have
+    |n| = 1; in exact mode vectors are kept unnormalized (square roots
+    leave Q) and gamma_eff records ell^2.
     """
     E._check(G)
     params = E.params
-    f = params.field
-    im_e, im_g = E.im(), G.im()
-    if im_e.is_zero() and im_g.is_zero():
+    ims = (E.im(), G.im())
+    if ims[0].is_zero() and ims[1].is_zero():
         raise DegenerateCommutative("both elements are central")
-    u = im_e if not im_e.is_zero() else im_g
-    u = _unit(u)
-    v = _orthogonalize(im_g, [u])
-    if v.is_zero() or f.is_zero(v.norm()):
-        for a in range(1, 8):
-            cand = _orthogonalize(Octonion.basis(params, a), [u])
-            if not cand.is_zero() and not f.is_zero(cand.norm()):
-                v = cand
-                break
-        else:
-            raise WitnessFailure("no anisotropic complement to u found")
-    v = _unit(v)
-    uv = u * v
-    one = Octonion.one(params)
-    span = [one, u, v, uv]
-    ell = None
-    for a in range(1, 8):
-        cand = _orthogonalize(Octonion.basis(params, a), span)
-        if not cand.is_zero() and not f.is_zero(cand.norm()):
-            ell = _unit(cand)
-            break
-    if ell is None:
-        raise WitnessFailure("no anisotropic doubling unit found")
-    gamma_eff = (ell * ell).re()
-    return QuatSubalgebra(basis=tuple(span), ell=ell, gamma_eff=gamma_eff)
+    u = _anisotropic_part(ims, [], "direction in im E, im G")
+    v = _anisotropic_part(itertools.chain(ims[::-1], _units(params)), [u],
+                          "complement to u")
+    span = [Octonion.one(params), u, v, u * v]
+    ell = _anisotropic_part(_units(params), span, "doubling unit")
+    return QuatSubalgebra(basis=tuple(span), ell=ell,
+                          gamma_eff=(ell * ell).re())
 
 
 def random_octonion(params: AlgebraParams, rng, span: int = 4) -> Octonion:

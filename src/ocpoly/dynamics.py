@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Octonion
-from .errors import InvalidInput, ModeMismatch, NotAFixedPoint, OrderMismatch
+from .errors import InvalidInput, NotAFixedPoint, OrderMismatch
 from .opoly import OPolynomial
 from .roots import RootSet, roots
 
@@ -32,13 +32,6 @@ def fixed_points(f: OPolynomial) -> RootSet:
     composition iterate of a monic quadratic."""
     _require_monic_quadratic(f)
     return roots(f - OPolynomial.x(f.params))
-
-
-def _returns(val: Octonion, target: Octonion, tol: float) -> bool:
-    """val = target, to tol against 1 + |target|: the one rule for a fixed
-    point, a pseudo-period and an orbit's revisit."""
-    scale = 1.0 + math.sqrt(abs(float(target.norm())))
-    return (val - target).negligible(tol, scale)
 
 
 def growth_bounds(alpha: Octonion, B: Octonion) -> tuple:
@@ -67,7 +60,7 @@ class FixedPointReport:
 def classify_fixed(f: OPolynomial, alpha: Octonion) -> FixedPointReport:
     _require_monic_quadratic(f)
     f.params.require_real_definite("classify_fixed")
-    if not _returns(f.eval(alpha), alpha, f.params.field.fixed_tol):
+    if not f.eval(alpha).isclose(alpha):
         raise NotAFixedPoint(f"f({alpha}) != {alpha}")
     B = f.coeff(1)
     M, m = growth_bounds(alpha, B)
@@ -85,11 +78,11 @@ def verify_composition_fixed(f: OPolynomial, alpha: Octonion,
     """Check f^{on}(alpha) = alpha for n = 1..n_max via explicit composition
     (degree doubles each step, so keep n_max small)."""
     _require_monic_quadratic(f)
-    fld = f.params.field
-    if not _returns(f.eval(alpha), alpha, fld.fixed_tol):
+    if not f.eval(alpha).isclose(alpha):
         raise NotAFixedPoint("alpha is not fixed by f")
-    return all(_returns(f.iterate_comp(n).eval(alpha), alpha,
-                        fld.composition_tol) for n in range(1, n_max + 1))
+    tol = f.params.field.composition_tol
+    return all(f.iterate_comp(n).eval(alpha).isclose(alpha, tol)
+               for n in range(1, n_max + 1))
 
 
 def direction_ratio(f: OPolynomial, alpha: Octonion, direction: Octonion,
@@ -119,7 +112,7 @@ class OrbitRecord:
 def orbit(f: OPolynomial, start: Octonion, n_max: int,
           escape_radius: float = 1e6) -> OrbitRecord:
     """Substitution orbit of start, stopping at n_max, escape, or a revisit
-    of an earlier iterate by _returns (which sets the detected period)."""
+    of an earlier iterate by isclose (which sets the detected period)."""
     f.params.require_real_definite("orbit")
     tol = f.params.field.fixed_tol
     if n_max < 1:
@@ -128,7 +121,8 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
         raise InvalidInput(f"escape radius must be finite and positive, "
                            f"got {escape_radius!r}")
     # row k: iterate k and its revisit threshold tol * (1 + |iterate k|),
-    # filled as reached; doubled when full
+    # filled as reached; doubled when full.  The hit test is isclose against
+    # every earlier row at once: on a definite algebra size2 is the norm.
     seen = np.empty((min(n_max, 128) + 1, 9))
     seen[0] = (*start.coords, tol * (1 + math.sqrt(float(start.norm()))))
     iterates = [start]
@@ -156,14 +150,12 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
 
 def detect_pseudo_period(f: OPolynomial, alpha: Octonion,
                          n_max: int) -> int | None:
-    """Smallest n <= n_max with f^{*n}(alpha) = alpha by _returns."""
-    if f.params.field.exact:
-        raise ModeMismatch("detect_pseudo_period is a real-mode operation")
-    tol = f.params.field.fixed_tol
+    """Smallest n <= n_max with f^{*n}(alpha) = alpha by isclose."""
+    f.params.require_real_definite("detect_pseudo_period")
     val = alpha
     for n in range(1, n_max + 1):
         val = f.eval(val)
-        if _returns(val, alpha, tol):
+        if val.isclose(alpha):
             return n
     return None
 

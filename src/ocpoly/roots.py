@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Octonion, QuatSubalgebra, combination,
+from .algebra import (Octonion, QuatSubalgebra, anisotropic, combination,
                       conjugating_element, polar_form,
                       quat_subalgebra_containing)
 from .errors import InvalidInput, ModeMismatch, NotInRMR, WholeClass
@@ -71,6 +71,16 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
     raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, scale))
 
 
+def _evaluation_misfit(f: OPolynomial, lam: Octonion) -> str | None:
+    """None if f(lam) is negligible at residual_tol against f's
+    coefficient scale, the rule for a root; else what failed."""
+    tol, scale = f.params.field.residual_tol, f.coeff_scale
+    val = f.eval(lam)
+    if val.negligible(tol, scale):
+        return None
+    return "candidate fails evaluation: " + val.misfit(tol, scale)
+
+
 @dataclass(frozen=True)
 class RootSet:
     isolated: tuple       # of (Octonion, ConjClass)
@@ -93,7 +103,6 @@ def roots(f: OPolynomial) -> RootSet:
     if f.is_zero() or f.degree < 1:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     fld = f.params.field
-    scale = f.coeff_scale
     isolated, spherical, anomalies = [], [], []
     for cls in rmr_classes(f):
         if cls.central:
@@ -117,12 +126,11 @@ def roots(f: OPolynomial) -> RootSet:
             # its own class, which its conjugates match at class_tol
             cls = ConjClass(lam.trace(), lam.norm(),
                             multiplicity=cls.multiplicity)
-        val = f.eval(lam)
-        if val.negligible(fld.residual_tol, scale):
+        misfit = _evaluation_misfit(f, lam)
+        if misfit is None:
             isolated.append((lam, cls))
         else:
-            anomalies.append((cls, "candidate fails evaluation: "
-                              + val.misfit(fld.residual_tol, scale)))
+            anomalies.append((cls, misfit))
     return RootSet(tuple(isolated), tuple(spherical), tuple(anomalies))
 
 
@@ -182,8 +190,6 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
 class LMRClassDescription:
     cls: ConjClass
     kind: str  # "whole-class" | "single-point" | "parametrized"
-    E: Octonion | None = None
-    G: Octonion | None = None
     point: Octonion | None = None
     Q: QuatSubalgebra | None = None
     e_inv_g: Octonion | None = None
@@ -209,25 +215,28 @@ class LMRClassDescription:
 
 
 def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
-    """LMR description of one conjugacy class."""
+    """LMR description of one conjugacy class.  A central class {r} is its
+    point r when f(r) passes the root rule of roots(); else, as (c f)(r) =
+    c f(r), it holds no root of any multiple: NotInRMR."""
     if cls.central:
         lam = Octonion.scalar(f.params, cls.r)
+        misfit = _evaluation_misfit(f, lam)
+        if misfit is not None:
+            raise NotInRMR("central class: " + misfit)
         return LMRClassDescription(cls=cls, kind="single-point", point=lam)
     red = reduce_linear(f, cls)
     if _whole_class(f, red):
-        return LMRClassDescription(cls=cls, kind="whole-class",
-                                   E=red.E, G=red.G)
+        return LMRClassDescription(cls=cls, kind="whole-class")
     Einv = red.E.inverse()
     comm = red.G.conj().commutator(Einv)
     e_inv_g = Einv * red.G
     g_e_inv = red.G * Einv
     if comm.negligible(f.params.field.class_tol, f.coeff_scale):
         return LMRClassDescription(cls=cls, kind="single-point",
-                                   E=red.E, G=red.G, point=-e_inv_g)
+                                   point=-e_inv_g)
     Q = quat_subalgebra_containing(red.E, red.G)
-    return LMRClassDescription(cls=cls, kind="parametrized", E=red.E,
-                               G=red.G, Q=Q, e_inv_g=e_inv_g,
-                               g_e_inv=g_e_inv, comm=comm)
+    return LMRClassDescription(cls=cls, kind="parametrized", Q=Q,
+                               e_inv_g=e_inv_g, g_e_inv=g_e_inv, comm=comm)
 
 
 def lmr_describe(f: OPolynomial) -> list:
@@ -235,7 +244,7 @@ def lmr_describe(f: OPolynomial) -> list:
 
 
 def _draw_q_pair(desc: LMRClassDescription, rng):
-    """Random (a, b) in Q x Q, not both zero."""
+    """Random (a, b) in Q x Q with c = a + b*ell anisotropic."""
     fld = desc.Q.params.field
     while True:
         if fld.exact:
@@ -245,7 +254,7 @@ def _draw_q_pair(desc: LMRClassDescription, rng):
         a = desc.Q.element(cs[:4])
         b = desc.Q.element(cs[4:])
         c = a + b * desc.Q.ell
-        if not fld.is_zero(c.norm()):
+        if anisotropic(c, fld.witness_tol, 0):  # n(c) divides in lmr_point
             return a, b
 
 
@@ -289,10 +298,10 @@ def lmr_sample(desc: LMRClassDescription, count: int, seed: int = 0) -> list:
 def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     """Membership test in the simplified real-mode parametrization
     {-x E^-1 G + (x-1) G E^-1 + z*ell : 0 <= x <= 1,
-     norm(z) = x(1-x) norm([conj(G), E^-1])}."""
+     norm(z) = x(1-x) norm([conj(G), E^-1])}, whose norms are sizes: real
+    mode and a definite algebra only."""
+    mu.params.require_real_definite("lmr_contains")
     fld = mu.params.field
-    if fld.exact:
-        raise ModeMismatch("lmr_contains is a real-mode operation")
     if desc.kind == "whole-class":
         return desc.cls.matches(mu)
     if desc.kind == "single-point":
@@ -305,15 +314,12 @@ def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     # u = x*(GE^-1 - E^-1 G) - GE^-1, solved by least squares in x
     d = desc.g_e_inv - desc.e_inv_g
     rhs = u + desc.g_e_inv
-    dd = polar_form(d, d)
-    if fld.is_zero(dd):
-        return False
-    x = polar_form(rhs, d) / dd
+    x = polar_form(rhs, d) / polar_form(d, d)  # d = -comm, not negligible
     resid = rhs - d * x
     scale = max(1.0, float(mu.norm()), float(desc.comm_norm))
     target = x * (1 - x) * desc.comm_norm
     return (resid.negligible(fld.class_tol, scale)
-            and -fld.eps <= x <= 1 + fld.eps
+            and -fld.fixed_tol <= x <= 1 + fld.fixed_tol
             and abs(float(w.norm()) - float(target)) <= fld.class_tol * scale)
 
 

@@ -3,8 +3,8 @@ root finding for central, scalar-coefficient polynomials, whose roots come
 as conjugacy classes (:class:`ConjClass`).
 
 Scalars themselves are plain ``fractions.Fraction`` (exact mode) or ``float``
-(real mode); a :class:`Field` instance carries the mode and the comparison
-tolerance and does coercion, parsing and zero tests.
+(real mode); a :class:`Field` instance carries the mode and the tolerance
+from which every threshold derives, and does coercion and parsing.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ class Field:
             raise InvalidInput(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else self.coerce(frac)
 
-    def is_zero(self, a) -> bool:
-        if self.exact:
-            return a == 0
-        return abs(a) <= self.eps
-
     def sqrt(self, a):
         if self.exact:
             raise InvalidInput("sqrt is a real-mode operation")
@@ -130,7 +125,7 @@ class CentralPoly:
             return "0"
         terms = []
         for t, c in enumerate(self.coeffs):
-            if self.field.is_zero(c) and self.field.exact:
+            if c == 0 and self.field.exact:
                 continue
             terms.append(f"({c})x^{t}" if t else f"({c})")
         return " + ".join(terms) or "0"

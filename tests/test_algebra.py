@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import (AlgebraParams, Octonion, _cd_mul,
+from ocpoly.algebra import (AlgebraParams, Octonion, _cd_mul, anisotropic,
                             conjugating_element, format_octonion,
                             parse_octonion, polar_form,
                             quat_subalgebra_containing, random_octonion)
@@ -329,6 +329,57 @@ class TestNegligible:
         for _ in range(50):
             x = random_octonion(P, rng, span=3) / 7
             assert x.size2() == float(x.norm())
+
+
+class TestZeroAndCloseness:
+    """is_zero() means exactly zero; negligible() is the real-mode test,
+    and isclose() the one closeness rule, |x - y| <= tol (1 + |y|)."""
+
+    def test_is_zero_is_exact(self, PR):
+        tiny = Octonion.scalar(PR, 1e-12)
+        assert not tiny.is_zero() and Octonion.zero(PR).is_zero()
+        assert tiny.negligible(PR.field.fixed_tol)
+
+    def test_isclose_is_the_return_rule(self, PR):
+        """A difference of 0.9 tol in every coordinate: each coordinate is
+        within tol, but its size sqrt(8) 0.9 tol exceeds tol (1 + |0|)."""
+        tol = PR.field.fixed_tol
+        zero = Octonion.zero(PR)
+        spread = Octonion.make(PR, [0.9 * tol] * 8)
+        assert not spread.isclose(zero)
+        assert Octonion.make(PR, [0.9 * tol]).isclose(zero)
+        # the scale is 1 + |other|, with sizes by size2
+        far = Octonion.make(PR, [3e6, 4e6])
+        assert (far + Octonion.make(PR, [0, 0, 4e-3])).isclose(far)
+        assert not (far + Octonion.make(PR, [0, 0, 6e-3])).isclose(far)
+
+    def test_isclose_sizes_on_split_algebras(self):
+        """Over (2, 3, 5) x = i + j + l + il has n(x) = 0 but size2 20: a
+        rule by the signed norm would take i + x for i."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        i, j, l, il = (Octonion.basis(P, a) for a in (1, 2, 4, 5))
+        x = i + j + l + il
+        assert x.norm() == 0 and x.size2() == 20
+        assert not (i + x).isclose(i)
+        assert (i + x * 1e-10).isclose(i)
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_anisotropic(self, field):
+        """Over (2, 3, 5) the norm diagonal is (1, -2, -3, 6, -5, 10, 15,
+        -30): x = i + j + l + il has n(x) = 0, so it is no unit, and near
+        it the test turns on the tolerance."""
+        P = AlgebraParams(field, 2, 3, 5)
+        i, j, l, il = (Octonion.basis(P, a) for a in (1, 2, 4, 5))
+        x = i + j + l + il
+        tol = field.witness_tol
+        assert x.norm() == 0 and not anisotropic(x, tol, 1)
+        assert anisotropic(i, tol, 1) and anisotropic(x + i, tol, 1)
+        assert not anisotropic(Octonion.zero(P), tol, 0)
+        near = x + i * field.coerce(Fraction(1, 10 ** 9))
+        assert near.norm() != 0
+        assert anisotropic(near, tol, 1) == field.exact
+        # negligible against the size given, though not isotropic
+        assert anisotropic(i, tol, 1e8) == field.exact
 
 
 class TestQuatSubalgebra:

@@ -223,6 +223,21 @@ class TestExitCodes:
         path.write_text("x^2 + ix + 2j\n")
         assert main(["--mode", "exact", "roots", str(path)]) == EXIT_MATH
 
+    def test_lmr_central_class_without_root(self, tmp_path, capsys):
+        """Over (2, 3, 5) this quadratic has real companion roots that are
+        no roots of f: lmr refuses with the residual and the threshold
+        that roots reports for them."""
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"params": [2, 3, 5], "coeffs": [
+            [3, -3, 2, 0, -1, 2, 3, -2], [1, -3, -1, -3, -3, -3, 2, 1],
+            [-3, 0, 2, -2, 0, 2, -3, 1]]}))
+        assert main(["lmr", str(path)]) == EXIT_MATH
+        err = capsys.readouterr().err
+        assert "residual 1.903e+01 > threshold 3.000e-08" in err
+        assert main(["roots", str(path)]) == EXIT_OK
+        assert "residual 1.903e+01 > threshold 3.000e-08" in \
+            capsys.readouterr().out
+
     @pytest.mark.parametrize("eps", ["-1", "nan", "1e9"])
     def test_eps_out_of_range(self, quad_file, capsys, eps):
         assert main([f"--eps={eps}", "roots", quad_file]) == EXIT_MATH

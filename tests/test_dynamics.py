@@ -9,10 +9,10 @@ from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
                              cycle_factor, detect_pseudo_period,
                              direction_ratio, fixed_points, growth_bounds,
                              orbit, verify_composition_fixed)
-from ocpoly.errors import InvalidInput, NotAFixedPoint
+from ocpoly.errors import InvalidInput, ModeMismatch, NotAFixedPoint
 from ocpoly.opoly import OPolynomial
 from ocpoly.roots import rmr_witness
-from ocpoly.scalars import REAL, Field
+from ocpoly.scalars import EXACT, REAL, Field
 
 
 def quad(params, B, C):
@@ -351,14 +351,25 @@ class TestIndefiniteAlgebra:
         P = self.P
         f = OPolynomial.make(P, [0.2, 0, 1])
         start = Octonion.make(P, [0.3, 0.05] + [0] * 6)
-        # a revisit test by the signed norm reads step 1 as period 1
-        assert detect_pseudo_period(f, start, 50) is None
-        with pytest.raises(InvalidInput, match="positive definite"):
-            orbit(f, start, 50)
+        # a revisit test by the signed norm would read step 1 as period 1
+        for call in (detect_pseudo_period, orbit):
+            with pytest.raises(InvalidInput, match="positive definite"):
+                call(f, start, 50)
         # the orbit reaches n(x) < 0, where sqrt(n(x)) has no value
         g = OPolynomial.make(P, [Octonion.basis(P, 1) * 0.5, 0, 1])
         with pytest.raises(InvalidInput, match="positive definite"):
             orbit(g, Octonion.scalar(P, 0.1), 20)
+
+    def test_pseudo_period_refused(self):
+        """detect_pseudo_period takes sizes from the norm, as orbit does:
+        real mode and a definite norm form."""
+        f = OPolynomial.make(self.P, [0.2, 0, 1])
+        with pytest.raises(InvalidInput, match="positive definite"):
+            detect_pseudo_period(f, Octonion.zero(self.P), 5)
+        P = AlgebraParams.octonions(EXACT)
+        with pytest.raises(ModeMismatch, match="real-mode"):
+            detect_pseudo_period(OPolynomial.make(P, [0, 0, 1]),
+                                 Octonion.zero(P), 5)
 
     def test_classification_refused(self):
         P, i = self.P, Octonion.basis(self.P, 1)

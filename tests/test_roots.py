@@ -421,6 +421,74 @@ class TestLMR:
         assert pt.isclose(desc.g_e_inv * -1)
 
 
+class TestLMROnSplitAlgebras:
+    """The paper's left-multiple results hold over any field of
+    characteristic not 2, so over split algebras as well."""
+
+    @staticmethod
+    def backward_error(f, c, mu):
+        """|(c f)(mu)| / sum_t |c a_t| |mu|^t, sizes by sqrt(size2)."""
+        cf = f.scale_left(c)
+        size = math.sqrt(mu.size2())
+        scale = sum(math.sqrt(a.size2()) * size ** t
+                    for t, a in enumerate(cf.coeffs))
+        return math.sqrt(cf.eval(mu).size2()) / scale
+
+    def test_sample_points_are_roots(self):
+        """100 monic quadratics over each of three split algebras
+        (random.Random(3), span 3): every non-central companion class is
+        parametrized, and every sample point is a root of its c f, with
+        backward error at most witness_tol.  Directions of negative norm
+        are scaled by sqrt|n|."""
+        classes = points = 0
+        for gammas in ((2, 3, 5), (-2, 3, -0.5), (-1, 1, -1)):
+            P = AlgebraParams(REAL, *gammas)
+            rng = random.Random(3)
+            for _ in range(100):
+                f = OPolynomial.make(P, [random_octonion(P, rng, 3)
+                                         for _ in range(2)] + [1])
+                for cls in rmr_classes(f):
+                    if cls.central:
+                        continue
+                    desc = lmr_describe_class(f, cls)
+                    assert desc.kind == "parametrized"
+                    classes += 1
+                    for _, _, c, mu in lmr_sample_detailed(desc, 5):
+                        assert self.backward_error(f, c, mu) \
+                            <= REAL.witness_tol
+                        points += 1
+        assert classes >= 250 and points == 5 * classes
+
+    def test_contains_refused(self):
+        """The membership parametrization takes norms as sizes; on a split
+        algebra it would answer False for genuine sample points."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        f = OPolynomial.make(P, [Octonion.make(P, cs) for cs in SPLIT_FOUND])
+        (cls,) = [c for c in rmr_classes(f) if not c.central]
+        desc = lmr_describe_class(f, cls)
+        mu = lmr_sample_detailed(desc, 1)[0][3]
+        with pytest.raises(InvalidInput, match="positive definite"):
+            lmr_contains(desc, mu)
+
+    def test_central_class_without_root(self):
+        """A real companion root r of f over (2, 3, 5) with f(r) != 0: as
+        (c f)(r) = c f(r), no multiple has a root in {r}."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        f = OPolynomial.make(P, [Octonion.make(P, cs) for cs in SPLIT_FOUND])
+        central = [c for c in rmr_classes(f) if c.central]
+        assert len(central) == 2
+        for cls in central:
+            with pytest.raises(NotInRMR, match=r"central class: candidate "
+                               r"fails evaluation: residual \S+ > "
+                               r"threshold 3\.000e-08"):
+                lmr_describe_class(f, cls)
+        assert [c for c, _ in roots(f).anomalies] == central
+
+
+SPLIT_FOUND = ([3, -3, 2, 0, -1, 2, 3, -2], [1, -3, -1, -3, -3, -3, 2, 1],
+               [-3, 0, 2, -2, 0, 2, -3, 1])
+
+
 class TestLMRKinds:
     """Single-point, central and whole-class descriptions: x^2 - 3ix - 2 =
     (x - 2i)(x - i), x - 2 and x^2 + 1."""
@@ -447,6 +515,17 @@ class TestLMRKinds:
         assert d.point.isclose(Octonion.scalar(P, 2), field.witness_tol)
         assert d.to_json()["point"] == d.point.to_json()
         assert lmr_sample(d, 2) == [d.point] * 2
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_central_class_off_the_root_set(self, field):
+        """x - 2 at the central class {5}: f(5) = 3, so no multiple has a
+        root there, and 5 is no LMR point."""
+        P = AlgebraParams.octonions(field)
+        f = parse_opolynomial("x - 2", P)
+        threshold = "0.000e+00" if field.exact else "2.000e-08"
+        with pytest.raises(NotInRMR, match=re.escape(
+                f"residual 3.000e+00 > threshold {threshold}")):
+            lmr_describe_class(f, ConjClass.of_scalar(field.coerce(5)))
 
     @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
     def test_whole_class(self, field):
