@@ -6,9 +6,9 @@ l^2 = gamma.  Multiplication is generated from the doubling rule
 
     (q + r*l)(s + t*l) = q s + gamma * conj(t) r + (t q + r conj(s)) l,
 
-applied recursively to the 64 basis pairs, so the structure constants are
-never hand-entered.  The resulting signed table e_a e_b = v e_c is built
-once per algebra, and every product is a flat sum over it.
+applied to basis indices, so the structure constants are never
+hand-entered.  The resulting signed table e_a e_b = v e_c is built once
+per algebra, and every product is a flat sum over it.
 """
 
 from __future__ import annotations
@@ -70,29 +70,6 @@ class AlgebraParams:
                                f"got diagonal {self.table.norm_diag}")
 
 
-def _cd_conj(x: tuple) -> tuple:
-    if len(x) == 1:
-        return x
-    h = len(x) // 2
-    return _cd_conj(x[:h]) + tuple(-c for c in x[h:])
-
-
-def _cd_mul(x: tuple, y: tuple, gammas) -> tuple:
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    h = len(x) // 2
-    g = gammas[len(gammas) - 1]
-    gs = gammas[:-1]
-    q, r = x[:h], x[h:]
-    s, t = y[:h], y[h:]
-    top1 = _cd_mul(q, s, gs)
-    top2 = _cd_mul(_cd_conj(t), r, gs)
-    bot1 = _cd_mul(t, q, gs)
-    bot2 = _cd_mul(r, _cd_conj(s), gs)
-    return (tuple(a + g * b for a, b in zip(top1, top2))
-            + tuple(a + b for a, b in zip(bot1, bot2)))
-
-
 @dataclass(frozen=True)
 class ProductTable:
     """The 64 basis products e_a e_b = v e_c of one algebra.
@@ -129,30 +106,34 @@ def _accumulate(terms: tuple, x, y, zero) -> list:
     return out
 
 
+def _basis_products(gammas, one) -> dict:
+    """{(a, b): (c, v)} with e_a e_b = v e_c, by the doubling rule on
+    indices.  Each entry e_x e_y = v e_c of the half algebra gives four,
+    from (q + r l)(s + t l) = q s + gamma conj(t) r + (t q + r conj(s)) l
+    with one unit of each pair and conj(e_x) = e_x for x = 0, else -e_x."""
+    prod, h = {(0, 0): (0, one)}, 1
+    for g in gammas:
+        nxt = {}
+        for (x, y), (c, v) in prod.items():
+            nxt[x, y] = (c, v)                                  # q s
+            nxt[y, x + h] = (c + h, v)                          # (t q) l
+            nxt[x + h, y] = (c + h, v if y == 0 else -v)        # (r conj s) l
+            nxt[y + h, x + h] = (c, g * v if x == 0 else -g * v)  # g conj(t) r
+        prod, h = nxt, 2 * h
+    return prod
+
+
 @functools.lru_cache(maxsize=32)
 def _product_table(params: AlgebraParams) -> ProductTable:
     """The table of ``params``, each entry from the doubling rule."""
-    one, zero = params.field.one(), params.field.zero()
-    terms = []
-    for a in range(8):
-        for b in range(8):
-            ea = [zero] * 8
-            eb = [zero] * 8
-            ea[a] = one
-            eb[b] = one
-            prod = _cd_mul(tuple(ea), tuple(eb), params.gammas)
-            nz = [c for c, v in enumerate(prod) if v != 0]
-            assert len(nz) == 1, "basis product must be a single monomial"
-            terms.append((a, b, nz[0], prod[nz[0]]))
+    prod = _basis_products(params.gammas, params.field.one())
+    terms = [(a, b, *prod[a, b]) for a in range(8) for b in range(8)]
     # e_a conj(e_a) = +-e_a e_a, a scalar: the sign is + for a = 0 only
     norm_diag = tuple(v if a == 0 else -v
                       for a, b, _, v in terms if a == b)
     translates = np.zeros((8, 64))
     for a, b, c, v in terms:
         translates[b, 8 * a + c] = float(v)
-    per_output = np.count_nonzero(translates.reshape(8, 8, 8), axis=0)
-    assert (per_output == 1).all(), \
-        "every output coordinate must get exactly 8 terms, one per e_a"
     if not params.field.exact:
         return ProductTable(False, tuple(terms), (), 1, norm_diag, (),
                             translates)
@@ -268,7 +249,7 @@ class Octonion:
         return Octonion((c[0],) + tuple(-v for v in c[1:]), self.params)
 
     def trace(self):
-        return 2 * self.coords[0]
+        return 2 * self.re()
 
     def re(self):
         return self.coords[0]
@@ -400,6 +381,9 @@ class ExactOctonion(Octonion):
         n = self.num
         return _exact(self.params, self.den, (n[0], *(-v for v in n[1:])))
 
+    def re(self):
+        return Fraction(self.num[0], self.den)
+
     def im(self) -> "ExactOctonion":
         return _exact(self.params, self.den, (0,) + self.num[1:])
 
@@ -423,7 +407,7 @@ def _exact(params: AlgebraParams, den: int, num) -> ExactOctonion:
     x = object.__new__(ExactOctonion)
     _set(x, "params", params)
     _set(x, "den", den // g)
-    _set(x, "num", tuple(a // g for a in num))
+    _set(x, "num", tuple(num) if g == 1 else tuple(a // g for a in num))
     return x
 
 
@@ -590,11 +574,9 @@ class QuatSubalgebra:
         coerce = self.params.field.coerce
         return combination([coerce(c) for c in cs], self.basis)
 
-    def project_coeffs(self, x: Octonion) -> list:
-        return [polar_form(x, e) / polar_form(e, e) for e in self.basis]
-
     def project(self, x: Octonion) -> Octonion:
-        return self.element(self.project_coeffs(x))
+        return self.element([polar_form(x, e) / polar_form(e, e)
+                             for e in self.basis])
 
     def complement(self, x: Octonion) -> Octonion:
         return x - self.project(x)
@@ -609,16 +591,23 @@ def _unit(x: Octonion) -> Octonion:
     return x if x.params.field.exact else x / math.sqrt(abs(x.norm()))
 
 
-def _anisotropic_part(cands, span: list, what: str) -> Octonion:
+def _anisotropic_part(cands, span: list, what: str,
+                      required: int = 0) -> Octonion:
     """The first candidate x whose part orthogonal to span is anisotropic
     relative to the size of x, as a unit; candidates are orthogonalized
-    only once reached."""
-    for x in cands:
+    only once reached.  That part of one of the first ``required``
+    candidates is refused when neither negligible nor anisotropic."""
+    for n, x in enumerate(cands):
         d = x
         for e in span:
             d = d - e * (polar_form(d, e) / polar_form(e, e))
-        if anisotropic(d, x.params.field.witness_tol, math.sqrt(x.size2())):
+        tol, size = x.params.field.witness_tol, math.sqrt(x.size2())
+        if anisotropic(d, tol, size):
             return _unit(d)
+        if n < required and not d.negligible(tol, size):
+            raise WitnessFailure(f"{what}: isotropic part of im E or im G, "
+                                 f"|n| {abs(float(d.norm())):.3e} at size "
+                                 f"{math.sqrt(d.size2()):.3e}")
     raise WitnessFailure(f"no anisotropic {what} found")
 
 
@@ -627,7 +616,9 @@ def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
 
     u comes from im E (or im G), v from the rest of im G (or im E), ell from
     the basis; each is the first candidate that is anisotropic once made
-    orthogonal to what came before.  In real mode u, v and ell have
+    orthogonal to what came before.  A rest of im G or im E that is
+    neither negligible nor anisotropic raises WitnessFailure: no quaternion
+    subalgebra holds E and G then.  In real mode u, v and ell have
     |n| = 1; in exact mode vectors are kept unnormalized (square roots
     leave Q) and gamma_eff records ell^2.
     """
@@ -638,7 +629,7 @@ def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
         raise DegenerateCommutative("both elements are central")
     u = _anisotropic_part(ims, [], "direction in im E, im G")
     v = _anisotropic_part(itertools.chain(ims[::-1], _units(params)), [u],
-                          "complement to u")
+                          "complement to u", required=2)
     span = [Octonion.one(params), u, v, u * v]
     ell = _anisotropic_part(_units(params), span, "doubling unit")
     return QuatSubalgebra(basis=tuple(span), ell=ell,

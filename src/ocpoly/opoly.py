@@ -32,7 +32,7 @@ class OPolynomial:
             elif c.params != params:
                 raise InvalidInput("coefficient from a different algebra")
             out.append(c)
-        while out and all(v == 0 for v in out[-1].coords):
+        while out and out[-1].is_zero():
             out.pop()
         return cls(tuple(out), params)
 

@@ -34,7 +34,10 @@ def rmr_classes(f: OPolynomial) -> list:
 class LinearReduction:
     E: Octonion
     G: Octonion
-    cls: ConjClass
+
+    @functools.cached_property
+    def Einv(self) -> Octonion:
+        return self.E.inverse()
 
 
 def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
@@ -47,7 +50,7 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
     fld, cs = f.params.field, f.coeffs
     if not cs:
         zero = Octonion.zero(f.params)
-        return LinearReduction(E=zero, G=zero, cls=cls)
+        return LinearReduction(E=zero, G=zero)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
     p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
     ps, qs = [], []
@@ -55,8 +58,22 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         ps.append(p)
         qs.append(q)
         p, q = T * p + q, -N * p
-    return LinearReduction(E=combination(ps, cs), G=combination(qs, cs),
-                           cls=cls)
+    return LinearReduction(E=combination(ps, cs), G=combination(qs, cs))
+
+
+# (f, cls, reduce_linear(f, cls)) of the last reduction made, replaced whole
+# so that a thread reads one consistent entry
+_last_reduction = None
+
+
+def _reduction(f: OPolynomial, cls: ConjClass) -> LinearReduction:
+    """reduce_linear(f, cls), remembered for the last (f, cls) only: the
+    calls on one class share E, G and E^-1, and f holds no state."""
+    global _last_reduction
+    last = _last_reduction
+    if last is None or last[0] is not f or last[1] != cls:
+        last = _last_reduction = (f, cls, reduce_linear(f, cls))
+    return last[2]
 
 
 def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
@@ -97,41 +114,48 @@ class RootSet:
         }
 
 
-def roots(f: OPolynomial) -> RootSet:
-    """The root set of f, organized by companion conjugacy class.  E, G and
-    a candidate's class are judged at class_tol, f(lam) at residual_tol."""
+def _root_classes(f: OPolynomial) -> list:
     if f.is_zero() or f.degree < 1:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
+    return rmr_classes(f)
+
+
+def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
+    """The rule of roots() on one companion class: (field, entry), the
+    RootSet field and what joins it.  E, G and a candidate's class are
+    judged at class_tol, f(lam) at residual_tol."""
     fld = f.params.field
-    isolated, spherical, anomalies = [], [], []
-    for cls in rmr_classes(f):
-        if cls.central:
-            lam = Octonion.scalar(f.params, cls.r)
-        else:
-            red = reduce_linear(f, cls)
-            try:
-                if _whole_class(f, red):
-                    spherical.append(cls)
-                    continue
-            except NotInRMR as exc:
-                anomalies.append((cls, str(exc)))
-                continue
-            lam = -(red.E.inverse() * red.G)
-            gap = cls.gap(lam)
-            if gap > fld.class_tol:
-                anomalies.append((cls, "candidate -E^-1 G is off its class: "
-                                  f"residual {float(gap):.3e} > threshold "
-                                  f"{float(fld.class_tol):.3e}"))
-                continue
-            # its own class, which its conjugates match at class_tol
-            cls = ConjClass(lam.trace(), lam.norm(),
-                            multiplicity=cls.multiplicity)
-        misfit = _evaluation_misfit(f, lam)
-        if misfit is None:
-            isolated.append((lam, cls))
-        else:
-            anomalies.append((cls, misfit))
-    return RootSet(tuple(isolated), tuple(spherical), tuple(anomalies))
+    if cls.central:
+        lam = Octonion.scalar(f.params, cls.r)
+    else:
+        red = _reduction(f, cls)
+        try:
+            if _whole_class(f, red):
+                return "spherical", cls
+        except NotInRMR as exc:
+            return "anomalies", (cls, str(exc))
+        lam = -(red.Einv * red.G)
+        gap = cls.gap(lam)
+        if gap > fld.class_tol:
+            return "anomalies", (cls, "candidate -E^-1 G is off its class: "
+                                 f"residual {float(gap):.3e} > threshold "
+                                 f"{float(fld.class_tol):.3e}")
+        # its own class, which its conjugates match at class_tol
+        cls = ConjClass(lam.trace(), lam.norm(),
+                        multiplicity=cls.multiplicity)
+    misfit = _evaluation_misfit(f, lam)
+    if misfit is None:
+        return "isolated", (lam, cls)
+    return "anomalies", (cls, misfit)
+
+
+def roots(f: OPolynomial) -> RootSet:
+    """The root set of f, organized by companion conjugacy class."""
+    found = {"isolated": [], "spherical": [], "anomalies": []}
+    for cls in _root_classes(f):
+        kind, entry = _class_root(f, cls)
+        found[kind].append(entry)
+    return RootSet(**{k: tuple(v) for k, v in found.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +168,23 @@ def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
 def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
     """A scalar c such that mu is a root of f(x)*c: c = 1 on a sphere or at
     a root lam = mu, else c = delta^{-1} for the conjugator
-    delta = im lam + im mu from the root lam of mu's class.  Real mode
-    checks its backward error, |(f c)(mu)| <= witness_tol *
-    sum_t |a_t c| |mu|^t with sqrt(size2) as size; exact mode checks 0."""
-    rs = roots(f)
+    delta = im lam + im mu from the root lam of mu's class, the one class
+    the rule of roots() runs on.  Real mode checks its backward error,
+    |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t with sqrt(size2) as
+    size; exact mode checks 0."""
     c = Octonion.one(f.params)
-    if not any(cls.matches(mu) for cls in rs.spherical):
-        lam = next((lam for lam, cls in rs.isolated if cls.matches(mu)), None)
-        if lam is None:
-            raise NotInRMR("element matches no root class of f")
-        if not lam.isclose(mu):
-            c = conjugating_element(lam, mu).inverse()
+    for cls in _root_classes(f):
+        if not cls.matches(mu):
+            continue
+        kind, entry = _class_root(f, cls)
+        if kind == "spherical":
+            break
+        if kind == "isolated" and entry[1].matches(mu):
+            if not entry[0].isclose(mu):
+                c = conjugating_element(entry[0], mu).inverse()
+            break
+    else:
+        raise NotInRMR("element matches no root class of f")
     fc = f.scale_right(c)
     val = fc.eval(mu)
     size = math.sqrt(mu.size2())
@@ -171,10 +201,10 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
                   side: str) -> Octonion:
     """The root, inside the given class, of f(x)*c (side='right') or of
     c*f(x) (side='left'); bracketing follows the reduction identities."""
-    red = reduce_linear(f, cls)
+    red = _reduction(f, cls)
     if _whole_class(f, red):
         raise WholeClass("E = 0: the whole class consists of roots")
-    Einv = red.E.inverse()
+    Einv = red.Einv
     cinv = c.inverse()
     if side == "right":
         return -((cinv * Einv) * (red.G * c))
@@ -224,10 +254,10 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
         if misfit is not None:
             raise NotInRMR("central class: " + misfit)
         return LMRClassDescription(cls=cls, kind="single-point", point=lam)
-    red = reduce_linear(f, cls)
+    red = _reduction(f, cls)
     if _whole_class(f, red):
         return LMRClassDescription(cls=cls, kind="whole-class")
-    Einv = red.E.inverse()
+    Einv = red.Einv
     comm = red.G.conj().commutator(Einv)
     e_inv_g = Einv * red.G
     g_e_inv = red.G * Einv
@@ -244,7 +274,7 @@ def lmr_describe(f: OPolynomial) -> list:
 
 
 def _draw_q_pair(desc: LMRClassDescription, rng):
-    """Random (a, b) in Q x Q with c = a + b*ell anisotropic."""
+    """Random (a, b, c) with a, b in Q and c = a + b*ell anisotropic."""
     fld = desc.Q.params.field
     while True:
         if fld.exact:
@@ -255,11 +285,12 @@ def _draw_q_pair(desc: LMRClassDescription, rng):
         b = desc.Q.element(cs[4:])
         c = a + b * desc.Q.ell
         if anisotropic(c, fld.witness_tol, 0):  # n(c) divides in lmr_point
-            return a, b
+            return a, b, c
 
 
-def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion) -> Octonion:
-    """The LMR point generated by c = a + b*ell, a, b in Q:
+def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion,
+              c: Octonion | None = None) -> Octonion:
+    """The LMR point generated by c = a + b*ell (given or formed), a, b in Q:
 
     -1/norm(c) * (norm(a) E^-1 G - gamma norm(b) G E^-1
                   + (b [conj(G), E^-1] conj(a)) ell).
@@ -267,7 +298,7 @@ def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion) -> Octonion:
     if desc.kind != "parametrized":
         raise InvalidInput("point formula needs a parametrized class")
     Q = desc.Q
-    c = a + b * Q.ell
+    c = a + b * Q.ell if c is None else c
     n = c.norm()
     core = (desc.e_inv_g * a.norm()
             - desc.g_e_inv * (Q.gamma_eff * b.norm())
@@ -281,8 +312,8 @@ def lmr_sample_detailed(desc: LMRClassDescription, count: int,
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        a, b = _draw_q_pair(desc, rng)
-        out.append((a, b, a + b * desc.Q.ell, lmr_point(desc, a, b)))
+        a, b, c = _draw_q_pair(desc, rng)
+        out.append((a, b, c, lmr_point(desc, a, b, c)))
     return out
 
 

@@ -53,6 +53,8 @@ class Field:
         if isinstance(x, str):
             return self.parse(x)
         if self.exact:
+            if isinstance(x, Fraction):
+                return x
             if isinstance(x, float) and not x.is_integer():
                 raise InvalidInput(f"non-integral float {x!r} in exact mode")
             return Fraction(x)

@@ -19,18 +19,10 @@ from .roots import (ConjClass, lmr_contains, lmr_describe_class,
 from .scalars import EXACT, REAL, central_roots
 
 
-def _exact_setup():
-    P = AlgebraParams.octonions(EXACT)
-    basis = {name: Octonion.basis(P, a)
-             for a, name in enumerate(("one", "i", "j", "k", "l"))}
-    basis["one"] = Octonion.one(P)
-    return P, basis
-
-
 def run_selftest() -> list:
     """Run all checks; returns (check_id, expected, got, ok) tuples."""
-    P, b = _exact_setup()
-    one, i, j, k, l = b["one"], b["i"], b["j"], b["k"], b["l"]
+    P = AlgebraParams.octonions(EXACT)
+    one, i, j, k, l = (Octonion.basis(P, a) for a in range(5))
     f_quad = OPolynomial.make(P, [one - k, i, one])     # x^2 + ix - ij + 1
     f_lin = OPolynomial.make(P, [j, i])                 # ix + j
     results = []

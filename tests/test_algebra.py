@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import (AlgebraParams, Octonion, _cd_mul, anisotropic,
+from ocpoly.algebra import (AlgebraParams, Octonion, anisotropic,
                             conjugating_element, format_octonion,
                             parse_octonion, polar_form,
                             quat_subalgebra_containing, random_octonion)
 from ocpoly.errors import (DegenerateCommutative, InvalidInput, NotConjugate,
-                           NotInvertible, OcpolyError, ParseError)
+                           NotInvertible, OcpolyError, ParseError,
+                           WitnessFailure)
 from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import EXACT, REAL
+
+from doubling import cd_mul
 
 
 class TestMultiplication:
@@ -71,12 +74,34 @@ class TestMultiplication:
                             for _ in range(2))
                 X, Y = Octonion.make(params, x), Octonion.make(params, y)
                 got = X * Y
-                want = _cd_mul(X.coords, Y.coords, params.gammas)
+                want = cd_mul(X.coords, Y.coords, params.gammas)
                 if field.exact:
                     assert got.coords == want
                     assert all(type(c) is Fraction for c in got.coords)
                 else:
                     assert got.isclose(Octonion(want, params))
+
+
+@pytest.mark.parametrize("field", [EXACT, REAL])
+@pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
+                                    (-2, 3, Fraction(-1, 2)),
+                                    (Fraction(3, 7), -5, Fraction(2, 3))])
+def test_table_matches_vector_doubling_rule(field, gammas):
+    """The table, built by the doubling rule on indices, holds the terms
+    the doubling rule on coordinate vectors gives for each basis pair: the
+    same index, and a value of the same type and bits."""
+    params = AlgebraParams(field, *gammas)
+    want = []
+    for a in range(8):
+        for b in range(8):
+            ea, eb = (tuple(field.one() if c == n else field.zero()
+                            for c in range(8)) for n in (a, b))
+            prod = cd_mul(ea, eb, params.gammas)
+            (c,) = [c for c, v in enumerate(prod) if v != 0]
+            want.append((a, b, c, prod[c]))
+    got = params.table.terms
+    assert [(a, b, c, repr(v), type(v)) for a, b, c, v in got] == \
+        [(a, b, c, repr(v), type(v)) for a, b, c, v in want]
 
 
 class TestInvolution:
@@ -427,6 +452,19 @@ class TestQuatSubalgebra:
         with pytest.raises(DegenerateCommutative):
             quat_subalgebra_containing(Octonion.one(P),
                                        Octonion.scalar(P, 3))
+
+    def test_isotropic_argument_refused(self):
+        """Over (2, 3, 5), G = sqrt(10/3) j + il is orthogonal to E = i and
+        isotropic: E and G generate an algebra with a degenerate norm form,
+        which no quaternion subalgebra holds.  The refusal states |n| and
+        the size of the part."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        E = Octonion.basis(P, 1)
+        G = Octonion.make(P, [0, 0, math.sqrt(10 / 3), 0, 0, 1])
+        assert abs(G.norm()) < 1e-12 and polar_form(E, G) == 0
+        with pytest.raises(WitnessFailure, match=r"isotropic part of im E or "
+                           r"im G, \|n\| \S+ at size 4\.472e\+00"):
+            quat_subalgebra_containing(E, G)
 
     def test_real_mode_normalized(self, PR, basis_r):
         one, i, j, k, l = basis_r

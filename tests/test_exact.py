@@ -16,10 +16,12 @@ from sympy.polys import factortools
 from sympy.polys.factortools import dup_factor_list
 
 import ocpoly
-from ocpoly.algebra import (AlgebraParams, Octonion, _cd_conj, _cd_mul,
-                            polar_form)
+from ocpoly.algebra import AlgebraParams, Octonion, polar_form
 from ocpoly.errors import NotInvertible
+from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import EXACT, CentralPoly, central_roots
+
+from doubling import cd_conj, cd_mul
 
 PARAMS = [AlgebraParams(EXACT, *g) for g in
           ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
@@ -60,7 +62,7 @@ def assert_exact(x, expected):
 
 
 def cd_norm(x, params):
-    return _cd_mul(x, _cd_conj(x), params.gammas)[0]
+    return cd_mul(x, cd_conj(x), params.gammas)[0]
 
 
 @SETTINGS
@@ -82,7 +84,7 @@ def test_linear_operations(ops, s):
 @given(operands())
 def test_product_matches_doubling_rule(ops):
     params, x, y = ops
-    assert_exact(x * y, _cd_mul(x.coords, y.coords, params.gammas))
+    assert_exact(x * y, cd_mul(x.coords, y.coords, params.gammas))
 
 
 @SETTINGS
@@ -90,12 +92,28 @@ def test_product_matches_doubling_rule(ops):
 def test_involution_trace_norm(ops):
     params, x = ops
     cx = x.coords
-    assert_exact(x.conj(), _cd_conj(cx))
+    assert_exact(x.conj(), cd_conj(cx))
     assert_exact(x.im(), (Fraction(0),) + cx[1:])
     assert x.re() == cx[0] and x.trace() == 2 * cx[0]
     assert x.norm() == cd_norm(cx, params)
     assert x.is_zero() == (not any(cx))
     assert all(type(v) is Fraction for v in (x.re(), x.trace(), x.norm()))
+
+
+def test_integer_paths_leave_coords_unbuilt():
+    """trace(), re() and OPolynomial.make read an element built by
+    arithmetic on its integers: its Fraction coordinates stay unbuilt."""
+    P = PARAMS[3]
+    x = Octonion.make(P, [1, -2, Fraction(1, 3), 0, 4, 0, Fraction(-5, 6), 7])
+    y = x * x + x
+    slot = Octonion.__dict__["coords"]  # reads the slot, never builds it
+    with pytest.raises(AttributeError):
+        slot.__get__(y)
+    assert y.trace() == 2 * y.re()
+    OPolynomial.make(P, [y, y, Octonion.zero(P)])
+    with pytest.raises(AttributeError):
+        slot.__get__(y)
+    assert y.re() == y.coords[0] and type(y.trace()) is Fraction
 
 
 @SETTINGS
@@ -117,9 +135,9 @@ def test_inverse(ops):
             x.inverse()
         return
     inv = x.inverse()
-    assert_exact(inv, [c / n for c in _cd_conj(x.coords)])
+    assert_exact(inv, [c / n for c in cd_conj(x.coords)])
     one = (Fraction(1),) + (Fraction(0),) * 7
-    assert _cd_mul(x.coords, inv.coords, params.gammas) == one
+    assert cd_mul(x.coords, inv.coords, params.gammas) == one
 
 
 @SETTINGS

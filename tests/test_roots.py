@@ -1,15 +1,17 @@
+import gc
 import inspect
 import math
 import random
 import re
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.errors import (InvalidInput, ModeMismatch, NotInRMR,
-                           UnsupportedDegree, WholeClass)
+                           UnsupportedDegree, WholeClass, WitnessFailure)
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (ConjClass, class_member, lmr_contains,
                           lmr_describe, lmr_describe_class, lmr_point,
@@ -99,6 +101,71 @@ class TestLinearReduction:
         red = reduce_linear(OPolynomial.zero(params),
                             ConjClass(field.coerce(0), field.coerce(1)))
         assert red.E == red.G == Octonion.zero(params)
+
+
+class TestSharedReduction:
+    """The calls on one (f, class) share one reduction: the last one made
+    is remembered, and nothing is stored on f."""
+
+    @staticmethod
+    def counted_reductions(monkeypatch) -> list:
+        """The classes of the reduce_linear calls made through the module
+        attribute from now on."""
+        import ocpoly.roots as roots_mod
+        calls, true_reduce = [], roots_mod.reduce_linear
+
+        def counted(f, cls):
+            calls.append(cls)
+            return true_reduce(f, cls)
+
+        monkeypatch.setattr(roots_mod, "reduce_linear", counted)
+        return calls
+
+    @staticmethod
+    def two_class_quadratic(P):
+        """(x - i)(x - 2j): companion classes (0, 1) and (0, 4)."""
+        one, i, j = (Octonion.basis(P, a) for a in range(3))
+        return (OPolynomial.make(P, [-i, one])
+                * OPolynomial.make(P, [-2 * j, one]))
+
+    def test_lmr_and_multiple_roots_reduce_once(self, P, basis,
+                                                monkeypatch):
+        f = quad_example(P, basis)
+        cls = ConjClass(Fraction(0), Fraction(1))
+        calls = self.counted_reductions(monkeypatch)
+        desc = lmr_describe_class(f, cls)
+        samples = lmr_sample_detailed(desc, 4, seed=1)
+        for _, _, c, pt in samples:
+            assert multiple_root(f, cls, c, "left") == pt
+        assert calls == [cls]
+
+    def test_witness_reduces_its_class_only(self, P, monkeypatch):
+        f = self.two_class_quadratic(P)
+        assert [(c.T, c.N) for c in rmr_classes(f)] == [(0, 1), (0, 4)]
+        calls = self.counted_reductions(monkeypatch)
+        mu = 2 * Octonion.basis(P, 4)
+        c = rmr_witness(f, mu)
+        assert f.scale_right(c).eval(mu).is_zero()
+        assert [(k.T, k.N) for k in calls] == [(0, 4)]
+
+    def test_no_state_on_the_polynomial(self, P):
+        f = self.two_class_quadratic(P)
+        l = Octonion.basis(P, 4)
+        roots(f)
+        rmr_witness(f, l)
+        descs = lmr_describe(f)
+        multiple_root(f, descs[0].cls, l, "left")
+        assert set(vars(f)) - {"coeffs", "params"} == {"coeff_scale"}
+
+    def test_one_polynomial_remembered(self, P, basis):
+        cls = ConjClass(Fraction(0), Fraction(1))
+        f = quad_example(P, basis)
+        lmr_describe_class(f, cls)
+        ref = weakref.ref(f)
+        del f
+        lmr_describe_class(self.two_class_quadratic(P), cls)
+        gc.collect()
+        assert ref() is None
 
 
 class TestRoots:
@@ -458,6 +525,17 @@ class TestLMROnSplitAlgebras:
                             <= REAL.witness_tol
                         points += 1
         assert classes >= 250 and points == 5 * classes
+
+    def test_isotropic_constant_refused(self):
+        """f = i x + G with G = sqrt(10/3) j + il isotropic and orthogonal
+        to i: on the class (0, 1), E = i and G, which no quaternion
+        subalgebra holds together."""
+        P = AlgebraParams(REAL, 2, 3, 5)
+        G = Octonion.make(P, [0, 0, math.sqrt(10 / 3), 0, 0, 1])
+        f = OPolynomial.make(P, [G, Octonion.basis(P, 1)])
+        with pytest.raises(WitnessFailure, match=r"isotropic part of im E or "
+                           r"im G, \|n\| \S+ at size 4\.472e\+00"):
+            lmr_describe_class(f, ConjClass(0.0, 1.0))
 
     def test_contains_refused(self):
         """The membership parametrization takes norms as sizes; on a split

@@ -18,6 +18,10 @@ def central_of(cands):
 
 
 class TestExactMode:
+    def test_coerce_keeps_a_fraction(self):
+        q = Fraction(3, 7)
+        assert EXACT.coerce(q) is q
+
     def test_biquadratic(self):
         # x^4 + 3x^2 + 2 = (x^2+1)(x^2+2)
         p = CentralPoly.make(EXACT, [2, 0, 3, 0, 1])
