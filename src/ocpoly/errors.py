@@ -27,7 +27,7 @@ class NotInvertible(OcpolyError):
 
 class NotConjugate(OcpolyError):
     """mu outside lam's class at class_tol (the message states the gap and
-    threshold), or a central element conjugated to a different one."""
+    threshold), or a central lam != mu; rmr_witness reports it as NotInRMR."""
 
 
 class WitnessFailure(OcpolyError):
@@ -40,8 +40,8 @@ class DegenerateCommutative(OcpolyError):
 
 
 class NotInRMR(OcpolyError):
-    """Element outside every companion root class, a failed witness, or a
-    class with E = 0 but G != 0, which holds no root of any multiple."""
+    """No scalar multiple of f has a root in the class (E = 0 != G, f(r) != 0
+    at a central r, -E^-1 G outside it), or a witness failed its check."""
 
 
 class WholeClass(OcpolyError):

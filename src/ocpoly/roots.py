@@ -1,11 +1,11 @@
-"""Root computation via conjugacy-class reduction, and the machinery for the
-root sets of right/left scalar multiples (RMR / LMR).
+"""Roots by conjugacy-class reduction, and the root sets of right/left
+scalar multiples (RMR / LMR).
 
-On a fixed conjugacy class (trace T, norm N) the relation
-lam^2 = T*lam - N collapses f(lam) = 0 to a linear equation
-E*lam + G = 0; the class either contributes the single point
--E^{-1} G, or (E = G = 0) lies entirely in the root set, or (E = 0,
-G != 0) holds no root.
+On a class (trace T, norm N), lam^2 = T*lam - N collapses f(lam) = 0 to
+E*lam + G = 0: the class holds the one root -E^{-1} G if that lies in it,
+all its members if E = G = 0, and none if E = 0, G != 0.  roots() applies
+this to every companion class.  mu is a root of some f(x)c exactly when
+its own class holds a root, so an RMR query reduces f on that class alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from fractions import Fraction
 from .algebra import (Octonion, QuatSubalgebra, anisotropic, combination,
                       conjugating_element, polar_form,
                       quat_subalgebra_containing)
-from .errors import InvalidInput, ModeMismatch, NotInRMR, WholeClass
+from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInRMR,
+                     WholeClass)
 from .opoly import OPolynomial
 from .scalars import ConjClass, central_roots
 
@@ -114,12 +115,6 @@ class RootSet:
         }
 
 
-def _root_classes(f: OPolynomial) -> list:
-    if f.is_zero() or f.degree < 1:
-        raise InvalidInput("need a nonzero polynomial of degree >= 1")
-    return rmr_classes(f)
-
-
 def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
     """The rule of roots() on one companion class: (field, entry), the
     RootSet field and what joins it.  E, G and a candidate's class are
@@ -151,8 +146,10 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
 
 def roots(f: OPolynomial) -> RootSet:
     """The root set of f, organized by companion conjugacy class."""
+    if f.degree < 1:  # the zero polynomial has degree -1
+        raise InvalidInput("need a nonzero polynomial of degree >= 1")
     found = {"isolated": [], "spherical": [], "anomalies": []}
-    for cls in _root_classes(f):
+    for cls in rmr_classes(f):
         kind, entry = _class_root(f, cls)
         found[kind].append(entry)
     return RootSet(**{k: tuple(v) for k, v in found.items()})
@@ -162,29 +159,34 @@ def roots(f: OPolynomial) -> RootSet:
 # RMR: roots of right scalar multiples
 
 def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
-    return any(c.matches(mu) for c in rmr_classes(f))
+    """True exactly when rmr_witness(f, mu) finds a witness."""
+    try:
+        rmr_witness(f, mu)
+    except NotInRMR:
+        return False
+    return True
 
 
 def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
-    """A scalar c such that mu is a root of f(x)*c: c = 1 on a sphere or at
-    a root lam = mu, else c = delta^{-1} for the conjugator
-    delta = im lam + im mu from the root lam of mu's class, the one class
-    the rule of roots() runs on.  Real mode checks its backward error,
-    |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t with sqrt(size2) as
-    size; exact mode checks 0."""
+    """A scalar c with mu a root of f(x)*c, from f reduced on mu's class
+    (tr mu, n mu) alone: c = 1 at a central mu, on a sphere or at its root
+    lam = -E^-1 G = mu, else delta^-1 for delta = im lam + im mu; a class
+    with no root raises NotInRMR.  Real mode checks the backward error
+    |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t, |x| = sqrt(size2);
+    exact mode checks 0."""
+    if f.degree < 1:
+        raise InvalidInput("need a nonzero polynomial of degree >= 1")
     c = Octonion.one(f.params)
-    for cls in _root_classes(f):
-        if not cls.matches(mu):
-            continue
-        kind, entry = _class_root(f, cls)
-        if kind == "spherical":
-            break
-        if kind == "isolated" and entry[1].matches(mu):
-            if not entry[0].isclose(mu):
-                c = conjugating_element(entry[0], mu).inverse()
-            break
-    else:
-        raise NotInRMR("element matches no root class of f")
+    if not mu.is_central():
+        red = _reduction(f, ConjClass(mu.trace(), mu.norm()))
+        # on a sphere every member, mu too, is a root
+        lam = mu if _whole_class(f, red) else -(red.Einv * red.G)
+        if not lam.isclose(mu):
+            try:
+                c = conjugating_element(lam, mu).inverse()
+            except NotConjugate as exc:
+                raise NotInRMR("the class of mu holds no root: "
+                               + str(exc)) from exc
     fc = f.scale_right(c)
     val = fc.eval(mu)
     size = math.sqrt(mu.size2())

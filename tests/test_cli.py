@@ -67,6 +67,20 @@ class TestSubcommands:
         assert out["contains"] is True
         assert "witness" in out
 
+    def test_rmr_witness_past_the_degree_cap(self, tmp_path, capsys):
+        """(x^2 + jx + 2 + l)(x - lam), lam = 1 + i - 2k + l: its companion
+        has degree 6, but the query at l lam l^-1 computes no companion
+        roots."""
+        path = tmp_path / "cubic.txt"
+        path.write_text("x^3 + (-1 - i + j + 2k - l)x^2"
+                        " + (2 + 2i - j + k + l - jl)x"
+                        " + (-1 - 2i + 4k - 3l + il - 2kl)\n")
+        assert main(["--mode", "exact", "rmr", str(path),
+                     "--element=1 - i + 2k + l", "--witness"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["contains"] is True
+        assert "witness" in out
+
     def test_lmr_description(self, quad_file, capsys):
         assert main(["--mode", "exact", "lmr", quad_file]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)

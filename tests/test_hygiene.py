@@ -1,8 +1,10 @@
 """Source hygiene that no installed linter checks: every name a module of
-the package imports is read somewhere in that module, and only the modules
-that make thresholds read the raw tolerance eps."""
+the package imports is read somewhere in that module, only the modules
+that make thresholds read the raw tolerance eps, and every name of the
+package that the benchmark in perfbench/ calls or traces exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ocpoly"
@@ -78,3 +80,61 @@ def test_eps_is_read_only_where_thresholds_are_made():
              for line, what in tolerance_leaks(ast.parse(path.read_text()))
              if what != ".eps" or path.name not in EPS_READERS]
     assert found == []
+
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def dotted(node) -> list:
+    """['A', 'Octonion', 'make'] for the expression A.Octonion.make, [] for
+    an expression that is not a chain of names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head + [node.attr] if head else []
+    return []
+
+
+def perfbench_names() -> list:
+    """(module, dotted name) of each ocpoly name perfbench uses: the TARGETS
+    that its tracer wraps, and each attribute chain on the ocpoly modules
+    that its workloads import, read from the two files' syntax trees."""
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    (targets,) = [n.value for n in spans.body if isinstance(n, ast.Assign)
+                  and dotted(n.targets[0]) == ["TARGETS"]]
+    names = set()
+    for entry in targets.elts:
+        _, module, cls, attr = (ast.literal_eval(e) for e in entry.elts[:4])
+        names.add((module, attr if cls is None else f"{cls}.{attr}"))
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    aliases = {n.targets[0].id: ast.literal_eval(n.value.args[0])
+               for n in workloads.body if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Call)
+               and dotted(n.value.func)[-1:] == ["import_module"]}
+    for node in ast.walk(workloads):
+        chain = dotted(node)
+        if len(chain) > 1 and chain[0] in aliases:
+            names.add((aliases[chain[0]], ".".join(chain[1:])))
+    return sorted(names)
+
+
+def test_perfbench_names_resolve():
+    """Every ocpoly name the benchmark calls or traces exists, looked up in
+    its owner's own namespace as the tracer does, so a rename that would
+    break a benchmark run fails here first."""
+    names = perfbench_names()
+    assert len(names) >= 30
+    assert {m for m, _ in names} == {"ocpoly." + m for m in (
+        "algebra", "dynamics", "errors", "opoly", "render", "roots",
+        "scalars")}
+    missing = []
+    for module, name in names:
+        owner = importlib.import_module(module)
+        for part in name.split("."):
+            owner = vars(owner).get(part)
+            if owner is None:
+                missing.append(f"{module}:{name}")
+                break
+    assert missing == []

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
+from ocpoly.algebra import (AlgebraParams, Octonion, parse_octonion,
+                            random_octonion)
 from ocpoly.errors import (InvalidInput, ModeMismatch, NotInRMR,
                            UnsupportedDegree, WholeClass, WitnessFailure)
 from ocpoly.opoly import OPolynomial, parse_opolynomial
@@ -386,6 +387,68 @@ class TestRMR:
                     rmr_witness(f, mu)
                 refused += 1
         assert refused >= 5
+
+
+    def test_queries_compute_no_companion_roots(self, P, basis, PR,
+                                                monkeypatch):
+        """rmr_witness and rmr_contains reduce f on mu's own class alone:
+        with central_roots replaced by a stub that raises, they still
+        answer on a real cubic and on an exact quadratic."""
+        import ocpoly.roots as roots_mod
+
+        def no_companion_roots(*args):
+            raise AssertionError("central_roots called by an RMR query")
+
+        rng = random.Random(5)
+        lam = random_octonion(PR, rng, 2)
+        g = OPolynomial.make(PR, [random_octonion(PR, rng, 2)
+                                  for _ in range(2)] + [1])
+        cubic = g * OPolynomial.make(PR, [-lam, 1])
+        l, k = Octonion.basis(PR, 4), basis[3]
+        cases = [(cubic, (l * lam) * l.inverse(), 2 * lam),
+                 (quad_example(P, basis), -k, 2 * k)]
+        monkeypatch.setattr(roots_mod, "central_roots", no_companion_roots)
+        for f, mu, outside in cases:
+            c = rmr_witness(f, mu)
+            assert f.scale_right(c).eval(mu).negligible(1e-7, f.coeff_scale)
+            assert rmr_contains(f, mu)
+            assert not rmr_contains(f, outside)
+            with pytest.raises(NotInRMR):
+                rmr_witness(f, outside)
+
+    def test_exact_witness_past_the_degree_cap(self, P, basis):
+        """The companion of an exact cubic has degree 6, past what exact
+        central_roots factors; a witness at a conjugate of its root needs
+        no companion roots, so it is found and checked exactly."""
+        one, i, j, k, l = basis
+        lam = one + i - 2 * k + l
+        f = (OPolynomial.make(P, [2 * one + l, j, one])
+             * OPolynomial.make(P, [-lam, one]))
+        mu = (l * lam) * l.inverse()
+        c = rmr_witness(f, mu)
+        assert f.scale_right(c).eval(mu).is_zero()
+        assert rmr_contains(f, mu)
+
+    @pytest.mark.parametrize("poly,element,error", [
+        ("x + i", "i - k - l", WitnessFailure),  # n(im lam + im mu) = 0
+        ("x", "-k - l", NotInRMR),               # lam = 0 is central
+        ("x + i + j", "0", NotInRMR),            # f(0) is a zero divisor
+    ])
+    def test_contains_and_witness_agree_on_split_algebra(self, poly,
+                                                         element, error):
+        """Over (-1, 1, -1): rmr_contains answers True only where
+        rmr_witness returns.  Where no witness is found, it answers False
+        on NotInRMR and raises what rmr_witness raises otherwise; a
+        NotConjugate never escapes."""
+        P = AlgebraParams(EXACT, -1, 1, -1)
+        f, mu = parse_opolynomial(poly, P), parse_octonion(element, P)
+        with pytest.raises(error):
+            rmr_witness(f, mu)
+        if error is NotInRMR:
+            assert not rmr_contains(f, mu)
+        else:
+            with pytest.raises(error):
+                rmr_contains(f, mu)
 
 
 class TestLMR:
