@@ -80,9 +80,8 @@ class ProductTable:
     empty and ``den`` is 1.  ``norm_diag`` is the diagonal of the norm form:
     norm(sum x_a e_a) = sum norm_diag[a] * x_a^2, and ``int_norm_diag`` is
     the same times ``den`` (exact mode only).  ``translates`` is the
-    (8, 64) float matrix of the terms, translates[b, 8a + c] = v, so that
-    row y @ translates lists the left translates e_a y; it yields the
-    left-multiplication matrices of the render kernel.
+    (8, 64) float matrix of the terms, translates[b, 8a + c] = v, from
+    which the left and right multiplication matrices are read.
     """
 
     exact: bool
@@ -97,6 +96,11 @@ class ProductTable:
         """The 8x8 float matrix L with x*y = L @ y for every column y."""
         xs = np.array([float(c) for c in x])
         return np.einsum("a,bac->cb", xs, self.translates.reshape(8, 8, 8))
+
+    def right_matrix(self, x: tuple) -> np.ndarray:
+        """The 8x8 float matrix R with y*x = R @ y for every column y."""
+        xs = np.array([float(c) for c in x])
+        return (xs @ self.translates).reshape(8, 8).T
 
 
 def _accumulate(terms: tuple, x, y, zero) -> list:
@@ -574,15 +578,11 @@ class QuatSubalgebra:
         coerce = self.params.field.coerce
         return combination([coerce(c) for c in cs], self.basis)
 
-    def project(self, x: Octonion) -> Octonion:
-        return self.element([polar_form(x, e) / polar_form(e, e)
-                             for e in self.basis])
-
-    def complement(self, x: Octonion) -> Octonion:
-        return x - self.project(x)
-
     def contains(self, x: Octonion) -> bool:
-        return self.complement(x).negligible(self.params.field.span_tol)
+        """x less its orthogonal projection on Q is negligible at span_tol."""
+        rest = x - self.element([polar_form(x, e) / polar_form(e, e)
+                                 for e in self.basis])
+        return rest.negligible(self.params.field.span_tol)
 
 
 def _unit(x: Octonion) -> Octonion:
@@ -597,10 +597,11 @@ def _anisotropic_part(cands, span: list, what: str,
     relative to the size of x, as a unit; candidates are orthogonalized
     only once reached.  That part of one of the first ``required``
     candidates is refused when neither negligible nor anisotropic."""
+    axes = [(e, polar_form(e, e)) for e in span]  # n(e) twice, once per call
     for n, x in enumerate(cands):
         d = x
-        for e in span:
-            d = d - e * (polar_form(d, e) / polar_form(e, e))
+        for e, ee in axes:
+            d = d - e * (polar_form(d, e) / ee)
         tol, size = x.params.field.witness_tol, math.sqrt(x.size2())
         if anisotropic(d, tol, size):
             return _unit(d)

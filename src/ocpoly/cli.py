@@ -15,11 +15,11 @@ from . import render as render_mod
 from .algebra import AlgebraParams, parse_octonion
 from .dynamics import (classify_fixed, classify_pseudo_periodic,
                        detect_pseudo_period, fixed_points, orbit)
-from .errors import OcpolyError, ParseError, ResourceLimit
+from .errors import NotInRMR, OcpolyError, ParseError, ResourceLimit
 from .opoly import OPolynomial, parse_opolynomial
-from .roots import (lmr_contains, lmr_describe, lmr_sample, rmr_classes,
-                    rmr_contains, rmr_witness, roots)
-from .scalars import DEFAULT_EPS, Field
+from .roots import (lmr_contains, lmr_describe, lmr_describe_class,
+                    lmr_sample, rmr_classes, rmr_witness, roots)
+from .scalars import DEFAULT_EPS, ConjClass, Field
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -65,17 +65,25 @@ def cmd_rmr(f: OPolynomial, args):
         return {"classes": [c.to_json(f.params.field)
                             for c in rmr_classes(f)]}
     mu = parse_octonion(args.element, f.params)
-    out = {"contains": rmr_contains(f, mu)}
-    if out["contains"] and args.witness:
-        out["witness"] = rmr_witness(f, mu).to_json()
-    return out
+    try:
+        c = rmr_witness(f, mu)
+    except NotInRMR:
+        return {"contains": False}
+    witness = {"witness": c.to_json()} if args.witness else {}
+    return {"contains": True, **witness}
 
 
 def cmd_lmr(f: OPolynomial, args):
-    descs = lmr_describe(f)
     if args.contains is not None:
         mu = parse_octonion(args.contains, f.params)
-        return {"contains": any(lmr_contains(d, mu) for d in descs)}
+        f.params.require_real_definite("lmr_contains")
+        try:
+            desc = lmr_describe_class(
+                f, ConjClass(mu.trace(), mu.norm(), mu.is_central()))
+        except NotInRMR:
+            return {"contains": False}
+        return {"contains": lmr_contains(desc, mu)}
+    descs = lmr_describe(f)
     if args.sample:
         return [p.to_json() for d in descs if d.kind != "whole-class"
                 for p in lmr_sample(d, args.sample, seed=args.seed)]

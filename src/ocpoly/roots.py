@@ -6,6 +6,8 @@ E*lam + G = 0: the class holds the one root -E^{-1} G if that lies in it,
 all its members if E = G = 0, and none if E = 0, G != 0.  roots() applies
 this to every companion class.  mu is a root of some f(x)c exactly when
 its own class holds a root, so an RMR query reduces f on that class alone.
+An LMR query asks whether c -> (c f)(mu) = (c E) mu + c G is singular
+there; both judge by one backward-error rule, against sum_t |a_t| |mu|^t.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (Octonion, QuatSubalgebra, anisotropic, combination,
-                      conjugating_element, polar_form,
-                      quat_subalgebra_containing)
+                      conjugating_element, quat_subalgebra_containing)
 from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInRMR,
                      WholeClass)
 from .opoly import OPolynomial
@@ -97,6 +100,13 @@ def _evaluation_misfit(f: OPolynomial, lam: Octonion) -> str | None:
     if val.negligible(tol, scale):
         return None
     return "candidate fails evaluation: " + val.misfit(tol, scale)
+
+
+def _eval_scale(f: OPolynomial, mu: Octonion) -> float:
+    """sum_t |a_t| |mu|^t, |x| = sqrt(size2): the scale of f's error at mu."""
+    size = math.sqrt(mu.size2())
+    return sum(math.sqrt(a.size2()) * size ** t
+               for t, a in enumerate(f.coeffs))
 
 
 @dataclass(frozen=True)
@@ -188,10 +198,7 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
                 raise NotInRMR("the class of mu holds no root: "
                                + str(exc)) from exc
     fc = f.scale_right(c)
-    val = fc.eval(mu)
-    size = math.sqrt(mu.size2())
-    scale = sum(math.sqrt(a.size2()) * size ** t
-                for t, a in enumerate(fc.coeffs))
+    val, scale = fc.eval(mu), _eval_scale(fc, mu)
     tol = f.params.field.witness_tol
     if not val.negligible(tol, scale):
         raise NotInRMR("witness verification failed: "
@@ -220,6 +227,7 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
 
 @dataclass(frozen=True)
 class LMRClassDescription:
+    f: OPolynomial  # the polynomial whose left multiples are described
     cls: ConjClass
     kind: str  # "whole-class" | "single-point" | "parametrized"
     point: Octonion | None = None
@@ -227,10 +235,6 @@ class LMRClassDescription:
     e_inv_g: Octonion | None = None
     g_e_inv: Octonion | None = None
     comm: Octonion | None = None  # [conj(G), E^-1]
-
-    @functools.cached_property
-    def comm_norm(self):
-        return None if self.comm is None else self.comm.norm()
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -242,7 +246,7 @@ class LMRClassDescription:
             out["class"] = self.cls.to_json(fld)
             out["EinvG"] = self.e_inv_g.to_json()
             out["GEinv"] = self.g_e_inv.to_json()
-            out["commNorm"] = fld.to_json(self.comm_norm)
+            out["commNorm"] = fld.to_json(self.comm.norm())
         return out
 
 
@@ -255,20 +259,19 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
         misfit = _evaluation_misfit(f, lam)
         if misfit is not None:
             raise NotInRMR("central class: " + misfit)
-        return LMRClassDescription(cls=cls, kind="single-point", point=lam)
+        return LMRClassDescription(f, cls, "single-point", point=lam)
     red = _reduction(f, cls)
     if _whole_class(f, red):
-        return LMRClassDescription(cls=cls, kind="whole-class")
+        return LMRClassDescription(f, cls, "whole-class")
     Einv = red.Einv
     comm = red.G.conj().commutator(Einv)
     e_inv_g = Einv * red.G
     g_e_inv = red.G * Einv
     if comm.negligible(f.params.field.class_tol, f.coeff_scale):
-        return LMRClassDescription(cls=cls, kind="single-point",
-                                   point=-e_inv_g)
+        return LMRClassDescription(f, cls, "single-point", point=-e_inv_g)
     Q = quat_subalgebra_containing(red.E, red.G)
-    return LMRClassDescription(cls=cls, kind="parametrized", Q=Q,
-                               e_inv_g=e_inv_g, g_e_inv=g_e_inv, comm=comm)
+    return LMRClassDescription(f, cls, "parametrized", Q=Q, e_inv_g=e_inv_g,
+                               g_e_inv=g_e_inv, comm=comm)
 
 
 def lmr_describe(f: OPolynomial) -> list:
@@ -329,31 +332,19 @@ def lmr_sample(desc: LMRClassDescription, count: int, seed: int = 0) -> list:
 
 
 def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
-    """Membership test in the simplified real-mode parametrization
-    {-x E^-1 G + (x-1) G E^-1 + z*ell : 0 <= x <= 1,
-     norm(z) = x(1-x) norm([conj(G), E^-1])}, whose norms are sizes: real
-    mode and a definite algebra only."""
+    """Whether mu, in desc's class, is a root of some c*f(x), c != 0, for
+    f = desc.f: on mu's class, c -> (c f)(mu) = (c E) mu + c G is the matrix
+    M = R(mu) R(E) + R(G), and rmr_witness's rule asks sigma_min(M) <=
+    witness_tol * sum_t |a_t| |mu|^t.  Real mode, definite algebras only:
+    on a split one a singular M may have only isotropic kernel vectors."""
     mu.params.require_real_definite("lmr_contains")
-    fld = mu.params.field
-    if desc.kind == "whole-class":
-        return desc.cls.matches(mu)
-    if desc.kind == "single-point":
-        return desc.point.isclose(mu, tol=fld.witness_tol)
     if not desc.cls.matches(mu):
         return False
-    Q = desc.Q
-    u = Q.project(mu)
-    w = mu - u
-    # u = x*(GE^-1 - E^-1 G) - GE^-1, solved by least squares in x
-    d = desc.g_e_inv - desc.e_inv_g
-    rhs = u + desc.g_e_inv
-    x = polar_form(rhs, d) / polar_form(d, d)  # d = -comm, not negligible
-    resid = rhs - d * x
-    scale = max(1.0, float(mu.norm()), float(desc.comm_norm))
-    target = x * (1 - x) * desc.comm_norm
-    return (resid.negligible(fld.class_tol, scale)
-            and -fld.fixed_tol <= x <= 1 + fld.fixed_tol
-            and abs(float(w.norm()) - float(target)) <= fld.class_tol * scale)
+    f, R = desc.f, mu.params.table.right_matrix
+    red = _reduction(f, ConjClass(mu.trace(), mu.norm()))
+    M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
+    sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
+    return bool(sigma_min <= f.params.field.witness_tol * _eval_scale(f, mu))
 
 
 def class_member(cls: ConjClass, params, rng) -> Octonion:

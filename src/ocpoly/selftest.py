@@ -81,7 +81,7 @@ def run_selftest() -> list:
     desc = lmr_describe_class(f_quad, ConjClass(Fraction(0), Fraction(1)))
     check("lmr.kind", "parametrized", desc.kind)
     check("lmr.EinvG", "-j", desc.e_inv_g, desc.e_inv_g.isclose(-j))
-    check("lmr.commNorm", "4", desc.comm_norm, desc.comm_norm == 4)
+    check("lmr.commNorm", "4", desc.comm.norm(), desc.comm.norm() == 4)
     # endpoints and the mid-sphere point in real mode
     PR = AlgebraParams.octonions(REAL)
     fr = OPolynomial.from_json(f_quad.to_json(), REAL)

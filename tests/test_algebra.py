@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import ocpoly.algebra
 from ocpoly.algebra import (AlgebraParams, Octonion, anisotropic,
                             conjugating_element, format_octonion,
                             parse_octonion, polar_form,
@@ -290,6 +292,23 @@ def product_magnitude(x, y):
     return out
 
 
+@pytest.mark.parametrize("gammas", CONJ_GAMMAS)
+def test_multiplication_matrices(gammas):
+    """right_matrix(x) @ y is y*x and left_matrix(x) @ y is x*y, both as
+    the table and as the doubling rule on coordinate vectors give them."""
+    params = AlgebraParams(REAL, *gammas)
+    table, rng = params.table, random.Random(f"matrices-{gammas}")
+    for _ in range(20):
+        x, y = random_octonion(params, rng), random_octonion(params, rng)
+        for matrix, prod, ref in ((table.right_matrix, y * x, (y, x)),
+                                  (table.left_matrix, x * y, (x, y))):
+            got = matrix(x.coords) @ np.array(y.coords)
+            bound = 1e-13 * np.array(product_magnitude(*ref))
+            assert np.all(np.abs(got - prod.coords) <= bound)
+            want = cd_mul(ref[0].coords, ref[1].coords, params.gammas)
+            assert np.all(np.abs(got - want) <= bound)
+
+
 class TestClosedFormConjugator:
     """conjugating_element on generic conjugates, conj(lam) and lam itself:
     each delta is pure with delta*lam = mu*delta, or the call raises a
@@ -447,6 +466,23 @@ class TestQuatSubalgebra:
                 assert polar_form(Q.ell, e) == 0
             assert (Q.ell * Q.ell).isclose(
                 Octonion.scalar(P, Q.gamma_eff))
+
+    def test_norms_of_the_span_once_per_call(self, P, basis, monkeypatch):
+        """E = i, G = -k, the reference quadratic x^2 + ix - ij + 1 reduced
+        on the class (0, 1).  u = i takes no polar form; v = -k, the first
+        candidate, one step against u plus n(u); ell = l, the 4th unit
+        tried, 4 steps each against the span (1, u, v, uv) plus 4 norms."""
+        one, i, j, k, l = basis
+        calls, true_polar = [], ocpoly.algebra.polar_form
+
+        def counted(x, y):
+            calls.append((x, y))
+            return true_polar(x, y)
+
+        monkeypatch.setattr(ocpoly.algebra, "polar_form", counted)
+        Q = quat_subalgebra_containing(i, -k)
+        assert Q.ell == l
+        assert len(calls) == (1 + 1) + (16 + 4)
 
     def test_degenerate(self, P):
         with pytest.raises(DegenerateCommutative):

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import ocpoly.cli as cli_mod
+import ocpoly.roots as roots_mod
 from ocpoly.algebra import (AlgebraParams, Octonion, format_octonion,
-                            parse_octonion)
+                            parse_octonion, random_octonion)
 from ocpoly.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, main)
 from ocpoly.opoly import OPolynomial
-from ocpoly.scalars import EXACT, REAL
+from ocpoly.roots import multiple_root
+from ocpoly.scalars import EXACT, REAL, ConjClass
 
 
 @pytest.fixture
@@ -91,6 +94,69 @@ class TestSubcommands:
         assert main(["lmr", quad_file, "--contains=j"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["contains"] is True
+
+    def test_rmr_runs_the_witness_once(self, monkeypatch, tmp_path, capsys):
+        """Every rmr_witness call, from the command or from inside roots,
+        goes through the counter."""
+        calls, true_witness = [], roots_mod.rmr_witness
+
+        def counted(f, mu):
+            calls.append(mu)
+            return true_witness(f, mu)
+
+        for module in (roots_mod, cli_mod):
+            monkeypatch.setattr(module, "rmr_witness", counted)
+        path = tmp_path / "f.txt"
+        path.write_text("x^2 + ix - ij + 1\n")
+        assert main(["--mode", "exact", "rmr", str(path), "--element=-ij",
+                     "--witness"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["contains"] is True
+        assert len(calls) == 1
+
+    def test_lmr_contains_needs_no_companion_roots(self, monkeypatch,
+                                                   quad_file, capsys):
+        def refuse(p):
+            raise AssertionError("central_roots called")
+
+        monkeypatch.setattr(roots_mod, "central_roots", refuse)
+        for element, inside in (("j", True), ("i", False), ("2", False)):
+            assert main(["lmr", quad_file, f"--contains={element}"]) \
+                == EXIT_OK
+            assert json.loads(capsys.readouterr().out) == {"contains": inside}
+
+    def test_lmr_contains_past_the_companion(self, tmp_path, capsys):
+        """f = g(x)(x - lam), g a random monic quartic: the query at the root
+        of c f in lam's class reduces f on that class alone, whether or not
+        the companion's degree-10 roots are found."""
+        P = AlgebraParams.octonions(REAL)
+        rng = random.Random(0)
+        g = OPolynomial.make(P, [random_octonion(P, rng) for _ in range(4)]
+                             + [1])
+        lam, c = random_octonion(P, rng), random_octonion(P, rng)
+        f = g * OPolynomial.make(P, [-lam, 1])
+        mu = multiple_root(f, ConjClass(lam.trace(), lam.norm()), c, "left")
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(f.to_json()))
+        assert main(["lmr", str(path),
+                     f"--contains={format_octonion(mu)}"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"contains": True}
+
+    @pytest.mark.parametrize("poly,element,inside", [
+        ("x^2 - 3ix - 2", "i", True), ("x^2 - 3ix - 2", "2i", True),
+        ("x^2 - 3ix - 2", "j", False), ("x^2 - 3ix - 2", "2j", False),
+        ("x^2 - 3ix - 2", "-i", False),
+        ("x - 2", "2", True), ("x - 2", "1", False), ("x - 2", "2i", False),
+        ("x^2 + 1", "j", True), ("x^2 + 1", "-i", True),
+        ("x^2 + 1", f"{1 / math.sqrt(2)!r} j + {1 / math.sqrt(2)!r} l", True),
+        ("x^2 + 1", "2j", False), ("x^2 + 1", "1", False)])
+    def test_lmr_contains_per_kind(self, tmp_path, capsys, poly, element,
+                                   inside):
+        """The points of test_contains_per_kind in tests/test_roots.py,
+        through the command: single-point, central and whole classes."""
+        path = tmp_path / "f.txt"
+        path.write_text(poly + "\n")
+        assert main(["lmr", str(path), f"--contains={element}"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"contains": inside}
 
     def test_lmr_sample(self, quad_file, capsys):
         assert main(["--mode", "exact", "lmr", quad_file,
@@ -208,6 +274,9 @@ FRONT_DOOR = [
     ("ix + j", ["rmr", "--element=-ij", "--witness"],
      {"contains": True, "witness": _vec(c2="1/2")}),
     ("ix + j", ["lmr"], [_lmr("1", _vec(c3="-1"), _vec(c3="1"))]),
+    ("x^2 + ix - ij + 1", ["rmr", "--element=-ij"], {"contains": True}),
+    ("x^2 + ix - ij + 1", ["rmr", "--element=2", "--witness"],
+     {"contains": False}),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import math
@@ -7,7 +8,9 @@ import sys
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocpoly.algebra import (AlgebraParams, Octonion, parse_octonion,
                             random_octonion)
@@ -20,6 +23,8 @@ from ocpoly.roots import (ConjClass, class_member, lmr_contains,
                           reduce_linear, rmr_classes, rmr_contains,
                           rmr_witness, roots)
 from ocpoly.scalars import EXACT, REAL
+
+from doubling import cd_conj, cd_mul
 
 
 def test_import_binds_the_module():
@@ -459,7 +464,7 @@ class TestLMR:
         assert desc.kind == "parametrized"
         assert desc.e_inv_g.isclose(-j)
         assert desc.g_e_inv.isclose(j)
-        assert desc.comm_norm == 4
+        assert desc.comm.norm() == 4
 
     def test_single_point_class(self, P, basis):
         one, i, j, k, l = basis
@@ -696,6 +701,93 @@ class TestLMRKinds:
         (d,) = lmr_describe(parse_opolynomial("x - 2", P))
         with pytest.raises(ModeMismatch):
             lmr_contains(d, Octonion.scalar(P, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def doubling_products(gammas) -> np.ndarray:
+    """T[a, b] = e_a e_b by the doubling rule on coordinate vectors."""
+    units = [tuple(float(a == n) for a in range(8)) for n in range(8)]
+    return np.array([[cd_mul(ea, eb, gammas) for eb in units]
+                     for ea in units])
+
+
+class TestLMRMembership:
+    """lmr_contains against the definition, built here from the doubling
+    rule: mu is a root of some c f, c != 0, when c -> (c f)(mu) is
+    singular, judged by sigma_min <= witness_tol * sum_t |a_t| |mu|^t."""
+
+    @staticmethod
+    def oracle_ratio(f, mu) -> float:
+        """sigma_min / sum_t |a_t| |mu|^t of the matrix of c -> (c f)(mu),
+        from the products e_a e_b of the doubling rule, |x| = sqrt(n(x))
+        on a definite algebra."""
+        g = f.params.gammas
+        units, T = np.eye(8), doubling_products(g)
+
+        def right(x):  # y x = right(x) @ y
+            return np.einsum("b,abc->ca", np.asarray(x, dtype=float), T)
+
+        def size(x):
+            return math.sqrt(cd_mul(tuple(x), cd_conj(tuple(x)), g)[0])
+        m = np.array(mu.coords, dtype=float)
+        power, M = units[0], np.zeros((8, 8))
+        for a in f.coeffs:  # power = mu^t
+            M += right(power) @ right(a.coords)
+            power = right(m) @ power
+        sigma = np.linalg.svd(M, compute_uv=False)[-1]
+        return float(sigma / sum(size(a.coords) * size(m) ** t
+                                 for t, a in enumerate(f.coeffs)))
+
+    @staticmethod
+    def turned_in_class(p, rng):
+        """p with im p turned by 1e-3 of its size: the same class, off the
+        LMR set."""
+        P, im = p.params, p.im()
+        d = Octonion.make(P, [0] + [rng.uniform(-1, 1) for _ in range(7)])
+        turned = im + d * (1e-3 * math.sqrt(im.size2() / d.size2()))
+        return (Octonion.scalar(P, p.re())
+                + turned * math.sqrt(im.size2() / turned.size2()))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from([(-1, -1, -1), (-1, -2, -3)]),
+           st.sampled_from([1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]),
+           st.sampled_from([2, 3]), st.integers(0, 2 ** 32))
+    def test_contains_is_the_multiplier_test(self, gammas, scale, degree,
+                                             seed):
+        """f = g(x)(x - lam), g monic, lam and g's coefficients of size
+        scale, so lam is a root and its class a companion class.  Sample
+        points are members, random members of the class and sample points
+        turned off the set are not, and lmr_contains answers as the
+        oracle does."""
+        P = AlgebraParams(REAL, *gammas)
+        rng = random.Random(seed)
+
+        def draw():
+            return Octonion.make(P, [rng.uniform(-scale, scale)
+                                     for _ in range(8)])
+        lam = draw()
+        g = OPolynomial.make(P, [draw() for _ in range(degree - 1)] + [1])
+        f = g * OPolynomial.make(P, [-lam, 1])
+        cls = ConjClass(lam.trace(), lam.norm())
+        desc = lmr_describe_class(f, cls)
+        assert desc.kind == "parametrized"
+        samples = lmr_sample(desc, 4, seed=seed)
+        cases = ([(p, True) for p in samples]
+                 + [(class_member(cls, P, rng), False) for _ in range(4)]
+                 + [(self.turned_in_class(p, rng), False) for p in samples])
+        tol = REAL.witness_tol
+        for mu, member in cases:
+            ratio = self.oracle_ratio(f, mu)
+            assert (ratio <= tol) is member, (mu, ratio)
+            assert lmr_contains(desc, mu) is member, (mu, ratio)
+
+    def test_contains_returns_bool(self, PR, basis_r):
+        one, i, j, k, l = basis_r
+        f = quad_example(PR, basis_r)
+        desc = lmr_describe_class(f, ConjClass(0.0, 1.0))
+        for mu in (j, (i + j) * (1 / math.sqrt(2)), 2 * j):
+            assert type(lmr_contains(desc, mu)) is bool
 
 
 class TestSmallNonzeroE:
