@@ -2,6 +2,7 @@
 """One sha256 over the checked answers of a perfbench workload.
 
 Usage: python3 benchmarks/answer_digest.py exact-oracle [--seed 11]
+           [--expect SHA]
 
 Runs queries 1..n of the workload, where n is the count that
 ``perfbench/run.py`` checks on every run, imports ocpoly from this
@@ -10,7 +11,8 @@ kind, answer and the oracle's verdict.  Floats are written as hex,
 Fractions as p/q, a raised exception as its type and text, numpy arrays as
 dtype, shape and bytes, and objects by their class name and fields, so two
 checkouts print the same digest only if every checked answer is the same
-to the last bit.  perfbench's modules are imported, never changed.
+to the last bit.  With ``--expect SHA`` the script exits 1 when the digest
+differs from SHA.  perfbench's modules are imported, never changed.
 """
 
 import argparse
@@ -83,9 +85,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", choices=run.WORKLOAD_NAMES)
     ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--expect", metavar="SHA",
+                    help="exit 1 unless the digest is SHA")
     args = ap.parse_args(argv)
     sha, count = digest(args.workload, args.seed)
     print(f"{sha}  {args.workload} seed {args.seed}, {count} checked queries")
+    if args.expect is not None and sha != args.expect:
+        print(f"digest mismatch: expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

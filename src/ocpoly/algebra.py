@@ -8,7 +8,7 @@ l^2 = gamma.  Multiplication is generated from the doubling rule
 
 applied to basis indices, so the structure constants are never
 hand-entered.  The resulting signed table e_a e_b = v e_c is built once
-per algebra, and every product is a flat sum over it.
+per algebra, and every product runs it written out as straight-line code.
 """
 
 from __future__ import annotations
@@ -102,12 +102,19 @@ class ProductTable:
         xs = np.array([float(c) for c in x])
         return (xs @ self.translates).reshape(8, 8).T
 
-
-def _accumulate(terms: tuple, x, y, zero) -> list:
-    out = [zero] * 8
-    for a, b, c, v in terms:
-        out[c] += v * x[a] * y[b]
-    return out
+    @functools.cached_property
+    def mul(self):
+        """x, y -> x y (exact mode: numerators over den den_x den_y): per c,
+        the sum of v x[a] y[b] over the terms in table order from 0 or 0.0."""
+        sums = ["0" if self.exact else "0.0"] * 8
+        for a, b, c, v in self.int_terms or self.terms:
+            w = "" if abs(v) == 1 else f"{abs(v)!r} * "
+            sums[c] += f" {'-' if v < 0 else '+'} {w}x{a} * y{b}"
+        scope = {}
+        exec("def mul(x, y):\n x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
+             " y0, y1, y2, y3, y4, y5, y6, y7 = y\n return ("
+             + ", ".join(sums) + ")", scope)
+        return scope["mul"]
 
 
 def _basis_products(gammas, one) -> dict:
@@ -232,8 +239,7 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._check(other)
-            return Octonion(tuple(_accumulate(self.params.table.terms,
-                                              self.coords, other.coords, 0.0)),
+            return Octonion(self.params.table.mul(self.coords, other.coords),
                             self.params)
         s = self.params.field.coerce(other)
         return Octonion(tuple(a * s for a in self.coords), self.params)
@@ -270,7 +276,7 @@ class Octonion:
 
     def inverse(self) -> "Octonion":
         n = self.norm()
-        if n == 0 or not (self.params.field.exact or math.isfinite(1 / n)):
+        if n == 0 or not math.isfinite(1 / n):  # exact: ExactOctonion.inverse
             raise NotInvertible("zero or isotropic element")
         return self.conj() / n
 
@@ -366,20 +372,24 @@ class ExactOctonion(Octonion):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return self * -1
+        return _exact(self.params, self.den, [-a for a in self.num])
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._check(other)
             t = self.params.table
             return _exact(self.params, t.den * self.den * other.den,
-                          _accumulate(t.int_terms, self.num, other.num, 0))
+                          t.mul(self.num, other.num))
         s = self.params.field.coerce(other)
         return _exact(self.params, self.den * s.denominator,
                       [a * s.numerator for a in self.num])
 
     def __truediv__(self, s):
-        return self * (1 / self.params.field.coerce(s))
+        s = self.params.field.coerce(s)
+        if not s:
+            raise ZeroDivisionError("division of an element by zero")
+        return _exact(self.params, self.den * s.numerator,
+                      [a * s.denominator for a in self.num])
 
     def conj(self) -> "ExactOctonion":
         n = self.num
@@ -392,9 +402,19 @@ class ExactOctonion(Octonion):
         return _exact(self.params, self.den, (0,) + self.num[1:])
 
     def norm(self):
-        t = self.params.table
-        n = sum(v * c * c for v, c in zip(t.int_norm_diag, self.num))
-        return Fraction(n, t.den * self.den * self.den)
+        return Fraction(self._norm_num(), self.params.table.den * self.den**2)
+
+    def _norm_num(self) -> int:  # n(x) * den_t * den^2, an integer
+        return sum(v * c * c for v, c in
+                   zip(self.params.table.int_norm_diag, self.num))
+
+    def inverse(self) -> "ExactOctonion":
+        """conj(x) / n(x) on integers: conj(num) den_t den / _norm_num."""
+        n, k = self._norm_num(), self.params.table.den * self.den
+        if n == 0:
+            raise NotInvertible("zero or isotropic element")
+        return _exact(self.params, n, [self.num[0] * k,
+                                       *(-a * k for a in self.num[1:])])
 
     def size2(self) -> float:
         t = self.params.table
@@ -515,6 +535,8 @@ def anisotropic(d: Octonion, tol, size) -> bool:
     tol * size2(d), so d^-1 = conj(d) / n(d) has a size below
     1 / (tol |d|).  Size 0 tests isotropy alone.  Exact mode: d != 0 and
     n(d) != 0."""
+    if d.params.field.exact:
+        return d._norm_num() != 0  # so d != 0
     return not d.negligible(tol, size) and abs(d.norm()) > tol * d.size2()
 
 
@@ -570,41 +592,26 @@ class QuatSubalgebra:
     ell: Octonion
     gamma_eff: object
 
-    @property
-    def params(self) -> AlgebraParams:
-        return self.ell.params
-
-    def element(self, cs) -> Octonion:
-        coerce = self.params.field.coerce
-        return combination([coerce(c) for c in cs], self.basis)
-
     def contains(self, x: Octonion) -> bool:
         """x less its orthogonal projection on Q is negligible at span_tol."""
-        rest = x - self.element([polar_form(x, e) / polar_form(e, e)
-                                 for e in self.basis])
-        return rest.negligible(self.params.field.span_tol)
-
-
-def _unit(x: Octonion) -> Octonion:
-    """x / sqrt|n(x)| in real mode; exact mode keeps x (square roots leave
-    the field)."""
-    return x if x.params.field.exact else x / math.sqrt(abs(x.norm()))
+        rest = x - combination([polar_form(x, e) / polar_form(e, e)
+                                for e in self.basis], self.basis)
+        return rest.negligible(x.params.field.span_tol)
 
 
 def _anisotropic_part(cands, span: list, what: str,
                       required: int = 0) -> Octonion:
-    """The first candidate x whose part orthogonal to span is anisotropic
-    relative to the size of x, as a unit; candidates are orthogonalized
-    only once reached.  That part of one of the first ``required``
-    candidates is refused when neither negligible nor anisotropic."""
-    axes = [(e, polar_form(e, e)) for e in span]  # n(e) twice, once per call
+    """The first candidate x whose part orthogonal to span, one combination
+    per candidate reached, is anisotropic relative to the size of x, as a
+    unit.  That part of one of the first ``required`` candidates is refused
+    when neither negligible nor anisotropic."""
+    norms = [polar_form(e, e) for e in span]  # n(e) twice, once per call
     for n, x in enumerate(cands):
-        d = x
-        for e, ee in axes:
-            d = d - e * (polar_form(d, e) / ee)
+        d = combination([1] + [-polar_form(x, e) / ee
+                               for e, ee in zip(span, norms)], [x, *span])
         tol, size = x.params.field.witness_tol, math.sqrt(x.size2())
-        if anisotropic(d, tol, size):
-            return _unit(d)
+        if anisotropic(d, tol, size):  # exact mode: sqrt leaves the field
+            return d if d.params.field.exact else d / math.sqrt(abs(d.norm()))
         if n < required and not d.negligible(tol, size):
             raise WitnessFailure(f"{what}: isotropic part of im E or im G, "
                                  f"|n| {abs(float(d.norm())):.3e} at size "
@@ -621,7 +628,7 @@ def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
     neither negligible nor anisotropic raises WitnessFailure: no quaternion
     subalgebra holds E and G then.  In real mode u, v and ell have
     |n| = 1; in exact mode vectors are kept unnormalized (square roots
-    leave Q) and gamma_eff records ell^2.
+    leave Q) and gamma_eff records ell^2 = -n(ell) (ell is orthogonal to 1).
     """
     E._check(G)
     params = E.params
@@ -633,8 +640,7 @@ def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
                           "complement to u", required=2)
     span = [Octonion.one(params), u, v, u * v]
     ell = _anisotropic_part(_units(params), span, "doubling unit")
-    return QuatSubalgebra(basis=tuple(span), ell=ell,
-                          gamma_eff=(ell * ell).re())
+    return QuatSubalgebra(basis=tuple(span), ell=ell, gamma_eff=-ell.norm())
 
 
 def random_octonion(params: AlgebraParams, rng, span: int = 4) -> Octonion:

@@ -16,7 +16,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -250,23 +249,29 @@ class LMRClassDescription:
         return out
 
 
+def lmr_whole_class(f: OPolynomial, cls: ConjClass) -> bool:
+    """The refusals of lmr_describe_class: NotInRMR when cls holds no root
+    of any c f, c != 0 (a central {r} whose f(r) fails the root rule of
+    roots(), as (c f)(r) = c f(r); or E = 0, G != 0).  Else E = G = 0."""
+    if not cls.central:
+        return _whole_class(f, _reduction(f, cls))
+    misfit = _evaluation_misfit(f, Octonion.scalar(f.params, cls.r))
+    if misfit is not None:
+        raise NotInRMR("central class: " + misfit)
+    return False
+
+
 def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
-    """LMR description of one conjugacy class.  A central class {r} is its
-    point r when f(r) passes the root rule of roots(); else, as (c f)(r) =
-    c f(r), it holds no root of any multiple: NotInRMR."""
-    if cls.central:
-        lam = Octonion.scalar(f.params, cls.r)
-        misfit = _evaluation_misfit(f, lam)
-        if misfit is not None:
-            raise NotInRMR("central class: " + misfit)
-        return LMRClassDescription(f, cls, "single-point", point=lam)
-    red = _reduction(f, cls)
-    if _whole_class(f, red):
+    """LMR description of one conjugacy class, after the refusals of
+    lmr_whole_class: a central class {r} is its point r."""
+    if lmr_whole_class(f, cls):
         return LMRClassDescription(f, cls, "whole-class")
-    Einv = red.Einv
-    comm = red.G.conj().commutator(Einv)
-    e_inv_g = Einv * red.G
-    g_e_inv = red.G * Einv
+    if cls.central:
+        return LMRClassDescription(f, cls, "single-point",
+                                   point=Octonion.scalar(f.params, cls.r))
+    red = _reduction(f, cls)
+    e_inv_g, g_e_inv = red.Einv * red.G, red.G * red.Einv
+    comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
     if comm.negligible(f.params.field.class_tol, f.coeff_scale):
         return LMRClassDescription(f, cls, "single-point", point=-e_inv_g)
     Q = quat_subalgebra_containing(red.E, red.G)
@@ -280,14 +285,12 @@ def lmr_describe(f: OPolynomial) -> list:
 
 def _draw_q_pair(desc: LMRClassDescription, rng):
     """Random (a, b, c) with a, b in Q and c = a + b*ell anisotropic."""
-    fld = desc.Q.params.field
+    fld = desc.f.params.field
     while True:
-        if fld.exact:
-            cs = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
-        else:
-            cs = [rng.uniform(-2, 2) for _ in range(8)]
-        a = desc.Q.element(cs[:4])
-        b = desc.Q.element(cs[4:])
+        cs = [rng.randint(-4, 4) if fld.exact else rng.uniform(-2, 2)
+              for _ in range(8)]
+        a = combination(cs[:4], desc.Q.basis)
+        b = combination(cs[4:], desc.Q.basis)
         c = a + b * desc.Q.ell
         if anisotropic(c, fld.witness_tol, 0):  # n(c) divides in lmr_point
             return a, b, c
@@ -303,12 +306,10 @@ def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion,
     if desc.kind != "parametrized":
         raise InvalidInput("point formula needs a parametrized class")
     Q = desc.Q
-    c = a + b * Q.ell if c is None else c
-    n = c.norm()
-    core = (desc.e_inv_g * a.norm()
-            - desc.g_e_inv * (Q.gamma_eff * b.norm())
-            + ((b * (desc.comm * a.conj())) * Q.ell))
-    return -(core / n)
+    n = (a + b * Q.ell if c is None else c).norm()
+    return combination([-a.norm() / n, Q.gamma_eff * b.norm() / n, -1 / n],
+                       [desc.e_inv_g, desc.g_e_inv,
+                        (b * (desc.comm * a.conj())) * Q.ell])
 
 
 def lmr_sample_detailed(desc: LMRClassDescription, count: int,
@@ -333,14 +334,17 @@ def lmr_sample(desc: LMRClassDescription, count: int, seed: int = 0) -> list:
 
 def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     """Whether mu, in desc's class, is a root of some c*f(x), c != 0, for
-    f = desc.f: on mu's class, c -> (c f)(mu) = (c E) mu + c G is the matrix
-    M = R(mu) R(E) + R(G), and rmr_witness's rule asks sigma_min(M) <=
-    witness_tol * sum_t |a_t| |mu|^t.  Real mode, definite algebras only:
-    on a split one a singular M may have only isotropic kernel vectors."""
+    f = desc.f (lmr_singular).  Real mode, definite algebras only: on a
+    split one a singular M may have only isotropic kernel vectors."""
     mu.params.require_real_definite("lmr_contains")
-    if not desc.cls.matches(mu):
-        return False
-    f, R = desc.f, mu.params.table.right_matrix
+    return desc.cls.matches(mu) and lmr_singular(desc.f, mu)
+
+
+def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
+    """Whether c -> (c f)(mu) is singular: on mu's class it is (c E) mu +
+    c G, the matrix M = R(mu) R(E) + R(G), and rmr_witness's rule asks
+    sigma_min(M) <= witness_tol * sum_t |a_t| |mu|^t."""
+    R = mu.params.table.right_matrix
     red = _reduction(f, ConjClass(mu.trace(), mu.norm()))
     M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
     sigma_min = np.linalg.svd(M, compute_uv=False)[-1]

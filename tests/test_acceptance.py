@@ -184,8 +184,8 @@ def test_criterion_4_lmr_cross_validation(capsys):
         descr = lmr_describe_class(fr, ConjClass(0.0, 1.0))
         for pt in (jr, -jr, lr):
             assert lmr_contains(descr, pt)
-        # off the parametrized set: an i-component the formula never produces,
-        # and a point whose ell-part breaks the norm(z) = x(1-x)*commNorm rule
+        # off the set: (i + j)/sqrt 2 lies in the class, where c -> (c f)(mu)
+        # is nonsingular, and 0.9 (j + l), of norm 1.62, lies off the class
         off1 = (ir + jr) * (1 / math.sqrt(2))
         off2 = jr * 0.9 + lr * 0.9
         assert not lmr_contains(descr, off1)

@@ -309,6 +309,47 @@ def test_multiplication_matrices(gammas):
             assert np.all(np.abs(got - want) <= bound)
 
 
+def term_order_sum(x, y):
+    """x*y as the sum of v x_a y_b over the table's terms in order, each
+    term added to 0.0: the reference the real-mode product equals bit for
+    bit."""
+    out = [0.0] * 8
+    for a, b, c, v in x.params.table.terms:
+        out[c] += v * x.coords[a] * y.coords[b]
+    return out
+
+
+@pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+@pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5),
+                                    (-2, 3, Fraction(-1, 2)),
+                                    (Fraction(3, 7), -5, Fraction(2, 3))])
+def test_straight_line_product(gammas, field):
+    """The product the table writes out once as code equals the doubling
+    rule on coordinate vectors: exactly in exact mode, and to rounding in
+    real mode, where it is bit-equal to the term-order sum, signed zeros
+    and scales from 1e-3 to 1e3 included."""
+    params = AlgebraParams(field, *gammas)
+    assert params.table.mul is params.table.mul  # built once per table
+    rng = random.Random(f"straight-line-{gammas}-{field.exact}")
+    for _ in range(200):
+        if field.exact:
+            x, y = ([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                     for _ in range(8)] for _ in range(2))
+        else:
+            x, y = ([rng.choice([0.0, -0.0, rng.uniform(-1, 1)
+                                 * 10.0 ** rng.randint(-3, 3)])
+                     for _ in range(8)] for _ in range(2))
+        X, Y = Octonion.make(params, x), Octonion.make(params, y)
+        got, want = X * Y, cd_mul(X.coords, Y.coords, params.gammas)
+        if field.exact:
+            assert got.coords == want
+            continue
+        assert [c.hex() for c in got.coords] == \
+            [c.hex() for c in term_order_sum(X, Y)]
+        bound = 1e-13 * np.array(product_magnitude(X, Y))
+        assert np.all(np.abs(np.array(got.coords) - want) <= bound)
+
+
 class TestClosedFormConjugator:
     """conjugating_element on generic conjugates, conj(lam) and lam itself:
     each delta is pure with delta*lam = mu*delta, or the call raises a

@@ -124,6 +124,26 @@ class TestSubcommands:
                 == EXIT_OK
             assert json.loads(capsys.readouterr().out) == {"contains": inside}
 
+    def test_lmr_contains_builds_no_description(self, monkeypatch,
+                                                tmp_path, capsys):
+        """lmr --contains runs only the refusals of mu's class (a central
+        class whose f(r) fails, or E = 0 with G != 0), never the quaternion
+        subalgebra of a description."""
+        def refuse(E, G):
+            raise AssertionError("quat_subalgebra_containing called")
+
+        monkeypatch.setattr(roots_mod, "quat_subalgebra_containing", refuse)
+        for poly, element, inside in (
+                ("x^2 + ix - ij + 1", "j", True),
+                ("x^2 + ix - ij + 1", "i", False),
+                ("x^2 + ix - ij + 1", "2", False),   # f(2) != 0
+                ("x^2 + i", "j", False)):            # E = 0, G = i - 1
+            path = tmp_path / "f.txt"
+            path.write_text(poly + "\n")
+            assert main(["lmr", str(path), f"--contains={element}"]) \
+                == EXIT_OK
+            assert json.loads(capsys.readouterr().out) == {"contains": inside}
+
     def test_lmr_contains_past_the_companion(self, tmp_path, capsys):
         """f = g(x)(x - lam), g a random monic quartic: the query at the root
         of c f in lam's class reduces f on that class alone, whether or not

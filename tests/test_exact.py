@@ -141,6 +141,34 @@ def test_inverse(ops):
 
 
 @SETTINGS
+@given(operands(count=1))
+def test_division_by_zero_raises(ops):
+    _, x = ops
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+def test_scalar_operations_stay_on_integers():
+    """Negation, division by a scalar and the inverse of an element built
+    by arithmetic run on its integers: neither it nor the results build
+    Fraction coordinates until read, and then they equal Fraction
+    arithmetic on coordinates."""
+    P = PARAMS[3]
+    x = Octonion.make(P, [1, -2, Fraction(1, 3), 0, 4, 0, Fraction(-5, 6), 7])
+    y = x * x + x
+    slot = Octonion.__dict__["coords"]  # reads the slot, never builds it
+    results = (-y, y / Fraction(-3, 4), y.inverse())
+    for z in (y,) + results:
+        with pytest.raises(AttributeError):
+            slot.__get__(z)
+    cy, n = y.coords, cd_norm(y.coords, P)
+    assert_exact(results[0], [-a for a in cy])
+    assert_exact(results[1], [a / Fraction(-3, 4) for a in cy])
+    assert_exact(results[2], [c / n for c in cd_conj(cy)])
+
+
+@SETTINGS
 @given(operands(count=1), nonzero)
 def test_equality_and_hash_across_representations(ops, s):
     params, x = ops

@@ -555,6 +555,38 @@ class TestLMR:
         pt = lmr_point(desc, Octonion.zero(P), Octonion.one(P))
         assert pt.isclose(desc.g_e_inv * -1)
 
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (-1, -2, -3)])
+    def test_shortcuts_are_exact(self, gammas):
+        """On exact classes, comm = E^-1 G - G E^-1 is [conj G, E^-1] (Re G
+        is central), gamma_eff = -n(ell) is ell^2 (ell is orthogonal to 1),
+        and lmr_point's one combination is the paper's formula term by
+        term, all as equal Fractions."""
+        P = AlgebraParams(EXACT, *gammas)
+        rng = random.Random(f"lmr-shortcuts-{gammas}")
+        described = 0
+        while described < 12:
+            f = OPolynomial.make(P, [random_octonion(P, rng, span=3)
+                                     for _ in range(3)])
+            lam = random_octonion(P, rng, span=3)
+            if lam.is_central() or f.degree < 1:
+                continue
+            desc = lmr_describe_class(f, ConjClass(lam.trace(), lam.norm()))
+            if desc.kind != "parametrized":
+                continue
+            described += 1
+            red = reduce_linear(f, desc.cls)
+            Einv, Q = red.E.inverse(), desc.Q
+            assert desc.comm == red.G.conj().commutator(Einv)
+            assert Q.gamma_eff == (Q.ell * Q.ell).re()
+            assert Q.ell * Q.ell == Octonion.scalar(P, Q.gamma_eff)
+            for a, b, c, mu in lmr_sample_detailed(desc, 3, seed=described):
+                core = (desc.e_inv_g * a.norm()
+                        - desc.g_e_inv * (Q.gamma_eff * b.norm())
+                        + (b * (red.G.conj().commutator(Einv) * a.conj()))
+                        * Q.ell)
+                assert mu == -(core / c.norm())
+                assert lmr_point(desc, a, b) == mu
+
 
 class TestLMROnSplitAlgebras:
     """The paper's left-multiple results hold over any field of
@@ -606,8 +638,9 @@ class TestLMROnSplitAlgebras:
             lmr_describe_class(f, ConjClass(0.0, 1.0))
 
     def test_contains_refused(self):
-        """The membership parametrization takes norms as sizes; on a split
-        algebra it would answer False for genuine sample points."""
+        """On a split algebra a singular c -> (c f)(mu) may have only
+        isotropic kernel vectors, so lmr_contains refuses it even at a
+        genuine sample point."""
         P = AlgebraParams(REAL, 2, 3, 5)
         f = OPolynomial.make(P, [Octonion.make(P, cs) for cs in SPLIT_FOUND])
         (cls,) = [c for c in rmr_classes(f) if not c.central]
