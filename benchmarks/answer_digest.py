@@ -2,7 +2,7 @@
 """One sha256 over the checked answers of a perfbench workload.
 
 Usage: python3 benchmarks/answer_digest.py exact-oracle [--seed 11]
-           [--expect SHA]
+           [--expect SHA] [--list]
 
 Runs queries 1..n of the workload, where n is the count that
 ``perfbench/run.py`` checks on every run, imports ocpoly from this
@@ -12,7 +12,10 @@ Fractions as p/q, a raised exception as its type and text, numpy arrays as
 dtype, shape and bytes, and objects by their class name and fields, so two
 checkouts print the same digest only if every checked answer is the same
 to the last bit.  With ``--expect SHA`` the script exits 1 when the digest
-differs from SHA.  perfbench's modules are imported, never changed.
+differs from SHA.  With ``--list`` it first prints one line per query:
+index, kind, verdict and a short sha256 of the serialized answer, so a
+diff of two lists names the queries that moved.  perfbench's modules are
+imported, never changed.
 """
 
 import argparse
@@ -61,8 +64,9 @@ def serialize(x) -> str:
                                  for k, v in fields) + ")"
 
 
-def digest(workload: str, seed: int) -> tuple:
-    """(sha256 hex digest, number of queries) of the checked answers."""
+def digest(workload: str, seed: int, listing: bool = False) -> tuple:
+    """(sha256 hex digest, number of queries) of the checked answers; with
+    ``listing``, print each query's line of the ``--list`` output."""
     run.load_ocpoly()
     import workloads
     outdir = tempfile.mkdtemp(prefix="answer-digest-")
@@ -76,6 +80,9 @@ def digest(workload: str, seed: int) -> tuple:
             verdict = run.judge(q, answer, exc, workloads)
             body = serialize(exc if exc is not None else answer)
             h.update(f"{i} {q.kind} {verdict} {body}\n".encode())
+            if listing:
+                short = hashlib.sha256(body.encode()).hexdigest()[:16]
+                print(f"{i} {q.kind} {verdict} {short}")
         return h.hexdigest(), count
     finally:
         shutil.rmtree(outdir, ignore_errors=True)
@@ -87,8 +94,11 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--expect", metavar="SHA",
                     help="exit 1 unless the digest is SHA")
+    ap.add_argument("--list", action="store_true",
+                    help="first print index, kind, verdict and a short "
+                    "sha256 of the answer for each query")
     args = ap.parse_args(argv)
-    sha, count = digest(args.workload, args.seed)
+    sha, count = digest(args.workload, args.seed, args.list)
     print(f"{sha}  {args.workload} seed {args.seed}, {count} checked queries")
     if args.expect is not None and sha != args.expect:
         print(f"digest mismatch: expected {args.expect}", file=sys.stderr)

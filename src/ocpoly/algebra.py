@@ -272,7 +272,9 @@ class Octonion:
         return sum(d * c * c for d, c in zip(diag, self.coords))
 
     def abs(self) -> float:
-        return self.params.field.sqrt(self.norm())
+        if self.params.field.exact:  # sqrt(n(x)) leaves the rationals
+            raise ModeMismatch("abs is a real-mode operation")
+        return math.sqrt(self.norm())
 
     def inverse(self) -> "Octonion":
         n = self.norm()

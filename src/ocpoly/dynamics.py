@@ -133,7 +133,7 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
         val = f.eval(val)
         iterates.append(val)
         size = math.sqrt(float(val.norm()))
-        if size > escape_radius:
+        if not size <= escape_radius:  # an overflow to nan escapes too
             escaped = True
             break
         hit = np.flatnonzero(((seen[:k, :8] - val.coords) ** 2)

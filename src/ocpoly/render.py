@@ -47,9 +47,10 @@ class SliceSpec:
             raise InvalidInput("slice directions must be nonzero")
         if self.width < 1 or self.height < 1 or self.max_iter < 1:
             raise InvalidInput("bad raster dimensions")
-        if not 0 < self.escape_radius < math.inf:
-            raise InvalidInput(f"escape radius must be finite and positive, "
-                               f"got {self.escape_radius!r}")
+        r = self.escape_radius
+        if not (0 < r and r * r < math.inf):  # escape tests compare r^2
+            raise InvalidInput(f"escape radius must be positive with a "
+                               f"finite square, got {r!r}")
         if not math.isfinite(self.scale):
             raise InvalidInput(f"scale must be finite, got {self.scale!r}")
 
@@ -125,12 +126,11 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     for it in range(1, spec.max_iter + 1):
         prev, lam = lam, substitute(mat, lam, norm)
         norm = diag @ (lam * lam)
-        esc = drop = norm > esc2
+        keep = inside = norm <= esc2  # a norm that overflowed to nan escapes
         if it % RETIRE_EVERY == 0:
-            drop = esc | (lam == prev).all(axis=0)
-        if drop.any():
-            steps[active[esc]] = it
-            keep = ~drop
+            keep = inside & ~(lam == prev).all(axis=0)
+        if not keep.all():
+            steps[active[~inside]] = it
             active = active[keep]
             lam = lam[:, keep]
             norm = norm[keep]

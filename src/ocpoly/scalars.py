@@ -76,11 +76,6 @@ class Field:
             raise InvalidInput(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else self.coerce(frac)
 
-    def sqrt(self, a):
-        if self.exact:
-            raise InvalidInput("sqrt is a real-mode operation")
-        return math.sqrt(a)
-
     def zero(self):
         return Fraction(0) if self.exact else 0.0
 

@@ -2,11 +2,13 @@
 
 Each test covers one release criterion and prints a single PASS/FAIL line
 (visible even under pytest's output capture) so a full run doubles as a
-checklist.
+checklist.  The expected answers of the worked examples are written once,
+in the self-test table (``ocpoly.selftest``); criteria 1, 2, 7 and 8 and
+the reference block of criterion 4 assert its checks by id.
 """
 
 import contextlib
-import math
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -15,15 +17,14 @@ import numpy as np
 import pytest
 
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
-from ocpoly.dynamics import (classify_fixed, classify_pseudo_periodic,
-                             cycle_factor, detect_pseudo_period,
-                             direction_ratio, fixed_points,
+from ocpoly.cli import EXIT_SELFTEST, main
+from ocpoly.dynamics import (classify_fixed, direction_ratio,
                              verify_composition_fixed)
 from ocpoly.opoly import OPolynomial
 from ocpoly.render import SliceSpec, escape_steps
 from ocpoly.roots import (ConjClass, lmr_contains, lmr_describe_class,
-                          lmr_sample_detailed, multiple_root, reduce_linear,
-                          rmr_classes, rmr_witness, roots)
+                          lmr_sample_detailed, multiple_root, rmr_classes,
+                          rmr_witness, roots)
 from ocpoly.scalars import EXACT, REAL
 from ocpoly.selftest import run_selftest
 
@@ -56,40 +57,29 @@ def real_setup():
     return PR, one, i, j, k, l
 
 
+def assert_checks(*ids):
+    """Assert that the self-test checks of these ids pass.  An id that no
+    check has fails, so a renamed check cannot pass unread."""
+    table = {cid: (want, got, ok) for cid, want, got, ok in run_selftest()}
+    unknown = [cid for cid in ids if cid not in table]
+    assert not unknown, f"no self-test check has the id {unknown}"
+    failed = {cid: table[cid][:2] for cid in ids if not table[cid][2]}
+    assert not failed, f"failed checks, (expected, got): {failed}"
+
+
 def test_criterion_1_reference_quadratic(capsys):
     with criterion(capsys, 1, "reference quadratic, exact mode, < 1 s"):
         t0 = time.perf_counter()
-        P, one, i, j, k, l = exact_setup()
-        f = OPolynomial.make(P, [one - k, i, one])  # x^2 + ix - ij + 1
-        comp = f.companion()
-        assert comp.coeffs == (Fraction(2), Fraction(0), Fraction(3),
-                               Fraction(0), Fraction(1))
-        classes = sorted((c.T, c.N) for c in rmr_classes(f))
-        assert classes == [(0, 1), (0, 2)]
-        red = reduce_linear(f, ConjClass(Fraction(0), Fraction(1)))
-        assert red.E.isclose(i) and red.G.isclose(-k)
-        r = roots(f)
-        got = {str(lam) for lam, _ in r.isolated}
-        assert got == {"j", "-i + j"}
-        for lam, _ in r.isolated:
-            assert f.eval(lam).is_zero()  # exactly zero, Fraction arithmetic
+        assert_checks("opoly.companion", "roots.rmr_classes",
+                      "roots.reduce[0,1]", "roots.quadratic",
+                      "roots.quadratic_residuals")
         assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_2_linear_examples(capsys):
     with criterion(capsys, 2, "linear example and its scalar multiples"):
-        P, one, i, j, k, l = exact_setup()
-        f = OPolynomial.make(P, [j, i])             # ix + j, root ij = k
-        r = roots(f)
-        assert len(r.isolated) == 1 and r.isolated[0][0].coords == k.coords
-        fr = f.scale_right(l)                       # (il)x + jl, root -ij
-        rr = roots(fr)
-        assert len(rr.isolated) == 1
-        assert rr.isolated[0][0].coords == (-k).coords
-        fl = f.scale_left(l)                        # (li)x + lj, root -ij
-        rl = roots(fl)
-        assert len(rl.isolated) == 1
-        assert rl.isolated[0][0].coords == (-k).coords
+        assert_checks("roots.linear", "roots.right_multiple",
+                      "roots.left_multiple")
 
 
 def test_criterion_3_rmr_theorem(capsys):
@@ -178,18 +168,10 @@ def test_criterion_4_lmr_cross_validation(capsys):
                 total += n
         assert total >= 1000
 
-        # checkpoints on the reference class, real mode
-        PR, oner, ir, jr, kr, lr = real_setup()
-        fr = OPolynomial.from_json(f0.to_json(), REAL)
-        descr = lmr_describe_class(fr, ConjClass(0.0, 1.0))
-        for pt in (jr, -jr, lr):
-            assert lmr_contains(descr, pt)
-        # off the set: (i + j)/sqrt 2 lies in the class, where c -> (c f)(mu)
-        # is nonsingular, and 0.9 (j + l), of norm 1.62, lies off the class
-        off1 = (ir + jr) * (1 / math.sqrt(2))
-        off2 = jr * 0.9 + lr * 0.9
-        assert not lmr_contains(descr, off1)
-        assert not lmr_contains(descr, off2)
+        # checkpoints on and off the reference class's set, real mode
+        assert_checks("lmr.contains[j]", "lmr.contains[-j]",
+                      "lmr.contains[l]", "lmr.contains[(i + j)/sqrt 2]",
+                      "lmr.contains[0.9(j + l)]")
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -264,13 +246,10 @@ def test_criterion_6_composition_fixed_points(capsys):
 def test_criterion_7_fixed_point_classification(capsys):
     with criterion(capsys, 7, "growth-bound classification and empirical "
                               "direction behavior"):
+        assert_checks("dyn.M", "dyn.m", "dyn.verdict")
         PR, one, i, j, k, l = real_setup()
         f5 = OPolynomial.make(PR, [i * (-0.5) - one * 0.25, i, one])
         alpha = i * (-0.5)
-        rep = classify_fixed(f5, alpha)
-        assert rep.M == pytest.approx(1.0, abs=1e-12)
-        assert rep.m == pytest.approx(0.0, abs=1e-12)
-        assert rep.verdict == "ambivalent"
         # a strongly contracting direction exists, while the j-plane
         # realizes the unit bound
         assert direction_ratio(f5, alpha, i, 1e-4) < 1.0
@@ -293,23 +272,10 @@ def test_criterion_7_fixed_point_classification(capsys):
 
 def test_criterion_8_pseudo_periodic(capsys):
     with criterion(capsys, 8, "pseudo-periodic detection and cycle bound"):
-        PR, one, i, j, k, l = real_setup()
-        f = OPolynomial.monic_quadratic(Octonion.zero(PR), -one)  # x^2 - 1
-        zero = Octonion.zero(PR)
-        assert detect_pseudo_period(f, zero, 32) == 2
-        rep = classify_pseudo_periodic(f, zero, 2)
-        assert rep.verdict == "attracting"
-        assert rep.product == pytest.approx(0.0, abs=1e-12)
-
-        # with B = 0 the per-cycle bound collapses to the classical
-        # multiplier product, as formal values
-        rng = random.Random(1234)
-        for _ in range(50):
-            pts = [Octonion.make(PR, [rng.uniform(-1, 1) for _ in range(8)])
-                   for _ in range(rng.randint(1, 4))]
-            lhs = math.prod(math.sqrt(cycle_factor(a, zero)) for a in pts)
-            rhs = math.prod(2 * float(a.abs()) for a in pts)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
+        # the 2-cycle of x^2 - 1, and with B = 0 the per-cycle bound
+        # collapses to the classical multiplier product
+        assert_checks("dyn.cycle_period", "dyn.cycle_verdict",
+                      "dyn.cycle_product", "dyn.multiplier_B0")
 
 
 def test_criterion_9_cli_and_renderer(capsys):
@@ -332,3 +298,33 @@ def test_criterion_9_cli_and_renderer(capsys):
                  + np.sum(outside & (steps > 0)))
         total = np.sum(inside) + np.sum(outside)
         assert agree / total >= 0.99
+
+
+def test_assert_checks_refuses_an_unknown_id():
+    assert_checks("roots.quadratic")
+    with pytest.raises(AssertionError, match="no self-test check has"):
+        assert_checks("roots.quadratic", "roots.no_such_check")
+
+
+def test_planted_wrong_answers_fail_their_checks(monkeypatch, capsys):
+    """The criteria read answers that the library computes, so a wrong one
+    must turn its checks to FAIL: here roots() moves the first root of each
+    set by 1, and classify_fixed() reports the wrong verdict."""
+    def moved_roots(f):
+        r = roots(f)
+        (lam, cls), *rest = r.isolated
+        moved = (lam + Octonion.one(f.params), cls)
+        return dataclasses.replace(r, isolated=(moved, *rest))
+
+    monkeypatch.setattr("ocpoly.selftest.roots", moved_roots)
+    monkeypatch.setattr("ocpoly.selftest.classify_fixed", lambda f, a:
+                        dataclasses.replace(classify_fixed(f, a),
+                                            verdict="attracting"))
+    failed = {cid for cid, _, _, ok in run_selftest() if not ok}
+    assert failed == {"roots.quadratic", "roots.quadratic_residuals",
+                      "roots.linear", "roots.right_multiple",
+                      "roots.left_multiple", "dyn.verdict"}
+    with pytest.raises(AssertionError, match="failed checks"):
+        assert_checks("dyn.M", "dyn.verdict")
+    assert main(["selftest"]) == EXIT_SELFTEST
+    assert capsys.readouterr().out.count("FAIL") == len(failed)

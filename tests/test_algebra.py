@@ -10,9 +10,9 @@ from ocpoly.algebra import (AlgebraParams, Octonion, anisotropic,
                             conjugating_element, format_octonion,
                             parse_octonion, polar_form,
                             quat_subalgebra_containing, random_octonion)
-from ocpoly.errors import (DegenerateCommutative, InvalidInput, NotConjugate,
-                           NotInvertible, OcpolyError, ParseError,
-                           WitnessFailure)
+from ocpoly.errors import (DegenerateCommutative, InvalidInput, ModeMismatch,
+                           NotConjugate, NotInvertible, OcpolyError,
+                           ParseError, WitnessFailure)
 from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import EXACT, REAL
 
@@ -148,6 +148,11 @@ class TestInvolution:
     def test_abs_real_mode(self, PR):
         z = Octonion.make(PR, [3, 4])
         assert z.abs() == pytest.approx(5.0)
+
+    def test_abs_exact_mode_refused(self, P):
+        # it raised InvalidInput, not the error for the wrong mode
+        with pytest.raises(ModeMismatch, match="real-mode"):
+            Octonion.make(P, [3, 4]).abs()
 
 
 class TestInverse:

@@ -12,7 +12,7 @@ from ocpoly.algebra import (AlgebraParams, Octonion, format_octonion,
 from ocpoly.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, main)
 from ocpoly.opoly import OPolynomial
 from ocpoly.roots import multiple_root
-from ocpoly.scalars import EXACT, REAL, ConjClass
+from ocpoly.scalars import REAL, ConjClass
 
 
 @pytest.fixture
@@ -356,6 +356,15 @@ class TestExitCodes:
         path = tmp_path / "sq.txt"
         path.write_text("x^2\n")
         assert main([command[0], str(path), *command[1:]]) == EXIT_MATH
+        assert not (tmp_path / "img.pgm").exists()
+
+    def test_render_radius_with_infinite_square(self, tmp_path, capsys):
+        # the kernel squared 1e200 and died with an OverflowError (exit 1)
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        assert main(["render", str(path), "--escape-radius=1e200",
+                     f"--out={tmp_path / 'img.pgm'}"]) == EXIT_MATH
+        assert "finite square, got 1e+200" in capsys.readouterr().err
         assert not (tmp_path / "img.pgm").exists()
 
     # real mode: the first two died with an OverflowError (exit 1), NaN and

@@ -41,22 +41,13 @@ class TestArithmetic:
         assert (f * g).eval(c).isclose(f.eval(c) * g.eval(c))
 
     def test_scale_sides(self, P, basis):
+        # the two multiples of the self-test's ix + j differ: jl != lj
         one, i, j, k, l = basis
         f = OPolynomial.make(P, [j, i])
-        assert f.scale_right(l).coeff(1).isclose(i * l)
-        assert f.scale_left(l).coeff(1).isclose(l * i)
-        # the two differ in a nonassociative algebra's noncommutative part
         assert not f.scale_right(l).coeff(0).isclose(f.scale_left(l).coeff(0))
 
 
 class TestCompanion:
-    def test_quadratic_example(self, P, basis):
-        one, i, j, k, l = basis
-        f = OPolynomial.make(P, [one - k, i, one])
-        comp = f.companion()
-        assert comp.coeffs == (Fraction(2), Fraction(0), Fraction(3),
-                               Fraction(0), Fraction(1))
-
     def test_coeffs_central(self, rng):
         # the polar-form sums equal the real parts of the product conj(f) f
         for gammas in GAMMAS:

@@ -11,7 +11,7 @@ from ocpoly.errors import InvalidInput
 from ocpoly.opoly import OPolynomial
 import ocpoly.render
 from ocpoly.render import (SliceSpec, escape_steps, render, step_matrix,
-                           steps_to_image, substitute, write_pgm)
+                           steps_to_image, substitute)
 from ocpoly.scalars import REAL
 
 
@@ -242,17 +242,29 @@ class TestEscapeSteps:
                     escape_steps(f, spec)
 
     # radius -2 drew the radius-2 image (the radius is squared); nan left
-    # every pixel bounded, with overflow warnings
+    # every pixel bounded, with overflow warnings; 1e200 overflowed when
+    # squared
     @pytest.mark.parametrize("change,message", [
         ({"escape_radius": -2.0}, "escape radius"),
         ({"escape_radius": 0.0}, "escape radius"),
         ({"escape_radius": math.nan}, "escape radius"),
         ({"escape_radius": math.inf}, "escape radius"),
         ({"scale": math.nan}, "scale"),
-        ({"scale": math.inf}, "scale")])
+        ({"scale": math.inf}, "scale"),
+        ({"escape_radius": 1e200}, "finite square, got 1e\\+200")])
     def test_bad_radius_or_scale_refused(self, spec, change, message):
         with pytest.raises(InvalidInput, match=message):
             dataclasses.replace(spec, **change)
+
+    def test_overflow_to_nan_escapes(self, PR, basis_r):
+        # the iterates of x^2 + ix from 1e200 (1 + i) overflow to nan,
+        # which compared as bounded: every pixel came out 0
+        one, i, j, k, l = basis_r
+        f = OPolynomial.make(PR, [0, i, 1])
+        spec = SliceSpec(base=(one + i) * 1e200, dir_u=one, dir_v=i,
+                         width=2, height=2, scale=1.0, escape_radius=1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (escape_steps(f, spec) == 1).all()
 
     def test_deterministic(self, f_square, spec):
         a = escape_steps(f_square, spec)

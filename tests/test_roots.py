@@ -38,6 +38,18 @@ def quad_example(P, basis):
     return OPolynomial.make(P, [one - k, i, one])
 
 
+def real_twin(f):
+    return OPolynomial.from_json(f.to_json(), REAL)
+
+
+def assert_near_exact(real, exact):
+    """The real elements lie, in order, within 1e-9 of the exact ones."""
+    assert len(real) == len(exact)
+    for x, y in zip(exact, real):
+        assert y.coords == pytest.approx([float(c) for c in x.coords],
+                                         abs=1e-9)
+
+
 GAMMAS = ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
           (Fraction(3, 7), -5, Fraction(2, 3)))
 
@@ -56,16 +68,6 @@ def reduce_by_terms(f, T, N):
 
 
 class TestLinearReduction:
-    def test_quadratic_example(self, P, basis):
-        one, i, j, k, l = basis
-        f = quad_example(P, basis)
-        red = reduce_linear(f, ConjClass(Fraction(0), Fraction(1)))
-        assert red.E.isclose(i)
-        assert red.G.isclose(-k)
-        red2 = reduce_linear(f, ConjClass(Fraction(0), Fraction(2)))
-        assert red2.E.isclose(i)
-        assert red2.G.isclose(-k - one)
-
     def test_reduction_invariant(self, PR, rng):
         # f and the reduced linear Ex + G agree on every class member
         py_rng = random.Random(rng.randint(0, 10 ** 9))
@@ -175,18 +177,14 @@ class TestSharedReduction:
 
 
 class TestRoots:
-    def test_linear(self, P, basis):
-        one, i, j, k, l = basis
-        r = roots(OPolynomial.make(P, [j, i]))
-        assert len(r.isolated) == 1 and not r.spherical
-        assert r.isolated[0][0].isclose(k)
-
     def test_quadratic_example(self, P, basis):
-        one, i, j, k, l = basis
-        r = roots(quad_example(P, basis))
-        got = sorted(str(lam) for lam, _ in r.isolated)
-        assert got == ["-i + j", "j"]
-        assert not r.spherical
+        # real mode finds the exact roots of the self-test's quadratic
+        f = quad_example(P, basis)
+        exact, real = roots(f), roots(real_twin(f))
+        assert not real.spherical
+        assert_near_exact(*(sorted((lam for lam, _ in r.isolated),
+                                   key=lambda lam: lam.coords)
+                            for r in (real, exact)))
 
     def test_spherical(self, P, basis):
         one, i, j, k, l = basis
@@ -234,9 +232,12 @@ class TestRoots:
 
 class TestRMR:
     def test_classes(self, P, basis):
+        # real mode finds the exact classes of the self-test's quadratic
         f = quad_example(P, basis)
-        cls = sorted((c.T, c.N) for c in rmr_classes(f))
-        assert cls == [(0, 1), (0, 2)]
+        exact, real = ([(c.central, float(c.T), float(c.N)) for c in
+                        sorted(rmr_classes(g), key=lambda c: (c.T, c.N))]
+                       for g in (f, real_twin(f)))
+        assert real == [pytest.approx(c, abs=1e-9) for c in exact]
 
     def test_contains_conjugates_of_roots(self, P, basis):
         one, i, j, k, l = basis
@@ -458,13 +459,13 @@ class TestRMR:
 
 class TestLMR:
     def test_describe_quadratic_example(self, P, basis):
-        one, i, j, k, l = basis
+        # real mode describes the self-test's class [j] as exact mode does
         f = quad_example(P, basis)
-        desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
-        assert desc.kind == "parametrized"
-        assert desc.e_inv_g.isclose(-j)
-        assert desc.g_e_inv.isclose(j)
-        assert desc.comm.norm() == 4
+        exact = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
+        real = lmr_describe_class(real_twin(f), ConjClass(0.0, 1.0))
+        assert real.kind == exact.kind
+        assert_near_exact([real.e_inv_g, real.g_e_inv, real.comm],
+                          [exact.e_inv_g, exact.g_e_inv, exact.comm])
 
     def test_single_point_class(self, P, basis):
         one, i, j, k, l = basis
@@ -482,18 +483,13 @@ class TestLMR:
             assert f.scale_left(c).eval(mu).is_zero()
 
     def test_contains_checkpoints(self, PR, basis_r):
+        # beside the self-test's points: -l and a mid-sphere point with the
+        # right ell-part size are members, and 2j, of another class, is not
         one, i, j, k, l = basis_r
-        f = quad_example(PR, basis_r)
-        desc = lmr_describe_class(f, ConjClass(0.0, 1.0))
-        for pt in (j, -j, l, -l):
-            assert lmr_contains(desc, pt)
-        # mid-sphere points with the right ell-part size are members too
-        mid = (j + l) * (1 / float((j + l).abs()))
-        assert lmr_contains(desc, mid)
-        # same class, but with an i-component the parametrization never hits
-        off = (i + j) * (1 / float((i + j).abs()))
-        assert not lmr_contains(desc, off)
-        # wrong class entirely
+        desc = lmr_describe_class(quad_example(PR, basis_r),
+                                  ConjClass(0.0, 1.0))
+        assert lmr_contains(desc, -l)
+        assert lmr_contains(desc, (j + l) * (1 / float((j + l).abs())))
         assert not lmr_contains(desc, 2 * j)
 
     def test_samples_pass_contains(self, P, basis):
