@@ -14,7 +14,6 @@ per algebra, and every product runs it written out as straight-line code.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -23,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateCommutative, InvalidInput, ModeMismatch,
-                     NotConjugate, NotInvertible, ParseError, WitnessFailure)
+from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInvertible,
+                     ParseError, WitnessFailure)
 from .scalars import REAL, ConjClass, Field
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
@@ -579,70 +578,6 @@ def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
         raise WitnessFailure("conjugation residual too large: "
                              + resid.misfit(f.witness_tol, scale))
     return delta
-
-
-# ---------------------------------------------------------------------------
-# Quaternion subalgebra containing two given elements
-
-@dataclass(frozen=True)
-class QuatSubalgebra:
-    """A quaternion subalgebra Q = span(1, u, v, uv) plus a doubling unit
-    ell orthogonal to Q, so that the ambient algebra is Q + Q*ell with
-    ell^2 = gamma_eff."""
-
-    basis: tuple  # (1, u, v, uv)
-    ell: Octonion
-    gamma_eff: object
-
-    def contains(self, x: Octonion) -> bool:
-        """x less its orthogonal projection on Q is negligible at span_tol."""
-        rest = x - combination([polar_form(x, e) / polar_form(e, e)
-                                for e in self.basis], self.basis)
-        return rest.negligible(x.params.field.span_tol)
-
-
-def _anisotropic_part(cands, span: list, what: str,
-                      required: int = 0) -> Octonion:
-    """The first candidate x whose part orthogonal to span, one combination
-    per candidate reached, is anisotropic relative to the size of x, as a
-    unit.  That part of one of the first ``required`` candidates is refused
-    when neither negligible nor anisotropic."""
-    norms = [polar_form(e, e) for e in span]  # n(e) twice, once per call
-    for n, x in enumerate(cands):
-        d = combination([1] + [-polar_form(x, e) / ee
-                               for e, ee in zip(span, norms)], [x, *span])
-        tol, size = x.params.field.witness_tol, math.sqrt(x.size2())
-        if anisotropic(d, tol, size):  # exact mode: sqrt leaves the field
-            return d if d.params.field.exact else d / math.sqrt(abs(d.norm()))
-        if n < required and not d.negligible(tol, size):
-            raise WitnessFailure(f"{what}: isotropic part of im E or im G, "
-                                 f"|n| {abs(float(d.norm())):.3e} at size "
-                                 f"{math.sqrt(d.size2()):.3e}")
-    raise WitnessFailure(f"no anisotropic {what} found")
-
-
-def quat_subalgebra_containing(E: Octonion, G: Octonion) -> QuatSubalgebra:
-    """A quaternion subalgebra Q containing E and G, with a doubling unit.
-
-    u comes from im E (or im G), v from the rest of im G (or im E), ell from
-    the basis; each is the first candidate that is anisotropic once made
-    orthogonal to what came before.  A rest of im G or im E that is
-    neither negligible nor anisotropic raises WitnessFailure: no quaternion
-    subalgebra holds E and G then.  In real mode u, v and ell have
-    |n| = 1; in exact mode vectors are kept unnormalized (square roots
-    leave Q) and gamma_eff records ell^2 = -n(ell) (ell is orthogonal to 1).
-    """
-    E._check(G)
-    params = E.params
-    ims = (E.im(), G.im())
-    if ims[0].is_zero() and ims[1].is_zero():
-        raise DegenerateCommutative("both elements are central")
-    u = _anisotropic_part(ims, [], "direction in im E, im G")
-    v = _anisotropic_part(itertools.chain(ims[::-1], _units(params)), [u],
-                          "complement to u", required=2)
-    span = [Octonion.one(params), u, v, u * v]
-    ell = _anisotropic_part(_units(params), span, "doubling unit")
-    return QuatSubalgebra(basis=tuple(span), ell=ell, gamma_eff=-ell.norm())
 
 
 def random_octonion(params: AlgebraParams, rng, span: int = 4) -> Octonion:

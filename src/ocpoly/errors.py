@@ -35,10 +35,6 @@ class WitnessFailure(OcpolyError):
     division algebra, so this signals a genuine bug or an isotropic algebra."""
 
 
-class DegenerateCommutative(OcpolyError):
-    """Both generators are central; no quaternion subalgebra is determined."""
-
-
 class NotInRMR(OcpolyError):
     """No scalar multiple of f has a root in the class (E = 0 != G, f(r) != 0
     at a central r, -E^-1 G outside it), or a witness failed its check."""

@@ -231,7 +231,8 @@ _POLY_TERM_RE = re.compile(
 
 def parse_opolynomial(text: str, params: AlgebraParams) -> OPolynomial:
     """Parse "(1)x^2 + (i)x + (j - k)"; bare single-token coefficients like
-    "2x^2 + ix - 1/2" are also accepted."""
+    "2x^2 + ix - 1/2" are also accepted.  Every term after the first
+    carries a sign, so a coefficient with a space is parenthesized."""
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial")
@@ -244,6 +245,8 @@ def parse_opolynomial(text: str, params: AlgebraParams) -> OPolynomial:
         if m.group("paren") is None and m.group("bare") is None \
                 and m.group("x") is None:
             raise ParseError(f"bad polynomial syntax at column {pos}: {text!r}")
+        if m.group("sign") is None and pos > 0:
+            raise ParseError(f"missing +/- at column {pos}: {text!r}")
         if m.group("paren") is not None:
             c = parse_octonion(m.group("paren"), params)
         elif m.group("bare") is not None:

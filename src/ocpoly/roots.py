@@ -6,8 +6,10 @@ E*lam + G = 0: the class holds the one root -E^{-1} G if that lies in it,
 all its members if E = G = 0, and none if E = 0, G != 0.  roots() applies
 this to every companion class.  mu is a root of some f(x)c exactly when
 its own class holds a root, so an RMR query reduces f on that class alone.
-An LMR query asks whether c -> (c f)(mu) = (c E) mu + c G is singular
-there; both judge by one backward-error rule, against sum_t |a_t| |mu|^t.
+The one root of c f in a class is -(c E)^-1 (c G), which LMR sampling
+draws c by c; an LMR query asks whether c -> (c f)(mu) = (c E) mu + c G
+is singular there.  RMR and LMR queries judge by one backward-error rule,
+against sum_t |a_t| |mu|^t.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Octonion, QuatSubalgebra, anisotropic, combination,
-                      conjugating_element, quat_subalgebra_containing)
+from .algebra import Octonion, anisotropic, combination, conjugating_element
 from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInRMR,
                      WholeClass)
 from .opoly import OPolynomial
@@ -124,11 +125,20 @@ class RootSet:
         }
 
 
+def _in_class(cls: ConjClass, lam: Octonion) -> Octonion:
+    """lam if it lies in cls at class_tol; else NotInRMR stating the gap."""
+    tol = lam.params.field.class_tol
+    gap = cls.gap(lam)
+    if gap > tol:
+        raise NotInRMR("candidate -E^-1 G is off its class: residual "
+                       f"{float(gap):.3e} > threshold {float(tol):.3e}")
+    return lam
+
+
 def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
     """The rule of roots() on one companion class: (field, entry), the
     RootSet field and what joins it.  E, G and a candidate's class are
     judged at class_tol, f(lam) at residual_tol."""
-    fld = f.params.field
     if cls.central:
         lam = Octonion.scalar(f.params, cls.r)
     else:
@@ -136,14 +146,9 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
         try:
             if _whole_class(f, red):
                 return "spherical", cls
+            lam = _in_class(cls, -(red.Einv * red.G))
         except NotInRMR as exc:
             return "anomalies", (cls, str(exc))
-        lam = -(red.Einv * red.G)
-        gap = cls.gap(lam)
-        if gap > fld.class_tol:
-            return "anomalies", (cls, "candidate -E^-1 G is off its class: "
-                                 f"residual {float(gap):.3e} > threshold "
-                                 f"{float(fld.class_tol):.3e}")
         # its own class, which its conjugates match at class_tol
         cls = ConjClass(lam.trace(), lam.norm(),
                         multiplicity=cls.multiplicity)
@@ -208,16 +213,18 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
 def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
                   side: str) -> Octonion:
     """The root, inside the given class, of f(x)*c (side='right') or of
-    c*f(x) (side='left'); bracketing follows the reduction identities."""
+    c*f(x) (side='left'); bracketing follows the reduction identities.
+    It has the trace and norm of -E^-1 G, so a class holding no root
+    raises NotInRMR stating the gap."""
     red = _reduction(f, cls)
     if _whole_class(f, red):
         raise WholeClass("E = 0: the whole class consists of roots")
     Einv = red.Einv
     cinv = c.inverse()
     if side == "right":
-        return -((cinv * Einv) * (red.G * c))
+        return _in_class(cls, -((cinv * Einv) * (red.G * c)))
     if side == "left":
-        return -((Einv * cinv) * (c * red.G))
+        return _in_class(cls, -((Einv * cinv) * (c * red.G)))
     raise InvalidInput("side must be 'left' or 'right'")
 
 
@@ -230,7 +237,6 @@ class LMRClassDescription:
     cls: ConjClass
     kind: str  # "whole-class" | "single-point" | "parametrized"
     point: Octonion | None = None
-    Q: QuatSubalgebra | None = None
     e_inv_g: Octonion | None = None
     g_e_inv: Octonion | None = None
     comm: Octonion | None = None  # [conj(G), E^-1]
@@ -263,7 +269,8 @@ def lmr_whole_class(f: OPolynomial, cls: ConjClass) -> bool:
 
 def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
     """LMR description of one conjugacy class, after the refusals of
-    lmr_whole_class: a central class {r} is its point r."""
+    lmr_whole_class: a central class {r} is its point r.  A class that
+    does not hold -E^-1 G holds no root of any c f: NotInRMR."""
     if lmr_whole_class(f, cls):
         return LMRClassDescription(f, cls, "whole-class")
     if cls.central:
@@ -271,11 +278,11 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
                                    point=Octonion.scalar(f.params, cls.r))
     red = _reduction(f, cls)
     e_inv_g, g_e_inv = red.Einv * red.G, red.G * red.Einv
+    _in_class(cls, -e_inv_g)
     comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
     if comm.negligible(f.params.field.class_tol, f.coeff_scale):
         return LMRClassDescription(f, cls, "single-point", point=-e_inv_g)
-    Q = quat_subalgebra_containing(red.E, red.G)
-    return LMRClassDescription(f, cls, "parametrized", Q=Q, e_inv_g=e_inv_g,
+    return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
                                g_e_inv=g_e_inv, comm=comm)
 
 
@@ -283,43 +290,26 @@ def lmr_describe(f: OPolynomial) -> list:
     return [lmr_describe_class(f, cls) for cls in rmr_classes(f)]
 
 
-def _draw_q_pair(desc: LMRClassDescription, rng):
-    """Random (a, b, c) with a, b in Q and c = a + b*ell anisotropic."""
-    fld = desc.f.params.field
-    while True:
-        cs = [rng.randint(-4, 4) if fld.exact else rng.uniform(-2, 2)
-              for _ in range(8)]
-        a = combination(cs[:4], desc.Q.basis)
-        b = combination(cs[4:], desc.Q.basis)
-        c = a + b * desc.Q.ell
-        if anisotropic(c, fld.witness_tol, 0):  # n(c) divides in lmr_point
-            return a, b, c
-
-
-def lmr_point(desc: LMRClassDescription, a: Octonion, b: Octonion,
-              c: Octonion | None = None) -> Octonion:
-    """The LMR point generated by c = a + b*ell (given or formed), a, b in Q:
-
-    -1/norm(c) * (norm(a) E^-1 G - gamma norm(b) G E^-1
-                  + (b [conj(G), E^-1] conj(a)) ell).
-    """
-    if desc.kind != "parametrized":
-        raise InvalidInput("point formula needs a parametrized class")
-    Q = desc.Q
-    n = (a + b * Q.ell if c is None else c).norm()
-    return combination([-a.norm() / n, Q.gamma_eff * b.norm() / n, -1 / n],
-                       [desc.e_inv_g, desc.g_e_inv,
-                        (b * (desc.comm * a.conj())) * Q.ell])
-
-
 def lmr_sample_detailed(desc: LMRClassDescription, count: int,
                         seed: int = 0) -> list:
-    """count tuples (a, b, c, point) drawn with a seeded RNG."""
+    """count tuples (a, b, c, point) of a parametrized description: c from
+    8 seeded coordinates, kept when anisotropic at 1/8 (real mode |n(c)| >
+    size2(c) / 8, exact n(c) != 0: every c != 0 on a definite algebra), a
+    and b its quaternion halves, c = a + b*l, and point the root
+    -(c E)^-1 (c G) of c*f in the class."""
+    if desc.kind != "parametrized":
+        raise InvalidInput("sampling by multipliers needs a parametrized "
+                           f"class, got {desc.kind}")
+    P = desc.f.params
     rng = random.Random(seed)
     out = []
-    for _ in range(count):
-        a, b, c = _draw_q_pair(desc, rng)
-        out.append((a, b, c, lmr_point(desc, a, b, c)))
+    while len(out) < count:
+        cs = [rng.randint(-4, 4) if P.field.exact else rng.uniform(-2, 2)
+              for _ in range(8)]
+        c = Octonion.make(P, cs)
+        if anisotropic(c, 1 / 8, 0):
+            out.append((Octonion.make(P, cs[:4]), Octonion.make(P, cs[4:]),
+                        c, multiple_root(desc.f, desc.cls, c, "left")))
     return out
 
 

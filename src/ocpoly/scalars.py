@@ -39,8 +39,7 @@ class Field:
     class_tol = _threshold(1e-6)        # E, G, class membership
     fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
-    witness_tol = _threshold(1e-7)      # conjugation, RMR witness, LMR point
-    span_tol = _threshold(1e-4)         # distance from a quaternion algebra
+    witness_tol = _threshold(1e-7)      # conjugation, witnesses, lmr_singular
 
     def __post_init__(self):
         if not 0 < self.eps < 1:  # false for nan and inf as well

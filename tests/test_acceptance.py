@@ -23,10 +23,12 @@ from ocpoly.dynamics import (classify_fixed, direction_ratio,
 from ocpoly.opoly import OPolynomial
 from ocpoly.render import SliceSpec, escape_steps
 from ocpoly.roots import (ConjClass, lmr_contains, lmr_describe_class,
-                          lmr_sample_detailed, multiple_root, rmr_classes,
+                          lmr_sample_detailed, reduce_linear, rmr_classes,
                           rmr_witness, roots)
 from ocpoly.scalars import EXACT, REAL
 from ocpoly.selftest import run_selftest
+
+from doubling import lmr_closed_form
 
 
 @contextlib.contextmanager
@@ -128,19 +130,24 @@ def test_criterion_4_lmr_cross_validation(capsys):
         P, one, i, j, k, l = exact_setup()
         rng = random.Random(7)
 
-        def check_samples(f, cls, count, seed):
+        def check_samples(f, cls, count, seed, closed_form=False):
+            """Every sample point lies in cls, is a root of its c f and a
+            member by real-mode lmr_contains; on a class whose E and G
+            are quaternions it is the paper's closed form in c = a + b*l."""
             desc = lmr_describe_class(f, cls)
             if desc.kind != "parametrized":
                 return 0
+            red = reduce_linear(f, cls)
             fr = OPolynomial.from_json(f.to_json(), REAL)
             descr = lmr_describe_class(
                 fr, ConjClass(float(cls.T), float(cls.N)))
             PR = fr.params
             n = 0
             for a, b, c, pt in lmr_sample_detailed(desc, count, seed=seed):
-                mr = multiple_root(f, cls, c, "left")
-                assert mr.coords == pt.coords  # exact agreement
+                assert (pt.trace(), pt.norm()) == (cls.T, cls.N)
                 assert f.scale_left(c).eval(pt).is_zero()
+                if closed_form:
+                    assert pt == lmr_closed_form(red.E, red.G, a, b)
                 ptr = Octonion.make(PR, [float(v) for v in pt.coords])
                 assert lmr_contains(descr, ptr)
                 n += 1
@@ -148,7 +155,7 @@ def test_criterion_4_lmr_cross_validation(capsys):
 
         f0 = OPolynomial.make(P, [one - k, i, one])
         cls0 = ConjClass(Fraction(0), Fraction(1))
-        total = check_samples(f0, cls0, 200, seed=1)
+        total = check_samples(f0, cls0, 200, seed=1, closed_form=True)
 
         # quadratics built from rational linear factors, so the class data
         # of the right root is known without factoring anything

@@ -5,14 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import ocpoly.algebra
 from ocpoly.algebra import (AlgebraParams, Octonion, anisotropic,
                             conjugating_element, format_octonion,
-                            parse_octonion, polar_form,
-                            quat_subalgebra_containing, random_octonion)
-from ocpoly.errors import (DegenerateCommutative, InvalidInput, ModeMismatch,
-                           NotConjugate, NotInvertible, OcpolyError,
-                           ParseError, WitnessFailure)
+                            parse_octonion, random_octonion)
+from ocpoly.errors import (InvalidInput, ModeMismatch, NotConjugate,
+                           NotInvertible, OcpolyError, ParseError)
 from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import EXACT, REAL
 
@@ -470,90 +467,6 @@ class TestZeroAndCloseness:
         assert anisotropic(near, tol, 1) == field.exact
         # negligible against the size given, though not isotropic
         assert anisotropic(i, tol, 1e8) == field.exact
-
-
-class TestQuatSubalgebra:
-    def check_closed(self, Q):
-        for a in Q.basis:
-            for b in Q.basis:
-                assert Q.contains(a * b)
-
-    def test_standard_copy(self, P, basis):
-        one, i, j, k, l = basis
-        Q = quat_subalgebra_containing(i, -k)
-        self.check_closed(Q)
-        assert Q.contains(i) and Q.contains(-k)
-        for e in (one, i, j, k):
-            assert Q.contains(e)
-        assert abs(polar_form(Q.ell, i)) == 0
-
-    def test_dependent_generators(self, P, basis):
-        one, i, j, k, l = basis
-        Q = quat_subalgebra_containing(one + i, i)
-        self.check_closed(Q)
-        assert Q.contains(one + i)
-
-    def test_ell_plane(self, P, basis):
-        one, i, j, k, l = basis
-        il = Octonion.basis(P, 5)
-        Q = quat_subalgebra_containing(l, il)
-        self.check_closed(Q)
-        assert Q.contains(l) and Q.contains(il)
-
-    def test_orthogonality_of_ell(self, P, rng):
-        for _ in range(10):
-            E, G = random_octonion(P, rng), random_octonion(P, rng)
-            if E.is_central() and G.is_central():
-                continue
-            Q = quat_subalgebra_containing(E, G)
-            self.check_closed(Q)
-            assert Q.contains(E) and Q.contains(G)
-            for e in Q.basis:
-                assert polar_form(Q.ell, e) == 0
-            assert (Q.ell * Q.ell).isclose(
-                Octonion.scalar(P, Q.gamma_eff))
-
-    def test_norms_of_the_span_once_per_call(self, P, basis, monkeypatch):
-        """E = i, G = -k, the reference quadratic x^2 + ix - ij + 1 reduced
-        on the class (0, 1).  u = i takes no polar form; v = -k, the first
-        candidate, one step against u plus n(u); ell = l, the 4th unit
-        tried, 4 steps each against the span (1, u, v, uv) plus 4 norms."""
-        one, i, j, k, l = basis
-        calls, true_polar = [], ocpoly.algebra.polar_form
-
-        def counted(x, y):
-            calls.append((x, y))
-            return true_polar(x, y)
-
-        monkeypatch.setattr(ocpoly.algebra, "polar_form", counted)
-        Q = quat_subalgebra_containing(i, -k)
-        assert Q.ell == l
-        assert len(calls) == (1 + 1) + (16 + 4)
-
-    def test_degenerate(self, P):
-        with pytest.raises(DegenerateCommutative):
-            quat_subalgebra_containing(Octonion.one(P),
-                                       Octonion.scalar(P, 3))
-
-    def test_isotropic_argument_refused(self):
-        """Over (2, 3, 5), G = sqrt(10/3) j + il is orthogonal to E = i and
-        isotropic: E and G generate an algebra with a degenerate norm form,
-        which no quaternion subalgebra holds.  The refusal states |n| and
-        the size of the part."""
-        P = AlgebraParams(REAL, 2, 3, 5)
-        E = Octonion.basis(P, 1)
-        G = Octonion.make(P, [0, 0, math.sqrt(10 / 3), 0, 0, 1])
-        assert abs(G.norm()) < 1e-12 and polar_form(E, G) == 0
-        with pytest.raises(WitnessFailure, match=r"isotropic part of im E or "
-                           r"im G, \|n\| \S+ at size 4\.472e\+00"):
-            quat_subalgebra_containing(E, G)
-
-    def test_real_mode_normalized(self, PR, basis_r):
-        one, i, j, k, l = basis_r
-        Q = quat_subalgebra_containing(i + j, j)
-        for e in Q.basis[1:]:
-            assert float(e.norm()) == pytest.approx(1.0)
-        assert float(Q.ell.norm()) == pytest.approx(1.0)
 
 
 class TestTextFormat:

@@ -127,12 +127,12 @@ class TestSubcommands:
     def test_lmr_contains_builds_no_description(self, monkeypatch,
                                                 tmp_path, capsys):
         """lmr --contains runs only the refusals of mu's class (a central
-        class whose f(r) fails, or E = 0 with G != 0), never the quaternion
-        subalgebra of a description."""
-        def refuse(E, G):
-            raise AssertionError("quat_subalgebra_containing called")
+        class whose f(r) fails, or E = 0 with G != 0), never a
+        description."""
+        def refuse(f, cls):
+            raise AssertionError("lmr_describe_class called")
 
-        monkeypatch.setattr(roots_mod, "quat_subalgebra_containing", refuse)
+        monkeypatch.setattr(roots_mod, "lmr_describe_class", refuse)
         for poly, element, inside in (
                 ("x^2 + ix - ij + 1", "j", True),
                 ("x^2 + ix - ij + 1", "i", False),
@@ -317,6 +317,13 @@ class TestExitCodes:
         path.write_text("x^^2\n")
         assert main(["roots", str(path)]) == EXIT_PARSE
 
+    def test_term_without_sign(self, tmp_path, capsys):
+        """x^2 + ix - 1/2 i - 1/4 was read with the constant -3/4 + i."""
+        path = tmp_path / "f.txt"
+        path.write_text("x^2 + ix - 1/2 i - 1/4\n")
+        assert main(["roots", str(path)]) == EXIT_PARSE
+        assert "missing +/- at column 15" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["roots", str(tmp_path / "nope.txt")]) == EXIT_PARSE
 
@@ -352,7 +359,8 @@ class TestExitCodes:
         ["render", "--escape-radius=-2", "--out=img.pgm"],
         ["render", "--escape-radius=nan", "--out=img.pgm"],
         ["render", "--scale=nan", "--out=img.pgm"]])
-    def test_bad_radius_or_scale(self, tmp_path, command):
+    def test_bad_radius_or_scale(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # where --out=img.pgm would be written
         path = tmp_path / "sq.txt"
         path.write_text("x^2\n")
         assert main([command[0], str(path), *command[1:]]) == EXIT_MATH

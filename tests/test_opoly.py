@@ -190,3 +190,19 @@ class TestSerialization:
             parse_opolynomial("", P)
         with pytest.raises(ParseError):
             parse_opolynomial("x^^2", P)
+
+    # each was misread: x + (2 + i), the constant -3/4 + i, x + i and 2x
+    @pytest.mark.parametrize("text,column", [
+        ("x + 2 i", 6), ("x^2 + ix - 1/2 i - 1/4", 15), ("x i", 2),
+        ("x x", 2)])
+    def test_term_without_sign_refused(self, P, text, column):
+        with pytest.raises(ParseError,
+                           match=f"missing \\+/- at column {column}: "):
+            parse_opolynomial(text, P)
+
+    def test_spaced_coefficient_in_parentheses(self, P, basis):
+        one, i, j, k, l = basis
+        f = parse_opolynomial("x^2 + ix + (-1/2 i - 1/4)", P)
+        assert f.coeffs == (-i / 2 - one / 4, i, one)
+        f = parse_opolynomial("2x^2 + ix - 1/2", P)
+        assert f.coeffs == (-one / 2, i, 2 * one)

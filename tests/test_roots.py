@@ -18,13 +18,12 @@ from ocpoly.errors import (InvalidInput, ModeMismatch, NotInRMR,
                            UnsupportedDegree, WholeClass, WitnessFailure)
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (ConjClass, class_member, lmr_contains,
-                          lmr_describe, lmr_describe_class, lmr_point,
-                          lmr_sample, lmr_sample_detailed, multiple_root,
-                          reduce_linear, rmr_classes, rmr_contains,
-                          rmr_witness, roots)
+                          lmr_describe, lmr_describe_class, lmr_sample,
+                          lmr_sample_detailed, multiple_root, reduce_linear,
+                          rmr_classes, rmr_contains, rmr_witness, roots)
 from ocpoly.scalars import EXACT, REAL
 
-from doubling import cd_conj, cd_mul
+from doubling import cd_conj, cd_mul, lmr_closed_form
 
 
 def test_import_binds_the_module():
@@ -540,48 +539,69 @@ class TestLMR:
         with pytest.raises(NotInRMR, match=misfit):
             multiple_root(f, cls, j, "left")
 
-    def test_point_formula_endpoints(self, P, basis):
+    def test_closed_form_endpoints(self, P, basis):
+        """On the reference class, c = 1 gives the right root -E^-1 G and
+        c = l gives -G E^-1."""
         one, i, j, k, l = basis
         f = quad_example(P, basis)
-        desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
-        # a = 1, b = 0 recovers the right root -E^{-1}G
-        pt = lmr_point(desc, Octonion.one(P), Octonion.zero(P))
-        assert pt.isclose(desc.e_inv_g * -1)
-        # a = 0, b = 1 recovers -gamma-scaled left end -GE^{-1}
-        pt = lmr_point(desc, Octonion.zero(P), Octonion.one(P))
-        assert pt.isclose(desc.g_e_inv * -1)
+        cls = ConjClass(Fraction(0), Fraction(1))
+        desc = lmr_describe_class(f, cls)
+        assert multiple_root(f, cls, one, "left") == -desc.e_inv_g
+        assert multiple_root(f, cls, l, "left") == -desc.g_e_inv
 
     @pytest.mark.parametrize("gammas", [(-1, -1, -1), (-1, -2, -3)])
-    def test_shortcuts_are_exact(self, gammas):
-        """On exact classes, comm = E^-1 G - G E^-1 is [conj G, E^-1] (Re G
-        is central), gamma_eff = -n(ell) is ell^2 (ell is orthogonal to 1),
-        and lmr_point's one combination is the paper's formula term by
-        term, all as equal Fractions."""
+    def test_closed_form_is_exact(self, gammas):
+        """(x - mu)(x - lam) with lam, mu quaternions: E and G lie in H, so
+        the paper's closed form in c = a + b*l (Q = H, ell = l) is a
+        reference, and every sample point equals it as Fractions.  comm
+        = E^-1 G - G E^-1 is [conj G, E^-1], as Re G is central."""
         P = AlgebraParams(EXACT, *gammas)
-        rng = random.Random(f"lmr-shortcuts-{gammas}")
+        rng = random.Random(f"lmr-closed-form-{gammas}")
+
+        def quaternion():
+            return Octonion.make(P, [rng.randint(-3, 3) for _ in range(4)])
         described = 0
         while described < 12:
-            f = OPolynomial.make(P, [random_octonion(P, rng, span=3)
-                                     for _ in range(3)])
-            lam = random_octonion(P, rng, span=3)
-            if lam.is_central() or f.degree < 1:
+            lam, mu = quaternion(), quaternion()
+            f = (OPolynomial.make(P, [-mu, 1])
+                 * OPolynomial.make(P, [-lam, 1]))
+            if lam.is_central():
                 continue
             desc = lmr_describe_class(f, ConjClass(lam.trace(), lam.norm()))
             if desc.kind != "parametrized":
                 continue
             described += 1
             red = reduce_linear(f, desc.cls)
-            Einv, Q = red.E.inverse(), desc.Q
-            assert desc.comm == red.G.conj().commutator(Einv)
-            assert Q.gamma_eff == (Q.ell * Q.ell).re()
-            assert Q.ell * Q.ell == Octonion.scalar(P, Q.gamma_eff)
-            for a, b, c, mu in lmr_sample_detailed(desc, 3, seed=described):
-                core = (desc.e_inv_g * a.norm()
-                        - desc.g_e_inv * (Q.gamma_eff * b.norm())
-                        + (b * (red.G.conj().commutator(Einv) * a.conj()))
-                        * Q.ell)
-                assert mu == -(core / c.norm())
-                assert lmr_point(desc, a, b) == mu
+            assert desc.comm == red.G.conj().commutator(red.E.inverse())
+            for a, b, c, pt in lmr_sample_detailed(desc, 5, seed=described):
+                assert c == a + b * Octonion.basis(P, 4)
+                assert pt == lmr_closed_form(red.E, red.G, a, b)
+
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (-1, -2, -3)])
+    def test_class_without_a_root_refused(self, gammas):
+        """The class of a random lam holds no root of a random quadratic
+        f: lmr_describe_class and multiple_root refuse it, stating the
+        gap of -E^-1 G from the class; a description there would sample
+        points that are no roots of their c f."""
+        P = AlgebraParams(EXACT, *gammas)
+        rng = random.Random(f"lmr-no-root-{gammas}")
+        refused = 0
+        while refused < 10:
+            f = OPolynomial.make(P, [random_octonion(P, rng, span=3)
+                                     for _ in range(2)] + [1])
+            lam = random_octonion(P, rng, span=3)
+            cls = ConjClass(lam.trace(), lam.norm())
+            red = reduce_linear(f, cls)
+            if lam.is_central() or red.E.is_zero() \
+                    or cls.matches(-(red.E.inverse() * red.G)):
+                continue
+            refused += 1
+            off = (r"candidate -E\^-1 G is off its class: residual \S+ > "
+                   r"threshold 0\.000e\+00")
+            with pytest.raises(NotInRMR, match=off):
+                lmr_describe_class(f, cls)
+            with pytest.raises(NotInRMR, match=off):
+                multiple_root(f, cls, Octonion.basis(P, 4), "left")
 
 
 class TestLMROnSplitAlgebras:
@@ -600,9 +620,11 @@ class TestLMROnSplitAlgebras:
     def test_sample_points_are_roots(self):
         """100 monic quadratics over each of three split algebras
         (random.Random(3), span 3): every non-central companion class is
-        parametrized, and every sample point is a root of its c f, with
-        backward error at most witness_tol.  Directions of negative norm
-        are scaled by sqrt|n|."""
+        parametrized, and every sample point lies in its class at
+        class_tol and is a root of its c f, with backward error at most
+        witness_tol.  A multiplier c with |n(c)| <= size2(c) / 8 is
+        redrawn: kept down to 1e-7 size2(c), one gave a point 1.2e-6 off
+        its class over (-1, 1, -1)."""
         classes = points = 0
         for gammas in ((2, 3, 5), (-2, 3, -0.5), (-1, 1, -1)):
             P = AlgebraParams(REAL, *gammas)
@@ -616,21 +638,22 @@ class TestLMROnSplitAlgebras:
                     desc = lmr_describe_class(f, cls)
                     assert desc.kind == "parametrized"
                     classes += 1
-                    for _, _, c, mu in lmr_sample_detailed(desc, 5):
+                    for _, _, c, mu in lmr_sample_detailed(desc, 20):
+                        assert cls.gap(mu) <= REAL.class_tol
                         assert self.backward_error(f, c, mu) \
                             <= REAL.witness_tol
                         points += 1
-        assert classes >= 250 and points == 5 * classes
+        assert classes >= 250 and points == 20 * classes
 
     def test_isotropic_constant_refused(self):
         """f = i x + G with G = sqrt(10/3) j + il isotropic and orthogonal
-        to i: on the class (0, 1), E = i and G, which no quaternion
-        subalgebra holds together."""
+        to i: its companion is x^2, so the class (0, 1) holds no root of
+        any c f, and -E^-1 G lies off it."""
         P = AlgebraParams(REAL, 2, 3, 5)
         G = Octonion.make(P, [0, 0, math.sqrt(10 / 3), 0, 0, 1])
         f = OPolynomial.make(P, [G, Octonion.basis(P, 1)])
-        with pytest.raises(WitnessFailure, match=r"isotropic part of im E or "
-                           r"im G, \|n\| \S+ at size 4\.472e\+00"):
+        with pytest.raises(NotInRMR, match=r"off its class: residual 1\.000e"
+                           r"\+00 > threshold 1\.000e-06"):
             lmr_describe_class(f, ConjClass(0.0, 1.0))
 
     def test_contains_refused(self):
@@ -681,6 +704,8 @@ class TestLMRKinds:
                                    "point": d.point.to_json(),
                                    "class": d.cls.to_json(field)}
             assert lmr_sample(d, 3) == [d.point] * 3
+            with pytest.raises(InvalidInput, match="single-point"):
+                lmr_sample_detailed(d, 1)
 
     @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
     def test_central_class(self, field):
@@ -821,16 +846,18 @@ class TestLMRMembership:
 
 class TestSmallNonzeroE:
     """E = T = 1e-5 for x^2 + 1 on the class (1e-5, 1): nonzero at
-    class_tol, so the class has one point, and E must be invertible."""
+    class_tol, so E is inverted, but -E^-1 G = 0 is off the class, which
+    holds no root of any c f: (j f)(0) = j."""
+
+    OFF = r"off its class: residual 1\.000e\+00 > threshold 1\.000e-06"
 
     def test_multiple_root(self, PR):
         f = OPolynomial.make(PR, [1, 0, 1])
         j = Octonion.basis(PR, 2)
-        root = multiple_root(f, ConjClass(1e-5, 1), j, "left")
-        assert root.is_zero()
+        with pytest.raises(NotInRMR, match=self.OFF):
+            multiple_root(f, ConjClass(1e-5, 1), j, "left")
 
     def test_lmr_describe_class(self, PR):
         f = OPolynomial.make(PR, [1, 0, 1])
-        desc = lmr_describe_class(f, ConjClass(1e-5, 1))
-        assert desc.kind == "single-point"
-        assert desc.point.is_zero()
+        with pytest.raises(NotInRMR, match=self.OFF):
+            lmr_describe_class(f, ConjClass(1e-5, 1))

@@ -119,8 +119,7 @@ THRESHOLDS = [
     ("class_tol", 1e-6),        # E, G, [conj(G), E^-1]; ConjClass.matches
     ("fixed_tol", 1e-9),        # fixed points, orbit and period revisits
     ("composition_tol", 1e-7),  # verify_composition_fixed
-    ("witness_tol", 1e-7),      # conjugation, rmr_witness, LMR point
-    ("span_tol", 1e-4),         # QuatSubalgebra.contains (norm <= 1e-8)
+    ("witness_tol", 1e-7),      # conjugation, rmr_witness, lmr_singular
 ]
 
 
@@ -134,9 +133,6 @@ class TestThresholds:
         assert getattr(Field(exact=False, eps=1e-7), name) == \
             pytest.approx(100 * literal)
         assert getattr(EXACT, name) == 0
-
-    def test_span_threshold_squares_to_old_norm_bound(self):
-        assert REAL.span_tol ** 2 == 1e-8
 
     # -1 accepted every candidate (a negative threshold, squared), nan sent
     # every root to the anomalies, 1e9 made -1 a zero structure constant
