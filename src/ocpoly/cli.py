@@ -17,9 +17,9 @@ from .dynamics import (classify_fixed, classify_pseudo_periodic,
                        detect_pseudo_period, fixed_points, orbit)
 from .errors import NotInRMR, OcpolyError, ParseError, ResourceLimit
 from .opoly import OPolynomial, parse_opolynomial
-from .roots import (lmr_describe, lmr_sample, lmr_singular, lmr_whole_class,
-                    rmr_classes, rmr_witness, roots)
-from .scalars import DEFAULT_EPS, ConjClass, Field
+from .roots import (lmr_describe, lmr_sample, lmr_singular, rmr_classes,
+                    rmr_witness, roots)
+from .scalars import DEFAULT_EPS, Field
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -76,15 +76,9 @@ def cmd_rmr(f: OPolynomial, args):
 def cmd_lmr(f: OPolynomial, args):
     if args.contains is not None:
         mu = parse_octonion(args.contains, f.params)
-        f.params.require_real_definite("lmr_contains")
-        try:  # only the refusals of mu's class: no description is built
-            lmr_whole_class(f, ConjClass(mu.trace(), mu.norm(),
-                                         mu.is_central()))
-        except NotInRMR:
-            return {"contains": False}
         return {"contains": lmr_singular(f, mu)}
     descs = lmr_describe(f)
-    if args.sample:
+    if args.sample is not None:
         return [p.to_json() for d in descs if d.kind != "whole-class"
                 for p in lmr_sample(d, args.sample, seed=args.seed)]
     return [d.to_json() for d in descs]

@@ -225,14 +225,15 @@ class OPolynomial:
 
 _POLY_TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
-    r"(?:\((?P<paren>[^()]*)\)|(?P<bare>[^\sx+-]+))?\s*"
+    r"(?:\((?P<paren>[^()]*)\)|"
+    r"(?P<bare>(?:[^\sx+-]|(?<=\d[eE])[+-](?=\d))+))?\s*"
     r"(?P<x>x(?:\^(?P<exp>\d+))?)?\s*")
 
 
 def parse_opolynomial(text: str, params: AlgebraParams) -> OPolynomial:
     """Parse "(1)x^2 + (i)x + (j - k)"; bare single-token coefficients like
-    "2x^2 + ix - 1/2" are also accepted.  Every term after the first
-    carries a sign, so a coefficient with a space is parenthesized."""
+    "2x^2 + ix - 1/2" or "1e-4x" are also accepted.  Every term after the
+    first carries a sign, so a coefficient with a space is parenthesized."""
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial")

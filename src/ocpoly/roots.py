@@ -2,14 +2,13 @@
 scalar multiples (RMR / LMR).
 
 On a class (trace T, norm N), lam^2 = T*lam - N collapses f(lam) = 0 to
-E*lam + G = 0: the class holds the one root -E^{-1} G if that lies in it,
-all its members if E = G = 0, and none if E = 0, G != 0.  roots() applies
-this to every companion class.  mu is a root of some f(x)c exactly when
-its own class holds a root, so an RMR query reduces f on that class alone.
-The one root of c f in a class is -(c E)^-1 (c G), which LMR sampling
-draws c by c; an LMR query asks whether c -> (c f)(mu) = (c E) mu + c G
-is singular there.  RMR and LMR queries judge by one backward-error rule,
-against sum_t |a_t| |mu|^t.
+E*lam + G = 0.  One class rule, _class_root, reads it: the class holds
+the one root -E^{-1} G if that lies in it, all its members if E = G = 0,
+and no root of any scalar multiple otherwise.  roots() applies it to
+every companion class, lmr_describe_class to one, and the RMR and LMR
+queries to mu's own class before one backward-error rule, against
+sum_t |a_t| |mu|^t: a witness c for f(x)c, or a singular c -> (c f)(mu).
+The one root of c f in a class is -(c E)^-1 (c G), drawn c by c.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ def _reduction(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
 
 def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
-    """True if E = G = 0 at class_tol: every member of the class is a root.
-    False if E != 0.  E = 0 with G != 0 leaves f(lam) = G on the class, and
-    E c = 0, G c != 0 for every multiple f(x) c: NotInRMR."""
+    """True if E = G = 0 at class_tol (a sphere), False if E != 0; E = 0
+    with G != 0 raises NotInRMR, as every (f c)(lam) = G c on the class."""
     tol, scale = f.params.field.class_tol, f.coeff_scale
     if not red.E.negligible(tol, scale):
         return False
@@ -92,14 +90,15 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
     raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, scale))
 
 
-def _evaluation_misfit(f: OPolynomial, lam: Octonion) -> str | None:
-    """None if f(lam) is negligible at residual_tol against f's
-    coefficient scale, the rule for a root; else what failed."""
+def _evaluated_root(f: OPolynomial, lam: Octonion,
+                    what: str = "candidate") -> Octonion:
+    """lam if f(lam) is negligible at residual_tol against f's coefficient
+    scale, the rule for a root; else NotInRMR stating what failed."""
     tol, scale = f.params.field.residual_tol, f.coeff_scale
     val = f.eval(lam)
-    if val.negligible(tol, scale):
-        return None
-    return "candidate fails evaluation: " + val.misfit(tol, scale)
+    if not val.negligible(tol, scale):
+        raise NotInRMR(what + " fails evaluation: " + val.misfit(tol, scale))
+    return lam
 
 
 def _eval_scale(f: OPolynomial, mu: Octonion) -> float:
@@ -135,27 +134,18 @@ def _in_class(cls: ConjClass, lam: Octonion) -> Octonion:
     return lam
 
 
-def _class_root(f: OPolynomial, cls: ConjClass) -> tuple:
-    """The rule of roots() on one companion class: (field, entry), the
-    RootSet field and what joins it.  E, G and a candidate's class are
-    judged at class_tol, f(lam) at residual_tol."""
+def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
+    """The class rule: a central {r} holds r unless f(r) fails the root
+    rule, as (c f)(r) = c f(r); a sphere (E = G = 0) holds every member
+    (None); else -E^-1 G, if it lies in the class at class_tol.  A class
+    that holds no root of any scalar multiple raises NotInRMR."""
     if cls.central:
-        lam = Octonion.scalar(f.params, cls.r)
-    else:
-        red = _reduction(f, cls)
-        try:
-            if _whole_class(f, red):
-                return "spherical", cls
-            lam = _in_class(cls, -(red.Einv * red.G))
-        except NotInRMR as exc:
-            return "anomalies", (cls, str(exc))
-        # its own class, which its conjugates match at class_tol
-        cls = ConjClass(lam.trace(), lam.norm(),
-                        multiplicity=cls.multiplicity)
-    misfit = _evaluation_misfit(f, lam)
-    if misfit is None:
-        return "isolated", (lam, cls)
-    return "anomalies", (cls, misfit)
+        return _evaluated_root(f, Octonion.scalar(f.params, cls.r),
+                               "central class: candidate")
+    red = _reduction(f, cls)
+    if _whole_class(f, red):
+        return None
+    return _in_class(cls, -(red.Einv * red.G))
 
 
 def roots(f: OPolynomial) -> RootSet:
@@ -164,8 +154,19 @@ def roots(f: OPolynomial) -> RootSet:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     found = {"isolated": [], "spherical": [], "anomalies": []}
     for cls in rmr_classes(f):
-        kind, entry = _class_root(f, cls)
-        found[kind].append(entry)
+        try:
+            lam = _class_root(f, cls)
+            if lam is None:
+                found["spherical"].append(cls)
+                continue
+            if not cls.central:
+                # its own class, which its conjugates match at class_tol
+                cls = ConjClass(lam.trace(), lam.norm(),
+                                multiplicity=cls.multiplicity)
+                _evaluated_root(f, lam)
+            found["isolated"].append((lam, cls))
+        except NotInRMR as exc:
+            found["anomalies"].append((cls, str(exc)))
     return RootSet(**{k: tuple(v) for k, v in found.items()})
 
 
@@ -182,20 +183,18 @@ def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
 
 
 def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
-    """A scalar c with mu a root of f(x)*c, from f reduced on mu's class
-    (tr mu, n mu) alone: c = 1 at a central mu, on a sphere or at its root
-    lam = -E^-1 G = mu, else delta^-1 for delta = im lam + im mu; a class
-    with no root raises NotInRMR.  Real mode checks the backward error
-    |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t, |x| = sqrt(size2);
-    exact mode checks 0."""
+    """A scalar c with mu a root of f(x)*c, from the class rule on mu's
+    class alone: c = 1 at a central mu, on a sphere or at its root lam =
+    mu, else delta^-1 for delta = im lam + im mu.  Real mode checks the
+    backward error |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t,
+    |x| = sqrt(size2), exact mode checks 0; a failure raises NotInRMR."""
     if f.degree < 1:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     c = Octonion.one(f.params)
     if not mu.is_central():
-        red = _reduction(f, ConjClass(mu.trace(), mu.norm()))
-        # on a sphere every member, mu too, is a root
-        lam = mu if _whole_class(f, red) else -(red.Einv * red.G)
-        if not lam.isclose(mu):
+        lam = _class_root(f, ConjClass(mu.trace(), mu.norm()))
+        # on a sphere (None) every member, mu too, is a root
+        if lam is not None and not lam.isclose(mu):
             try:
                 c = conjugating_element(lam, mu).inverse()
             except NotConjugate as exc:
@@ -242,48 +241,33 @@ class LMRClassDescription:
     comm: Octonion | None = None  # [conj(G), E^-1]
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
+        fld, out = self.f.params.field, {"kind": self.kind}
+        if self.kind != "whole-class":
+            out["class"] = self.cls.to_json(fld)
         if self.point is not None:
             out["point"] = self.point.to_json()
-            out["class"] = self.cls.to_json(self.point.params.field)
         if self.e_inv_g is not None:
-            fld = self.e_inv_g.params.field
-            out["class"] = self.cls.to_json(fld)
             out["EinvG"] = self.e_inv_g.to_json()
             out["GEinv"] = self.g_e_inv.to_json()
             out["commNorm"] = fld.to_json(self.comm.norm())
         return out
 
 
-def lmr_whole_class(f: OPolynomial, cls: ConjClass) -> bool:
-    """The refusals of lmr_describe_class: NotInRMR when cls holds no root
-    of any c f, c != 0 (a central {r} whose f(r) fails the root rule of
-    roots(), as (c f)(r) = c f(r); or E = 0, G != 0).  Else E = G = 0."""
-    if not cls.central:
-        return _whole_class(f, _reduction(f, cls))
-    misfit = _evaluation_misfit(f, Octonion.scalar(f.params, cls.r))
-    if misfit is not None:
-        raise NotInRMR("central class: " + misfit)
-    return False
-
-
 def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
-    """LMR description of one conjugacy class, after the refusals of
-    lmr_whole_class: a central class {r} is its point r.  A class that
-    does not hold -E^-1 G holds no root of any c f: NotInRMR."""
-    if lmr_whole_class(f, cls):
+    """LMR description of one conjugacy class by the class rule: a sphere
+    is whole, a central class {r} is its point r, and a class that holds
+    no root of any c f raises NotInRMR."""
+    lam = _class_root(f, cls)
+    if lam is None:
         return LMRClassDescription(f, cls, "whole-class")
-    if cls.central:
-        return LMRClassDescription(f, cls, "single-point",
-                                   point=Octonion.scalar(f.params, cls.r))
-    red = _reduction(f, cls)
-    e_inv_g, g_e_inv = red.Einv * red.G, red.G * red.Einv
-    _in_class(cls, -e_inv_g)
-    comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
-    if comm.negligible(f.params.field.class_tol, f.coeff_scale):
-        return LMRClassDescription(f, cls, "single-point", point=-e_inv_g)
-    return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
-                               g_e_inv=g_e_inv, comm=comm)
+    if not cls.central:
+        red = _reduction(f, cls)
+        e_inv_g, g_e_inv = -lam, red.G * red.Einv
+        comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
+        if not comm.negligible(f.params.field.class_tol, f.coeff_scale):
+            return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
+                                       g_e_inv=g_e_inv, comm=comm)
+    return LMRClassDescription(f, cls, "single-point", point=lam)
 
 
 def lmr_describe(f: OPolynomial) -> list:
@@ -297,6 +281,7 @@ def lmr_sample_detailed(desc: LMRClassDescription, count: int,
     size2(c) / 8, exact n(c) != 0: every c != 0 on a definite algebra), a
     and b its quaternion halves, c = a + b*l, and point the root
     -(c E)^-1 (c G) of c*f in the class."""
+    _require_count(count)
     if desc.kind != "parametrized":
         raise InvalidInput("sampling by multipliers needs a parametrized "
                            f"class, got {desc.kind}")
@@ -313,7 +298,13 @@ def lmr_sample_detailed(desc: LMRClassDescription, count: int,
     return out
 
 
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise InvalidInput(f"sample count must be >= 0, got {count}")
+
+
 def lmr_sample(desc: LMRClassDescription, count: int, seed: int = 0) -> list:
+    _require_count(count)
     if desc.kind == "single-point":
         return [desc.point] * count
     if desc.kind == "whole-class":
@@ -324,18 +315,26 @@ def lmr_sample(desc: LMRClassDescription, count: int, seed: int = 0) -> list:
 
 def lmr_contains(desc: LMRClassDescription, mu: Octonion) -> bool:
     """Whether mu, in desc's class, is a root of some c*f(x), c != 0, for
-    f = desc.f (lmr_singular).  Real mode, definite algebras only: on a
-    split one a singular M may have only isotropic kernel vectors."""
-    mu.params.require_real_definite("lmr_contains")
+    f = desc.f: lmr_singular."""
     return desc.cls.matches(mu) and lmr_singular(desc.f, mu)
 
 
 def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
-    """Whether c -> (c f)(mu) is singular: on mu's class it is (c E) mu +
-    c G, the matrix M = R(mu) R(E) + R(G), and rmr_witness's rule asks
-    sigma_min(M) <= witness_tol * sum_t |a_t| |mu|^t."""
+    """Whether mu is a root of some c*f(x), c != 0: the class rule on a
+    non-central mu's class, then rmr_witness's rule on c -> (c f)(mu) =
+    (c E) mu + c G, sigma_min(R(mu) R(E) + R(G)) <= witness_tol * sum_t
+    |a_t| |mu|^t (|f(mu)| at a central mu).  Real mode, definite algebras
+    only: on a split one a singular matrix may have only isotropic
+    kernel vectors."""
+    mu.params.require_real_definite("lmr_contains")
+    cls = ConjClass(mu.trace(), mu.norm())
+    if not mu.is_central():
+        try:
+            _class_root(f, cls)
+        except NotInRMR:
+            return False
     R = mu.params.table.right_matrix
-    red = _reduction(f, ConjClass(mu.trace(), mu.norm()))
+    red = _reduction(f, cls)
     M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
     sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
     return bool(sigma_min <= f.params.field.witness_tol * _eval_scale(f, mu))

@@ -104,7 +104,11 @@ def run_selftest() -> list:
     check("dyn.m", 0.0, rep.m, abs(rep.m) <= 1e-12)
     check("dyn.verdict", "ambivalent", rep.verdict)
 
-    # x^2 - 1 has the attracting 2-cycle 0 -> -1 -> 0
+    # x^2 attracts at 0 and repels at 1; x^2 - 1 cycles 0 -> -1 -> 0
+    sq = parse_opolynomial("x^2", PR)
+    for a, want in ((0, "attracting"), (1, "repelling")):
+        check(f"dyn.x_squared[{a}]", want,
+              classify_fixed(sq, Octonion.scalar(PR, a)).verdict)
     sq1, zero = parse_opolynomial("x^2 - 1", PR), Octonion.zero(PR)
     check("dyn.cycle_period", 2, detect_pseudo_period(sq1, zero, 32))
     cyc = classify_pseudo_periodic(sq1, zero, 2)

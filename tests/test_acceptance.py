@@ -253,7 +253,8 @@ def test_criterion_6_composition_fixed_points(capsys):
 def test_criterion_7_fixed_point_classification(capsys):
     with criterion(capsys, 7, "growth-bound classification and empirical "
                               "direction behavior"):
-        assert_checks("dyn.M", "dyn.m", "dyn.verdict")
+        assert_checks("dyn.M", "dyn.m", "dyn.verdict", "dyn.x_squared[0]",
+                      "dyn.x_squared[1]")
         PR, one, i, j, k, l = real_setup()
         f5 = OPolynomial.make(PR, [i * (-0.5) - one * 0.25, i, one])
         alpha = i * (-0.5)
@@ -262,10 +263,9 @@ def test_criterion_7_fixed_point_classification(capsys):
         assert direction_ratio(f5, alpha, i, 1e-4) < 1.0
         assert direction_ratio(f5, alpha, j, 1e-4) >= 1 - 1e-6
 
+        # x^2 attracts at 0 and repels at 1: nearby starts move in and out
         sq = OPolynomial.monic_quadratic(Octonion.zero(PR),
                                          Octonion.zero(PR))
-        assert classify_fixed(sq, Octonion.zero(PR)).verdict == "attracting"
-        assert classify_fixed(sq, one).verdict == "repelling"
         rng = random.Random(5150)
         for _ in range(100):
             u = Octonion.make(PR, [rng.uniform(-1, 1) for _ in range(8)])
@@ -330,7 +330,8 @@ def test_planted_wrong_answers_fail_their_checks(monkeypatch, capsys):
     failed = {cid for cid, _, _, ok in run_selftest() if not ok}
     assert failed == {"roots.quadratic", "roots.quadratic_residuals",
                       "roots.linear", "roots.right_multiple",
-                      "roots.left_multiple", "dyn.verdict"}
+                      "roots.left_multiple", "dyn.verdict",
+                      "dyn.x_squared[1]"}
     with pytest.raises(AssertionError, match="failed checks"):
         assert_checks("dyn.M", "dyn.verdict")
     assert main(["selftest"]) == EXIT_SELFTEST

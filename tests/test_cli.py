@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,11 @@ import ocpoly.roots as roots_mod
 from ocpoly.algebra import (AlgebraParams, Octonion, format_octonion,
                             parse_octonion, random_octonion)
 from ocpoly.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, main)
-from ocpoly.opoly import OPolynomial
-from ocpoly.roots import multiple_root
+from ocpoly.errors import NotInRMR
+from ocpoly.opoly import OPolynomial, parse_opolynomial
+from ocpoly.roots import (class_member, lmr_contains, lmr_describe,
+                          lmr_describe_class, lmr_sample, lmr_singular,
+                          multiple_root, rmr_contains)
 from ocpoly.scalars import REAL, ConjClass
 
 
@@ -126,9 +130,10 @@ class TestSubcommands:
 
     def test_lmr_contains_builds_no_description(self, monkeypatch,
                                                 tmp_path, capsys):
-        """lmr --contains runs only the refusals of mu's class (a central
-        class whose f(r) fails, or E = 0 with G != 0), never a
-        description."""
+        """lmr --contains calls lmr_singular alone, which refuses on mu's
+        class by the class rule (E = 0 with G != 0, or -E^-1 G off the
+        class) and then runs its singular-value test: no description is
+        built."""
         def refuse(f, cls):
             raise AssertionError("lmr_describe_class called")
 
@@ -183,6 +188,16 @@ class TestSubcommands:
                      "--sample", "5"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert len(out) == 10  # 5 per class, 2 classes
+
+    def test_lmr_sample_zero_and_negative(self, quad_file, capsys):
+        """--sample 0 printed the descriptions, and --sample -2 printed []
+        with exit 0."""
+        assert main(["lmr", quad_file, "--sample", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
+        assert main(["lmr", quad_file, "--sample", "-2"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample count must be >= 0, got -2" in captured.err
 
     def test_seed_moves_only_lmr_samples(self, quad_file, capsys):
         """Root finding is deterministic: --seed seeds lmr --sample only."""
@@ -297,6 +312,8 @@ FRONT_DOOR = [
     ("x^2 + ix - ij + 1", ["rmr", "--element=-ij"], {"contains": True}),
     ("x^2 + ix - ij + 1", ["rmr", "--element=2", "--witness"],
      {"contains": False}),
+    # a bare coefficient with a signed exponent, once refused as '1e'
+    ("x - 1e-4", ["companion"], {"coeffs": ["1/100000000", "-1/5000", "1"]}),
 ]
 
 
@@ -309,6 +326,77 @@ def test_front_door_stdout(tmp_path, capsys, poly, command, expected):
                  *command[1:]]) == EXIT_OK
     assert capsys.readouterr().out == \
         json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+class TestOneMembershipRule:
+    """RMR and LMR membership read one class rule, so the library calls and
+    the commands answer alike."""
+
+    # E = 0 with G = 1.5e-4 j, beyond class_tol: no multiple has a root in
+    # the class of 10i; with 5e-5 j the class is a sphere; f(2) = -1e-7 i
+    # passes the backward error at witness_tol, not the root rule of roots
+    @pytest.mark.parametrize("poly,element,inside,refusal", [
+        ("x^3 + 100x + (1.5e-4 j)", "10 i", False, "E = 0 but G != 0"),
+        ("x^3 + 100x + (5e-5 j)", "10 i", True, None),
+        ("x + (-2 - 1e-7 i)", "2", True, "central class: ")])
+    def test_margins_agree(self, tmp_path, capsys, poly, element, inside,
+                           refusal):
+        P = AlgebraParams.octonions(REAL)
+        f, mu = parse_opolynomial(poly, P), parse_octonion(element, P)
+        assert lmr_singular(f, mu) is inside
+        assert rmr_contains(f, mu) is inside
+        cls = ConjClass(mu.trace(), mu.norm(), mu.is_central())
+        if refusal is None:
+            assert lmr_contains(lmr_describe_class(f, cls), mu) is inside
+        else:  # no description of mu's class exists
+            with pytest.raises(NotInRMR, match=re.escape(refusal)):
+                lmr_describe_class(f, cls)
+        path = tmp_path / "f.txt"
+        path.write_text(poly + "\n")
+        for command in (["lmr", str(path), f"--contains={element}"],
+                        ["rmr", str(path), f"--element={element}"]):
+            assert main(command) == EXIT_OK
+            assert json.loads(capsys.readouterr().out) == {"contains": inside}
+
+    def test_command_is_lmr_singular(self, tmp_path, capsys):
+        """50 random quadratics and cubics g(x)(x - lam), g monic, over
+        (-1,-1,-1) and (-1,-2,-3), lam real for half of them: at LMR
+        sample points, random class members, points moved 1e-3 off their
+        class and central scalars, lmr --contains answers lmr_singular(f,
+        mu), and at a central mu rmr_contains answers the same."""
+        rng = random.Random(2121)
+        path = tmp_path / "f.json"
+        answers = {True: 0, False: 0, "central": 0, "central member": 0}
+        for n in range(50):
+            P = AlgebraParams(REAL, *((-1, -1, -1), (-1, -2, -3))[n % 2])
+            lam = (Octonion.scalar(P, rng.uniform(-2, 2)) if n % 4 < 2
+                   else random_octonion(P, rng, 2))
+            g = OPolynomial.make(P, [random_octonion(P, rng, 2)
+                                     for _ in range(1 + n // 25)] + [1])
+            f = g * OPolynomial.make(P, [-lam, 1])
+            path.write_text(json.dumps(f.to_json()))
+            points = [Octonion.scalar(P, rng.uniform(-3, 3)) for _ in range(2)]
+            for desc in lmr_describe(f):
+                if desc.kind != "parametrized":
+                    points.append(desc.point)
+                    continue
+                for p in lmr_sample(desc, 2, seed=n):
+                    u = random_octonion(P, rng, 1)
+                    points += [p, p + u * (1e-3 / u.abs()),
+                               class_member(desc.cls, P, rng)]
+            for mu in points:
+                assert main(["lmr", str(path),
+                             f"--contains={format_octonion(mu)}"]) == EXIT_OK
+                inside = json.loads(capsys.readouterr().out)["contains"]
+                assert inside is lmr_singular(f, mu), (n, mu)
+                answers[inside] += 1
+                if mu.is_central():
+                    assert inside is rmr_contains(f, mu), (n, mu)
+                    answers["central"] += 1
+                    answers["central member"] += inside
+        assert answers[True] >= 100 and answers[False] >= 200, answers
+        assert answers["central"] >= 100, answers
+        assert answers["central member"] >= 25, answers
 
 
 class TestExitCodes:

@@ -92,14 +92,6 @@ class TestClassification:
         assert rep.m == pytest.approx(0.0, abs=1e-12)
         assert rep.verdict == "ambivalent"
 
-    def test_x_squared_poles(self, PR, basis_r):
-        one, i, j, k, l = basis_r
-        f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
-        rep0 = classify_fixed(f, Octonion.zero(PR))
-        assert rep0.verdict == "attracting"
-        rep1 = classify_fixed(f, one)
-        assert rep1.verdict == "repelling"
-
     def test_growth_bounds_formula(self, PR):
         rng = random.Random(11)
         for _ in range(50):
@@ -114,30 +106,6 @@ class TestClassification:
             assert M == pytest.approx(math.hypot(re_part, im_sum))
             assert m == pytest.approx(math.hypot(re_part, im_dif))
             assert M >= m >= 0
-
-    def test_contraction_sampling(self, PR, basis_r):
-        # attracting fixed point of x^2 at 0: nearby orbits shrink
-        one, i, j, k, l = basis_r
-        f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
-        rng = random.Random(21)
-        for _ in range(100):
-            u = Octonion.make(PR, [rng.uniform(-1, 1) for _ in range(8)])
-            if float(u.abs()) < 1e-3:
-                continue
-            z = u * (1e-3 / float(u.abs()))
-            assert float(f.eval(z).abs()) < float(z.abs())
-
-    def test_expansion_sampling(self, PR, basis_r):
-        # repelling fixed point of x^2 at 1: nearby orbits move away
-        one, i, j, k, l = basis_r
-        f = quad(PR, Octonion.zero(PR), Octonion.zero(PR))
-        rng = random.Random(22)
-        for _ in range(100):
-            u = Octonion.make(PR, [rng.uniform(-1, 1) for _ in range(8)])
-            if float(u.abs()) < 1e-3:
-                continue
-            z = one + u * (1e-4 / float(u.abs()))
-            assert float((f.eval(z) - one).abs()) > float((z - one).abs())
 
     def test_boundary_perturbation(self, PR, basis_r):
         # the reference ambivalent example sits exactly on M = 1; scaling

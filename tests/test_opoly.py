@@ -200,6 +200,18 @@ class TestSerialization:
                            match=f"missing \\+/- at column {column}: "):
             parse_opolynomial(text, P)
 
+    # the bare coefficient as the element syntax reads it in parentheses
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    @pytest.mark.parametrize("text,parenthesized", [
+        ("x - 1e-4", "x - (1e-4)"), ("1e-4x + 1", "(1e-4)x + 1"),
+        ("x + 1.5E-3i", "x + (1.5E-3i)"), ("x + 2e+3", "x + (2e+3)")])
+    def test_bare_coefficient_with_exponent_sign(self, field, text,
+                                                 parenthesized):
+        P = AlgebraParams.octonions(field)
+        f = parse_opolynomial(text, P)
+        assert f.coeffs == parse_opolynomial(parenthesized, P).coeffs
+        assert f.degree == 1 and not f.coeff(0).is_zero()
+
     def test_spaced_coefficient_in_parentheses(self, P, basis):
         one, i, j, k, l = basis
         f = parse_opolynomial("x^2 + ix + (-1/2 i - 1/4)", P)

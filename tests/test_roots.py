@@ -708,6 +708,21 @@ class TestLMRKinds:
                 lmr_sample_detailed(d, 1)
 
     @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    def test_sample_count(self, field):
+        """Zero points are no points, and a negative count is refused by
+        both samplers, for single-point and parametrized classes."""
+        P = AlgebraParams.octonions(field)
+        single = lmr_describe(parse_opolynomial("x^2 - 3ix - 2", P))[0]
+        param = lmr_describe(parse_opolynomial("x^2 + ix - ij + 1", P))[0]
+        assert param.kind == "parametrized"
+        for desc in (single, param):
+            assert lmr_sample(desc, 0) == []
+            for sample in (lmr_sample, lmr_sample_detailed):
+                with pytest.raises(InvalidInput, match="got -1"):
+                    sample(desc, -1)
+        assert lmr_sample_detailed(param, 0) == []
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
     def test_central_class(self, field):
         P = AlgebraParams.octonions(field)
         (d,) = lmr_describe(parse_opolynomial("x - 2", P))
