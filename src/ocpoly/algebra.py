@@ -334,6 +334,12 @@ class Octonion:
 
     @classmethod
     def from_json(cls, data, params: "AlgebraParams") -> "Octonion":
+        """The element of a JSON row of 1 to 8 numbers or literals such
+        as "1/3" (the form exact mode writes); a boolean is no number."""
+        if not isinstance(data, list) or not 0 < len(data) <= 8 \
+                or any(isinstance(v, bool) for v in data):
+            raise ParseError(f"bad element JSON: need a row of 1..8 "
+                             f"numbers, got {data!r:.60}")
         try:
             coords = [params.field.coerce(v) for v in data]
         except (TypeError, ValueError) as exc:
@@ -465,42 +471,54 @@ def polar_form(x: Octonion, y: Octonion):
 
 
 # ---------------------------------------------------------------------------
-# Parsing / formatting of the element text format
-# "c0 + c1 i + c2 j + c3 k + c4 l + c5 il + c6 jl + c7 kl".
+# Parsing / formatting of the text form, "c0 + c1 i + ... + c7 kl" for an
+# element.  A term is a sign, then a parenthesized element or a number and
+# a unit (each optional), then x or x^t; whitespace may stand between any
+# two parts, and "*" only between two parts that are both present.
 
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*"
-    r"(?P<coeff>\d+/\d+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*"
-    r"(?:\*\s*)?(?P<basis>il|jl|kl|ij|[ijkl1])?\s*")
+    r"\s*(?P<sign>[+-])?\s*(?:\((?P<paren>[^()]*)\)(?:\s*\*(?=\s*x))?|"
+    r"(?:(?P<num>\d+/\d+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"(?:\s*\*(?=\s*[ijkl1x]))?)?\s*"
+    r"(?:(?P<unit>il|jl|kl|ij|[ijkl1])(?:\s*\*(?=\s*x))?)?)\s*"
+    r"(?P<x>x(?:\^(?P<exp>\d+))?)?\s*")
+
+
+def _read_terms(text: str, params: AlgebraParams, poly: bool) -> dict:
+    """{t: the 8 coordinates of the coefficient of x^t} of the text form,
+    each coordinate the field's zero plus its terms in order, so no -0.0
+    arises; every term after the first carries a sign.  An element
+    (poly=False) has no x and no parentheses."""
+    what = "polynomial" if poly else "element"
+    text = text.strip()
+    if not text:
+        raise ParseError(f"empty {what}")
+    f, coeffs, pos = params.field, {}, 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not any(m.group("paren", "num", "unit", "x")) or not poly and (
+                m["x"] or m["paren"] is not None):
+            raise ParseError(f"bad {what} syntax at column {pos}: {text!r}")
+        if m["sign"] is None and pos > 0:
+            raise ParseError(f"missing +/- at column {pos}: {text!r}")
+        if m["paren"] is not None:
+            terms = enumerate(parse_octonion(m["paren"], params).coords)
+        else:
+            unit = {"ij": "k", None: "1"}.get(m["unit"], m["unit"])
+            terms = [(BASIS_NAMES.index(unit), f.one() if m["num"] is None
+                      else f.parse(m["num"]))]
+        t = 0 if m["x"] is None else int(m["exp"] or 1)
+        acc = coeffs.setdefault(t, [f.zero()] * 8)
+        for a, v in terms:
+            acc[a] = acc[a] - v if m["sign"] == "-" else acc[a] + v
+        pos = m.end()
+    return coeffs
 
 
 def parse_octonion(text: str, params: AlgebraParams) -> Octonion:
-    """Parse the element text format; zero terms may be omitted, 'ij' is an
-    accepted alias for 'k'."""
-    coords = [params.field.zero()] * 8
-    pos = 0
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element")
-    seen = False
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos or (m.group("coeff") is None
-                                       and m.group("basis") is None):
-            raise ParseError(f"bad element syntax at column {pos}: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") is None and seen:
-            raise ParseError(f"missing +/- at column {pos}: {text!r}")
-        coeff = params.field.one() if m.group("coeff") is None \
-            else params.field.parse(m.group("coeff"))
-        basis = m.group("basis") or "1"
-        if basis == "ij":
-            basis = "k"
-        a = BASIS_NAMES.index(basis)
-        coords[a] = coords[a] + sign * coeff
-        pos = m.end()
-        seen = True
-    return Octonion.make(params, coords)
+    """Parse the element text format: terms such as "2", "-1/2 i" or
+    "3.5*jl", zero terms omitted, "ij" an alias for "k"."""
+    return Octonion.make(params, _read_terms(text, params, False)[0])
 
 
 def format_octonion(x: Octonion) -> str:

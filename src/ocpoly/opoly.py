@@ -8,10 +8,9 @@ ring homomorphism and nothing here assumes it is.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 
-from .algebra import AlgebraParams, Octonion, parse_octonion, polar_form
+from .algebra import AlgebraParams, Octonion, _read_terms, polar_form
 from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
@@ -213,57 +212,22 @@ class OPolynomial:
     @classmethod
     def from_json(cls, data: dict, field) -> "OPolynomial":
         try:
-            alpha, beta, gamma = data["params"]
-            params = AlgebraParams(field, field.coerce(alpha),
-                                   field.coerce(beta), field.coerce(gamma))
-            coeffs = [Octonion.make(params, [field.coerce(v) for v in row])
+            if any(isinstance(v, bool) for v in data["params"]):
+                raise ParseError("bad polynomial JSON: boolean parameter")
+            params = AlgebraParams(field, *data["params"])
+            coeffs = [Octonion.from_json(row, params)
                       for row in data["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial JSON: {exc}") from exc
         return cls.make(params, coeffs)
 
 
-_POLY_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*"
-    r"(?:\((?P<paren>[^()]*)\)|"
-    r"(?P<bare>(?:[^\sx+-]|(?<=\d[eE])[+-](?=\d))+))?\s*"
-    r"(?P<x>x(?:\^(?P<exp>\d+))?)?\s*")
-
-
 def parse_opolynomial(text: str, params: AlgebraParams) -> OPolynomial:
-    """Parse "(1)x^2 + (i)x + (j - k)"; bare single-token coefficients like
-    "2x^2 + ix - 1/2" or "1e-4x" are also accepted.  Every term after the
-    first carries a sign, so a coefficient with a space is parenthesized."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty polynomial")
-    coeffs: dict[int, Octonion] = {}
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad polynomial syntax at column {pos}: {text!r}")
-        if m.group("paren") is None and m.group("bare") is None \
-                and m.group("x") is None:
-            raise ParseError(f"bad polynomial syntax at column {pos}: {text!r}")
-        if m.group("sign") is None and pos > 0:
-            raise ParseError(f"missing +/- at column {pos}: {text!r}")
-        if m.group("paren") is not None:
-            c = parse_octonion(m.group("paren"), params)
-        elif m.group("bare") is not None:
-            c = parse_octonion(m.group("bare"), params)
-        else:
-            c = Octonion.one(params)
-        if m.group("sign") == "-":
-            c = -c
-        if m.group("x") is None:
-            t = 0
-        elif m.group("exp") is None:
-            t = 1
-        else:
-            t = int(m.group("exp"))
-        coeffs[t] = coeffs.get(t, Octonion.zero(params)) + c
-        pos = m.end()
-    deg = max(coeffs)
-    return OPolynomial.make(
-        params, [coeffs.get(t, Octonion.zero(params)) for t in range(deg + 1)])
+    """Parse the text form, such as "x^2 + ix - 1/2 i - 1/4",
+    "(1 + i)*x^2 - 2 * jx + (j - k)" or "1e-4x": the terms of each power
+    add up, and every term after the first carries a sign."""
+    coeffs = _read_terms(text, params, True)
+    zero = [params.field.zero()] * 8
+    return OPolynomial.make(params, [
+        Octonion.make(params, coeffs.get(t, zero))
+        for t in range(max(coeffs) + 1)])

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, NoConvergence, UnsupportedDegree
+from .errors import (InvalidInput, NoConvergence, ParseError,
+                     UnsupportedDegree)
 
 DEFAULT_EPS = 1e-9
 
@@ -67,12 +68,17 @@ class Field:
         return v
 
     def parse(self, text: str):
-        """Parse a decimal or 'p/q' scalar literal."""
+        """Parse a decimal or 'p/q' scalar literal.  A text that Fraction
+        refuses ('abc', '1/0') raises ParseError; a well-formed value that
+        no scalar holds raises InvalidInput: 'inf' and 'nan', and in real
+        mode a value beyond float range."""
         text = text.strip()
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"bad scalar literal {text!r}") from exc
+            if text.lstrip("+-").lower() in ("inf", "infinity", "nan"):
+                raise InvalidInput(f"{text!r} is not a finite scalar") from exc
+            raise ParseError(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else self.coerce(frac)
 
     def zero(self):

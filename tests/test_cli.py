@@ -399,6 +399,9 @@ class TestOneMembershipRule:
         assert answers["central member"] >= 25, answers
 
 
+ROW = '{"params": [-1, -1, -1], "coeffs": [[1], %s]}'
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -406,11 +409,46 @@ class TestExitCodes:
         assert main(["roots", str(path)]) == EXIT_PARSE
 
     def test_term_without_sign(self, tmp_path, capsys):
-        """x^2 + ix - 1/2 i - 1/4 was read with the constant -3/4 + i."""
+        """x^2 + ix - 1/2 i - 1/4 was read with the constant -3/4 + i, then
+        refused; the terms of each power add up, as in parentheses."""
+        outs = []
+        for text in ("x^2 + ix - 1/2 i - 1/4", "x^2 + ix + (-1/2 i - 1/4)"):
+            path = tmp_path / "f.txt"
+            path.write_text(text + "\n")
+            assert main(["--mode", "exact", "companion", str(path)]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["coeffs"] == ["5/16", "-1", "1/2", "0", "1"]
+
+    # each exited 3 ("bad scalar literal", "need 1..8 coordinates"), or
+    # exited 0: x + 2* was read as x + 2, a boolean as 1, the row "12" as
+    # 1 + 2i
+    @pytest.mark.parametrize("text,args", [
+        ("x + 1/0", []), ("x + 2*", []), ("x^2", ["--element=1/0"]),
+        ('{"params": [-1, -1, "1/0"], "coeffs": [[1]]}', []),
+        ('{"params": [true, -1, -1], "coeffs": [[1]]}', []),
+        *((ROW % row, []) for row in ('["abc"]', "[]", list(range(9)),
+                                      "[true]", '"12"'))],
+        ids=["text-1/0", "text-star", "element-1/0", "json-param-1/0",
+             "json-param-true", "json-abc", "json-0-coordinates",
+             "json-9-coordinates", "json-true", "json-string-row"])
+    @pytest.mark.parametrize("mode", ["exact", "real"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text, args,
+                                     mode):
         path = tmp_path / "f.txt"
-        path.write_text("x^2 + ix - 1/2 i - 1/4\n")
-        assert main(["roots", str(path)]) == EXIT_PARSE
-        assert "missing +/- at column 15" in capsys.readouterr().err
+        path.write_text(text + "\n")
+        assert main([f"--mode={mode}", "rmr", str(path), *args]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("text,named", [
+        ('{"params": [-1, 0, -1], "coeffs": [[1]]}', "must be nonzero"),
+        ('{"params": [-1, -1, -1], "coeffs": [["nan"]]}',
+         "'nan' is not a finite scalar")], ids=["zero-constant", "json-nan"])
+    def test_unusable_value_exits_3(self, tmp_path, capsys, text, named):
+        path = tmp_path / "f.json"
+        path.write_text(text + "\n")
+        assert main(["roots", str(path)]) == EXIT_MATH
+        assert named in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["roots", str(tmp_path / "nope.txt")]) == EXIT_PARSE

@@ -1,8 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
+from ocpoly.algebra import (BASIS_NAMES, AlgebraParams, Octonion,
+                            parse_octonion, random_octonion)
 from ocpoly.errors import ParseError, ResourceLimit
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.scalars import EXACT, REAL
@@ -185,20 +188,81 @@ class TestSerialization:
         assert f.coeff(1).isclose(i)
         assert f.coeff(0).isclose(one - k)
 
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (2, 3, 5)])
+    def test_text_roundtrip_random(self, field, gammas):
+        """str(f) reads back as f, to the last bit in real mode, with
+        coordinates near 1e-7 and near 1e9."""
+        P, rng = AlgebraParams(field, *gammas), random.Random(2222)
+        for n in range(150):
+            scale = (1e-7, 1e9)[n % 2]
+            f = OPolynomial.make(P, [Octonion.make(P, [
+                Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                if field.exact else rng.uniform(-1, 1) * scale
+                for _ in range(8)]) for _ in range(rng.randint(1, 5))])
+            assert parse_opolynomial(str(f), P) == f, str(f)
+
+    def test_no_negative_zero(self, PR):
+        """Each coordinate starts from 0.0, so a subtracted zero leaves no
+        -0.0 for the JSON output."""
+        f = parse_opolynomial("x^2 - 0x - (0 - 0 i) - 0 j", PR)
+        assert [math.copysign(1, v) for c in f.coeffs for v in c.coords] \
+            == [1] * 24
+
+    # the terms of a power add up; whitespace may stand between any two
+    # parts of a term and "*" between two parts that are both present
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    @pytest.mark.parametrize("text,terms", [
+        ("i*x", {(1, "i"): 1}),
+        ("2 * x", {(1, "1"): 2}),
+        ("(1 + i)*x", {(1, "1"): 1, (1, "i"): 1}),
+        ("-3.5 * jl x^3 + 1e-4 kl", {(3, "jl"): "-3.5", (0, "kl"): "1e-4"}),
+        ("- 1*x + 2*1 + 1", {(1, "1"): -1, (0, "1"): 3}),
+        ("ij x + 1/2 ij", {(1, "k"): 1, (0, "k"): "1/2"}),
+        ("x + 2E+3 il x - x^0", {(1, "1"): 1, (1, "il"): 2000, (0, "1"): -1}),
+        ("(j - k) x^2 - x^2", {(2, "1"): -1, (2, "j"): 1, (2, "k"): -1})])
+    def test_grammar(self, field, text, terms):
+        P = AlgebraParams.octonions(field)
+        rows = [[0] * 8 for _ in range(1 + max(t for t, _ in terms))]
+        for (t, unit), v in terms.items():
+            rows[t][BASIS_NAMES.index(unit)] = Fraction(v)
+        assert parse_opolynomial(text, P).coeffs == tuple(
+            Octonion.make(P, row) for row in rows)
+
     def test_parse_errors(self, P):
         with pytest.raises(ParseError):
             parse_opolynomial("", P)
         with pytest.raises(ParseError):
             parse_opolynomial("x^^2", P)
 
-    # each was misread: x + (2 + i), the constant -3/4 + i, x + i and 2x
     @pytest.mark.parametrize("text,column", [
-        ("x + 2 i", 6), ("x^2 + ix - 1/2 i - 1/4", 15), ("x i", 2),
-        ("x x", 2)])
+        ("x^^2", 1), ("x + 2*", 5), ("*i", 0), ("i*", 1), ("q", 0),
+        ("1 + + i", 2), ("x*2", 1)])
+    def test_bad_syntax_column(self, P, text, column):
+        with pytest.raises(ParseError, match=f"polynomial syntax at column "
+                                             f"{column}: "):
+            parse_opolynomial(text, P)
+
+    @pytest.mark.parametrize("text", ["2x", "i + x^2", "(1)", "1 + (i)",
+                                      "2*", "*i", "1 - * i"])
+    def test_element_refuses_x_parentheses_and_dangling_star(self, P, text):
+        with pytest.raises(ParseError, match="bad element syntax at column"):
+            parse_octonion(text, P)
+
+    # each was misread: x + i and 2x
+    @pytest.mark.parametrize("text,column", [("x i", 2), ("x x", 2)])
     def test_term_without_sign_refused(self, P, text, column):
         with pytest.raises(ParseError,
                            match=f"missing \\+/- at column {column}: "):
             parse_opolynomial(text, P)
+
+    # each was refused: a spaced coefficient reads as the parenthesized one
+    @pytest.mark.parametrize("text,parenthesized", [
+        ("x + 2 i", "x + (2 i)"),
+        ("x^2 + ix - 1/2 i - 1/4", "x^2 + ix + (-1/2 i - 1/4)")])
+    def test_spaced_coefficient(self, P, text, parenthesized):
+        assert parse_opolynomial(text, P) == \
+            parse_opolynomial(parenthesized, P)
 
     # the bare coefficient as the element syntax reads it in parentheses
     @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
