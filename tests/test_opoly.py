@@ -259,7 +259,8 @@ class TestSerialization:
     # each was refused: a spaced coefficient reads as the parenthesized one
     @pytest.mark.parametrize("text,parenthesized", [
         ("x + 2 i", "x + (2 i)"),
-        ("x^2 + ix - 1/2 i - 1/4", "x^2 + ix + (-1/2 i - 1/4)")])
+        pytest.param("x^2 + ix - 1/2 i - 1/4", "x^2 + ix + (-1/2 i - 1/4)",
+                     id="x^2 + ix - 1/2 i - 1/4")])
     def test_spaced_coefficient(self, P, text, parenthesized):
         assert parse_opolynomial(text, P) == \
             parse_opolynomial(parenthesized, P)
