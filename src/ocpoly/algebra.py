@@ -163,10 +163,14 @@ class Octonion:
     __slots__ = ("coords", "params", "den", "num")
 
     def __init__(self, coords: tuple, params: AlgebraParams):
-        _set(self, "coords", coords)
         _set(self, "params", params)
-        if params.field.exact:  # exact arithmetic lives in the subclass
+        if params.field.exact:  # num / den alone, in the subclass
             _set(self, "__class__", ExactOctonion)
+            _set(self, "den", d := math.lcm(*[c.denominator for c in coords]))
+            _set(self, "num", tuple([c.numerator * (d // c.denominator)
+                                     for c in coords]))
+        else:
+            _set(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Octonion is immutable: cannot set {name!r}")
@@ -189,7 +193,9 @@ class Octonion:
         if len(cs) > 8 or not cs:
             raise InvalidInput(f"need 1..8 coordinates, got {len(cs)}")
         cs += [0] * (8 - len(cs))
-        return cls(tuple(params.field.coerce(c) for c in cs), params)
+        f = params.field  # exact: ints and Fractions as they are, to num/den
+        return cls(tuple([c if f.exact and type(c) in (int, Fraction)
+                          else f.coerce(c) for c in cs]), params)
 
     @classmethod
     def zero(cls, params: AlgebraParams) -> "Octonion":
@@ -354,16 +360,10 @@ class ExactOctonion(Octonion):
     __slots__ = ()
 
     def __getattr__(self, name):  # reached only while a slot is unset
-        if name == "coords":
-            _set(self, name, tuple(Fraction(n, self.den) for n in self.num))
-        elif name in ("den", "num"):
-            d = math.lcm(*(c.denominator for c in self.coords))
-            _set(self, "den", d)
-            _set(self, "num", tuple(c.numerator * (d // c.denominator)
-                                    for c in self.coords))
-        else:
+        if name != "coords":
             raise AttributeError(name)
-        return getattr(self, name)
+        _set(self, name, tuple(Fraction(n, self.den) for n in self.num))
+        return self.coords
 
     def __add__(self, other, sign=1):
         if not isinstance(other, Octonion):
@@ -387,12 +387,12 @@ class ExactOctonion(Octonion):
             t = self.params.table
             return _exact(self.params, t.den * self.den * other.den,
                           t.mul(self.num, other.num))
-        s = self.params.field.coerce(other)
+        s = other if type(other) is int else self.params.field.coerce(other)
         return _exact(self.params, self.den * s.denominator,
                       [a * s.numerator for a in self.num])
 
     def __truediv__(self, s):
-        s = self.params.field.coerce(s)
+        s = s if type(s) is int else self.params.field.coerce(s)
         if not s:
             raise ZeroDivisionError("division of an element by zero")
         return _exact(self.params, self.den * s.numerator,
@@ -401,6 +401,9 @@ class ExactOctonion(Octonion):
     def conj(self) -> "ExactOctonion":
         n = self.num
         return _exact(self.params, self.den, (n[0], *(-v for v in n[1:])))
+
+    def trace(self):
+        return Fraction(2 * self.num[0], self.den)
 
     def re(self):
         return Fraction(self.num[0], self.den)
@@ -443,17 +446,15 @@ def _exact(params: AlgebraParams, den: int, num) -> ExactOctonion:
 
 
 def combination(ws, xs) -> Octonion:
-    """sum ws[t] xs[t] for scalars ws and elements xs of one algebra, in one
-    pass per coordinate; exact mode on integer numerators over one common
-    denominator."""
+    """sum ws[t] xs[t] for scalars ws (integers in exact mode) and elements
+    xs of one algebra, in one pass per coordinate; exact mode on integer
+    numerators over one common denominator."""
     params = xs[0].params
     if params.field.exact:
         den = math.lcm(*(x.den for x in xs))
-        d = math.lcm(*(w.denominator for w in ws))
-        ns = [w.numerator * (d // w.denominator) for w in ws]
         cols = zip(*([v * (den // x.den) for v in x.num] for x in xs))
-        return _exact(params, den * d,
-                      [sum(map(operator.mul, ns, c)) for c in cols])
+        return _exact(params, den,
+                      [sum(map(operator.mul, ws, c)) for c in cols])
     cols = zip(*(x.coords for x in xs))
     return Octonion(tuple(sum(map(operator.mul, ws, c)) for c in cols),
                     params)
@@ -568,13 +569,18 @@ def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
     anticommutes with v.  Zero and isotropic are judged relative to the
     size of v; real mode returns a delta of unit size."""
     lam._check(mu)
-    params = lam.params
-    f = params.field
     cls = ConjClass(lam.trace(), lam.norm())
     if not cls.matches(mu):
         raise NotConjugate("trace or norm mismatch: gap "
                            f"{float(cls.gap(mu)):.3e} > threshold "
-                           f"{float(f.class_tol):.3e}")
+                           f"{float(lam.params.field.class_tol):.3e}")
+    return _conjugator(lam, mu)
+
+
+def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
+    """conjugating_element for a mu its caller has matched to lam's class."""
+    params = lam.params
+    f = params.field
     if lam.is_central():
         if lam.isclose(mu):
             return Octonion.basis(params, 1)
@@ -600,8 +606,5 @@ def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
 
 def random_octonion(params: AlgebraParams, rng, span: int = 4) -> Octonion:
     """Random element: small integers in exact mode, uniforms in real mode."""
-    if params.field.exact:
-        return Octonion.make(params,
-                             [Fraction(rng.randint(-span, span))
-                              for _ in range(8)])
-    return Octonion.make(params, [rng.uniform(-span, span) for _ in range(8)])
+    draw = rng.randint if params.field.exact else rng.uniform
+    return Octonion.make(params, [draw(-span, span) for _ in range(8)])

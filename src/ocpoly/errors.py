@@ -50,7 +50,7 @@ class ModeMismatch(OcpolyError):
 
 
 class ResourceLimit(OcpolyError):
-    """Composition degree cap exceeded."""
+    """A degree cap exceeded: of compose's inputs, or of a text read."""
 
 
 class NotAFixedPoint(OcpolyError):

@@ -15,6 +15,7 @@ from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
 COMPOSE_DEGREE_CAP = 16
+READ_DEGREE_CAP = COMPOSE_DEGREE_CAP ** 2  # the largest degree compose gives
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,9 @@ class OPolynomial:
     @functools.cached_property
     def coeff_scale(self) -> float:
         """max(1, largest |coordinate|): the scale of residual thresholds."""
+        if self.params.field.exact:  # max |num| / den: the same float
+            return max([1.0] + [max(map(abs, c.num)) / c.den
+                                for c in self.coeffs])
         return max([1.0] + [abs(float(v)) for c in self.coeffs
                             for v in c.coords])
 
@@ -225,9 +229,11 @@ class OPolynomial:
 def parse_opolynomial(text: str, params: AlgebraParams) -> OPolynomial:
     """Parse the text form, such as "x^2 + ix - 1/2 i - 1/4",
     "(1 + i)*x^2 - 2 * jx + (j - k)" or "1e-4x": the terms of each power
-    add up, and every term after the first carries a sign."""
+    add up, and every term after the first carries a sign.  An exponent
+    above READ_DEGREE_CAP raises ResourceLimit before any power is built."""
     coeffs = _read_terms(text, params, True)
-    zero = [params.field.zero()] * 8
+    if (deg := max(coeffs)) > READ_DEGREE_CAP:
+        raise ResourceLimit(f"degree {deg} above the cap {READ_DEGREE_CAP}")
     return OPolynomial.make(params, [
-        Octonion.make(params, coeffs.get(t, zero))
+        Octonion.make(params, coeffs.get(t, [0]))
         for t in range(max(coeffs) + 1)])

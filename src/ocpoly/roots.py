@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Octonion, anisotropic, combination, conjugating_element
+from .algebra import Octonion, _conjugator, anisotropic, combination
 from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInRMR,
                      WholeClass)
 from .opoly import OPolynomial
@@ -48,7 +48,9 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
     With lam^t = p_t lam + q_t, the central recursion
     lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
-    G = sum a_t q_t, each one combination of the coefficients.
+    G = sum a_t q_t, each one combination of the coefficients.  Exact mode
+    runs it on integers P_t = p_t D^(t-1), Q_t = q_t D^t, D = lcm(den T,
+    den N): P' = (T D) P + Q, Q' = -(N D^2) P, E and G over D^deg.
     """
     fld, cs = f.params.field, f.coeffs
     if not cs:
@@ -56,12 +58,20 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         return LinearReduction(E=zero, G=zero)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
     p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
+    if fld.exact:  # T D and N D^2 from the integers of T and N
+        D = math.lcm(dt := T.denominator, dn := N.denominator)
+        T, N, p, q = T.numerator * (D // dt), N.numerator * (D // dn) * D, 0, 1
     ps, qs = [], []
     for _ in cs:
         ps.append(p)
         qs.append(q)
         p, q = T * p + q, -N * p
-    return LinearReduction(E=combination(ps, cs), G=combination(qs, cs))
+    if not fld.exact:
+        return LinearReduction(E=combination(ps, cs), G=combination(qs, cs))
+    k = len(cs) - 1  # p_t = P_t D^(k+1-t) / D^k, q_t = Q_t D^(k-t) / D^k
+    E = combination([P * D ** (k + 1 - t) for t, P in enumerate(ps)], cs)
+    G = combination([Q * D ** (k - t) for t, Q in enumerate(qs)], cs)
+    return LinearReduction(E=E / D ** k, G=G / D ** k)
 
 
 # (f, cls, reduce_linear(f, cls)) of the last reduction made, replaced whole
@@ -125,13 +135,12 @@ class RootSet:
 
 
 def _in_class(cls: ConjClass, lam: Octonion) -> Octonion:
-    """lam if it lies in cls at class_tol; else NotInRMR stating the gap."""
-    tol = lam.params.field.class_tol
-    gap = cls.gap(lam)
-    if gap > tol:
-        raise NotInRMR("candidate -E^-1 G is off its class: residual "
-                       f"{float(gap):.3e} > threshold {float(tol):.3e}")
-    return lam
+    """lam if cls.matches it; else NotInRMR stating the gap."""
+    if cls.matches(lam):
+        return lam
+    raise NotInRMR("candidate -E^-1 G is off its class: residual "
+                   f"{float(cls.gap(lam)):.3e} > threshold "
+                   f"{float(lam.params.field.class_tol):.3e}")
 
 
 def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
@@ -195,8 +204,8 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
         lam = _class_root(f, ConjClass(mu.trace(), mu.norm()))
         # on a sphere (None) every member, mu too, is a root
         if lam is not None and not lam.isclose(mu):
-            try:
-                c = conjugating_element(lam, mu).inverse()
+            try:  # lam matched mu's class in _class_root
+                c = _conjugator(lam, mu).inverse()
             except NotConjugate as exc:
                 raise NotInRMR("the class of mu holds no root: "
                                + str(exc)) from exc

@@ -161,6 +161,8 @@ class ConjClass:
 
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""
+        if mu.params.field.exact:  # gap 0: equal trace and norm
+            return mu.trace() == self.T and mu.norm() == self.N
         return self.gap(mu) <= mu.params.field.class_tol
 
     def to_json(self, f):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ import ocpoly.cli as cli_mod
 import ocpoly.roots as roots_mod
 from ocpoly.algebra import (AlgebraParams, Octonion, format_octonion,
                             parse_octonion, random_octonion)
-from ocpoly.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, main)
+from ocpoly.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE,
+                        main)
 from ocpoly.errors import NotInRMR
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (class_member, lmr_contains, lmr_describe,
@@ -517,6 +519,19 @@ class TestExitCodes:
         path.write_text(text + "\n")
         assert main(["roots", str(path)]) == EXIT_MATH
         assert named in capsys.readouterr().err
+
+    def test_degree_cap(self, tmp_path, capsys):
+        """A 15-byte text asking for 10^8 powers exits 4 at once; the
+        largest degree compose returns reads back."""
+        path = tmp_path / "f.txt"
+        path.write_text("x^100000000 + 1\n")
+        start = time.perf_counter()
+        assert main(["--mode", "exact", "roots", str(path)]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        assert "degree 100000000 above the cap 256" \
+            in capsys.readouterr().err
+        path.write_text("x^256 + 1\n")
+        assert main(["companion", str(path)]) == EXIT_OK
 
     def test_orbit_max_iter_beyond_memory(self, tmp_path, capsys):
         # storage grows with the orbit, which revisits at step 17

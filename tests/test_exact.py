@@ -16,10 +16,12 @@ from sympy.polys import factortools
 from sympy.polys.factortools import dup_factor_list
 
 import ocpoly
-from ocpoly.algebra import AlgebraParams, Octonion, polar_form
-from ocpoly.errors import NotInvertible
-from ocpoly.opoly import OPolynomial
-from ocpoly.scalars import EXACT, CentralPoly, central_roots
+from ocpoly.algebra import AlgebraParams, Octonion, parse_octonion, polar_form
+from ocpoly.errors import InvalidInput, NotInvertible
+from ocpoly.opoly import OPolynomial, parse_opolynomial
+from ocpoly.roots import (lmr_describe_class, lmr_sample_detailed,
+                          reduce_linear, rmr_witness, roots)
+from ocpoly.scalars import EXACT, CentralPoly, ConjClass, central_roots
 
 from doubling import cd_conj, cd_mul
 
@@ -319,3 +321,101 @@ def test_sympy_only_on_remainder():
         "False", "irreducible factor of degree 4 over Q; "
         "no rational conjugacy-class data"]
 
+
+
+# ---------------------------------------------------------------------------
+# Integer paths: construction, class membership, coefficient scale and the
+# linear reduction, each against its Fraction form, on a definite and a
+# split algebra
+
+DEFINITE_AND_SPLIT = PARAMS[:2]  # (-1, -1, -1) and (2, 3, 5)
+mixed = st.one_of(st.integers(-10 ** 20, 10 ** 20), rationals)
+
+
+@SETTINGS
+@given(st.sampled_from(DEFINITE_AND_SPLIT),
+       st.lists(mixed, min_size=1, max_size=8))
+def test_make_from_ints_and_fractions(params, cs):
+    """make reads ints and Fractions into num / den directly; the element
+    equals the one Field.coerce builds from the same values as text, and
+    the one arithmetic builds, in num, den, coords, == and hash.  Floats
+    still pass through Field.coerce: integral ones are read, others
+    refused."""
+    x = Octonion.make(params, cs)
+    assert_exact(x, [Fraction(c) for c in cs] + [Fraction(0)] * (8 - len(cs)))
+    via_text = Octonion.make(params, [str(c) for c in cs])
+    for other in (via_text, -(-via_text)):
+        assert (other.num, other.den) == (x.num, x.den)
+        assert other.coords == x.coords
+        assert other == x and hash(other) == hash(x)
+    assert Octonion.make(params, cs[:7] + [2.0]) == \
+        Octonion.make(params, cs[:7] + [2])
+    with pytest.raises(InvalidInput):
+        Octonion.make(params, cs[:7] + [0.5])
+
+
+@SETTINGS
+@given(st.sampled_from(DEFINITE_AND_SPLIT), coords, coords, nonzero)
+def test_exact_matches_is_zero_gap(params, m, q, s):
+    """In exact mode matches is equal trace and norm: exactly gap == 0, on
+    conjugates of mu (members) and on mu + s, s mu (not, s != 1)."""
+    mu, q = Octonion.make(params, m), Octonion.make(params, q)
+    cls = ConjClass(mu.trace(), mu.norm())
+    members = [mu, mu.conj()]
+    if q.norm() != 0:
+        members.append((q * mu) * q.inverse())
+    for cand in members + [mu + s, mu * s]:
+        assert cls.matches(cand) == (cls.gap(cand) == 0)
+    assert all(cls.matches(c) for c in members)
+    assert not cls.matches(mu + s)
+
+
+big = st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                   max_denominator=10 ** 30)
+
+
+@SETTINGS
+@given(st.sampled_from(DEFINITE_AND_SPLIT),
+       st.lists(st.tuples(*[st.one_of(rationals, big)] * 8), max_size=4))
+def test_exact_coeff_scale_is_the_float_formula(params, rows):
+    f = OPolynomial.make(params, [Octonion.make(params, r) for r in rows])
+    assert f.coeff_scale == max([1.0] + [abs(float(v)) for c in f.coeffs
+                                         for v in c.coords])
+
+
+@SETTINGS
+@given(st.sampled_from(DEFINITE_AND_SPLIT),
+       st.lists(coords, min_size=1, max_size=5), rationals, rationals)
+def test_integer_reduce_linear_is_the_fraction_recursion(params, rows, T, N):
+    """E = sum a_t p_t, G = sum a_t q_t with p_0 = 0, q_0 = 1 and
+    p' = T p + q, q' = -N p, run on Fractions here."""
+    cs = [Octonion.make(params, r) for r in rows]
+    f = OPolynomial.make(params, cs)
+    red = reduce_linear(f, ConjClass(T, N))
+    E, G = Octonion.zero(params), Octonion.zero(params)
+    p, q = Fraction(0), Fraction(1)
+    for a in f.coeffs:
+        E, G = E + a * p, G + a * q
+        p, q = T * p + q, -N * p
+    for got, want in ((red.E, E), (red.G, G)):
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.coords == want.coords
+
+
+def test_exact_queries_never_compute_a_gap(monkeypatch):
+    """Exact roots, witnesses and LMR samples of x^2 + ix - ij + 1 decide
+    class membership by matches alone: gap only formats a refusal."""
+    def refuse(self, mu):
+        raise AssertionError("gap computed")
+
+    P = PARAMS[0]
+    f = parse_opolynomial("x^2 + ix - ij + 1", P)
+    monkeypatch.setattr(ConjClass, "gap", refuse)
+    assert sorted(str(lam) for lam, _ in roots(f).isolated) == ["-i + j", "j"]
+    for mu in ("-ij", "il", "-1/2 i + 1/2 j - 1/2 k + 1/2 l"):
+        mu = parse_octonion(mu, P)
+        c = rmr_witness(f, mu)
+        assert f.scale_right(c).eval(mu).is_zero()
+    desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
+    for _, _, c, pt in lmr_sample_detailed(desc, 8, seed=5):
+        assert f.scale_left(c).eval(pt).is_zero()
