@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInvertible,
-                     ParseError, WitnessFailure)
+                     ParseError, ResourceLimit, WitnessFailure)
 from .scalars import REAL, ConjClass, Field
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
@@ -365,6 +365,13 @@ class ExactOctonion(Octonion):
         _set(self, name, tuple(Fraction(n, self.den) for n in self.num))
         return self.coords
 
+    def __eq__(self, other):  # num / den is canonical: no coords built
+        return (isinstance(other, ExactOctonion) and self.den == other.den
+                and self.num == other.num and self.params == other.params)
+
+    def __hash__(self):
+        return hash((self.den, self.num, self.params))
+
     def __add__(self, other, sign=1):
         if not isinstance(other, Octonion):
             other = Octonion.scalar(self.params, other)
@@ -508,6 +515,8 @@ def _read_terms(text: str, params: AlgebraParams, poly: bool) -> dict:
             unit = {"ij": "k", None: "1"}.get(m["unit"], m["unit"])
             terms = [(BASIS_NAMES.index(unit), f.one() if m["num"] is None
                       else f.parse(m["num"]))]
+        if len(m["exp"] or "") > 4300:  # more than int() converts
+            raise ResourceLimit(f"exponent of {len(m['exp'])} digits")
         t = 0 if m["x"] is None else int(m["exp"] or 1)
         acc = coeffs.setdefault(t, [f.zero()] * 8)
         for a, v in terms:

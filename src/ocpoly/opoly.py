@@ -129,6 +129,8 @@ class OPolynomial:
             out[2 * s] += x.norm()
             for t in range(s + 1, len(cs)):
                 out[s + t] += polar_form(x, cs[t])
+        if out[-1] == 0 and min(self.params.table.norm_diag) > 0:  # underflow
+            raise InvalidInput(f"leading coefficient {cs[-1]} has norm 0.0")
         return CentralPoly.make(self.params.field, out)
 
     def eval(self, lam: Octonion) -> Octonion:

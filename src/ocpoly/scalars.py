@@ -177,6 +177,14 @@ _MAX_ITER = 1000
 _RESTARTS = 4
 
 
+def _companion_eigvals(cs: np.ndarray):
+    """The eigenvalues of np.roots's companion matrix of the descending float
+    coefficients cs (cs[0] != 0), or None if an entry is not finite."""
+    comp = np.diag(np.ones(len(cs) - 2), -1)
+    comp[0] = -cs[1:] / cs[0]
+    return np.linalg.eigvals(comp) if np.isfinite(comp).all() else None
+
+
 def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """All complex roots of the polynomial with ascending float coefficients."""
     n = len(coeffs) - 1
@@ -185,10 +193,13 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
     target = 1e-12 * max(1.0, scale)
     radius = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
+    start = _companion_eigvals(coeffs[::-1])
     for attempt in range(_RESTARTS):
         phases = 2 * np.pi * (np.arange(n) / n + rng.uniform(0, 1))
         z = radius * (0.4 + 0.6 * rng.uniform(size=n) if attempt else 0.9) \
             * np.exp(1j * phases)
+        if attempt == 0 and start is not None:  # else the ring
+            z = start
         for _ in range(_MAX_ITER):
             pv = p(z)
             if np.max(np.abs(pv)) < target:
@@ -230,11 +241,10 @@ def _cluster_real(candidates):
 
 
 def _central_roots_real(p: CentralPoly) -> list:
-    rng = np.random.default_rng(0)  # fixed: the same inputs, the same roots
     coeffs = np.array([float(c) for c in p.coeffs])
     if p.degree == 0:
         return []
-    roots = _aberth(coeffs, rng)
+    roots = _aberth(coeffs, np.random.default_rng(0))  # fixed: same roots
     scale = max(1.0, float(np.max(np.abs(roots))))
     # A root of multiplicity m is only located to ~(residual)^(1/m), so first
     # collapse nearby iterates into clusters; the cluster centroid cancels the
@@ -247,7 +257,13 @@ def _central_roots_real(p: CentralPoly) -> list:
         group = [z]
         group += [w for w in remaining if abs(w - z) <= cluster_tol]
         remaining = [w for w in remaining if abs(w - z) > cluster_tol]
-        centers.append((sum(group) / len(group), len(group)))
+        z, m = sum(group) / len(group), len(group)
+        if m > 1:  # Newton on p^(m-1), where an m-fold root is simple
+            d = np.polynomial.Polynomial(coeffs).deriv(m - 1)
+            for _ in range(3):
+                step = d(z) / d.deriv()(z)
+                z = z - step if np.isfinite(step) else z
+        centers.append((z, m))
 
     pair_tol = 1e-8 * scale
     out = []
@@ -266,17 +282,13 @@ def _central_roots_real(p: CentralPoly) -> list:
             d = abs(w - np.conj(z))
             if d < bestd:
                 best, bestd = jdx, d
-        if best is None or bestd > pair_tol:
-            # unpaired complex root: record the class of (z, conj z) anyway;
-            # with real coefficients this only happens from noise
-            out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
-                                 multiplicity=mult))
-            continue
-        used[best] = True
-        zz = 0.5 * (z + np.conj(centers[best][0]))
-        out.append(ConjClass(float(2 * zz.real), float(abs(zz) ** 2),
+        if best is not None and bestd <= pair_tol:
+            used[best] = True
+            z = 0.5 * (z + np.conj(centers[best][0]))
+        # else unpaired, which real coefficients give only from noise
+        out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
                              multiplicity=mult))
-    return _cluster_real(out)
+    return sorted(_cluster_real(out), key=lambda c: (c.T, c.N))
 
 
 def _primitive(cs: list) -> list:
@@ -335,10 +347,7 @@ def _proposals(f: list):
         cs = np.array([float(c) for c in f])
     except OverflowError:  # a coefficient beyond float range
         return
-    # np.roots's own companion matrix, without its setup (f has no zero ends)
-    comp = np.diag(np.ones(len(cs) - 2), -1)
-    comp[0] = -cs[1:] / cs[0]
-    zs = np.linalg.eigvals(comp).tolist()
+    zs = _companion_eigvals(cs).tolist()  # finite: |cs[0]| >= 1
     lc = float(f[0])
     vals = [[-lc * z.real] for z in zs if z.imag == 0]
     for k, z in enumerate(zs):

@@ -504,7 +504,8 @@ class TestExitCodes:
         assert not (tmp_path / "img.pgm").exists()
 
     # real mode: the first two died with an OverflowError (exit 1), NaN and
-    # Infinity ran the solver to its cap
+    # Infinity ran the solver to its cap, and the last lost its root: the
+    # norm of its leading coefficient underflows to 0.0
     @pytest.mark.parametrize("text,named", [
         ("(1e400 i)x + 1", "(401 digits) is beyond float range"),
         ('{"params": [-1, -1, -1], "coeffs": [[1], [0, %d]]}' % 10 ** 400,
@@ -512,8 +513,10 @@ class TestExitCodes:
         ('{"params": [-1, -1, -1], "coeffs": [[1], [NaN, 1]]}',
          "nan is not a finite scalar"),
         ('{"params": [-1, -1, -1], "coeffs": [[1], [1, Infinity]]}',
-         "inf is not a finite scalar")],
-        ids=["text-1e400", "json-10^400", "json-nan", "json-infinity"])
+         "inf is not a finite scalar"),
+        ("(1e-200 j)x + 1 + 2i", "leading coefficient 1e-200 j has norm 0.0")],
+        ids=["text-1e400", "json-10^400", "json-nan", "json-infinity",
+             "text-1e-200"])
     def test_non_finite_input_refused(self, tmp_path, capsys, text, named):
         path = tmp_path / "f.txt"
         path.write_text(text + "\n")
@@ -532,6 +535,13 @@ class TestExitCodes:
             in capsys.readouterr().err
         path.write_text("x^256 + 1\n")
         assert main(["companion", str(path)]) == EXIT_OK
+
+    def test_exponent_beyond_int_conversion(self, tmp_path, capsys):
+        # int() refused the 5,000 digits with a ValueError (exit 1)
+        path = tmp_path / "f.txt"
+        path.write_text("x^" + "9" * 5000 + " + 1\n")
+        assert main(["roots", str(path)]) == EXIT_RESOURCE
+        assert "exponent of 5000 digits" in capsys.readouterr().err
 
     def test_orbit_max_iter_beyond_memory(self, tmp_path, capsys):
         # storage grows with the orbit, which revisits at step 17

@@ -118,6 +118,19 @@ def test_integer_paths_leave_coords_unbuilt():
     assert y.re() == y.coords[0] and type(y.trace()) is Fraction
 
 
+def test_equality_and_hash_leave_coords_unbuilt():
+    """== and hash read num / den, which are canonical: elements built by
+    arithmetic compare and hash without building Fraction coordinates."""
+    P = PARAMS[3]
+    x = Octonion.make(P, [1, -2, Fraction(1, 3), 0, 4, 0, Fraction(-5, 6), 7])
+    y, z = x * x, x * x
+    assert y == z and hash(y) == hash(z) and y != x
+    slot = Octonion.__dict__["coords"]  # reads the slot, never builds it
+    for w in (y, z):
+        with pytest.raises(AttributeError):
+            slot.__get__(w)
+
+
 @SETTINGS
 @given(operands())
 def test_polar_form(ops):

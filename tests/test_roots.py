@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocpoly import scalars
 from ocpoly.algebra import (AlgebraParams, Octonion, parse_octonion,
                             random_octonion)
-from ocpoly.errors import (InvalidInput, ModeMismatch, NotInRMR,
-                           UnsupportedDegree, WholeClass, WitnessFailure)
+from ocpoly.errors import (InvalidInput, ModeMismatch, NoConvergence,
+                           NotInRMR, UnsupportedDegree, WholeClass,
+                           WitnessFailure)
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (ConjClass, class_member, lmr_contains,
                           lmr_describe, lmr_describe_class, lmr_sample,
@@ -215,13 +217,50 @@ class TestRoots:
                 lam = class_member(cls, PR, py_rng)
                 assert float(f.eval(lam).abs()) < 1e-6 * scale
 
-    def test_anomaly_states_residual_and_threshold(self, PR):
-        # (x^2 + 1)(x - j): the solver splits the triple class of the
-        # companion (x^2 + 1)^3, so each candidate misses its class data
-        # (the solver loses this sphere today; once it keeps it, this
-        # test needs another input that still yields an anomaly)
+    def test_repeated_sphere(self, PR):
+        # (x^2 + 1)(x - j): the companion is (x^2 + 1)^3, one sphere of
+        # multiplicity 3; each split iterate used to miss its class data
         j = Octonion.basis(PR, 2)
         f = OPolynomial.make(PR, [1, 0, 1]) * OPolynomial.make(PR, [-j, 1])
+        r = roots(f)
+        assert not r.isolated and not r.anomalies
+        (cls,) = r.spherical
+        assert (cls.T, cls.N, cls.multiplicity) == \
+            (pytest.approx(0, abs=1e-12), pytest.approx(1, abs=1e-12), 3)
+
+    def test_first_attempt_starts_at_companion_eigenvalues(
+            self, PR, monkeypatch):
+        # three iterations from a ring of starting points never converge;
+        # from the eigenvalues of the companion matrix they need none
+        monkeypatch.setattr(scalars, "_MAX_ITER", 3)
+        py_rng = random.Random(24)
+        for k in range(40):
+            g = OPolynomial.make(PR, [random_octonion(PR, py_rng)
+                                      for _ in range(k % 3)] + [1])
+            lam = random_octonion(PR, py_rng)
+            r = roots(g * OPolynomial.make(PR, [-lam, 1]))
+            assert any(mu.isclose(lam, 1e-6) for mu, _ in r.isolated)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # Aberth on inf
+    def test_tiny_leading_coefficient(self, PR):
+        def f(e):
+            return OPolynomial.make(PR, [Octonion.make(PR, [1, 2]),
+                                         Octonion.make(PR, [0, 0, e])])
+        # n(1e-160 j) = 1e-320: the companion matrix holds an inf, so the
+        # solver starts from its ring alone and stops with a typed error
+        with pytest.raises(NoConvergence):
+            roots(f(1e-160))
+        # n(1e-200 j) underflows to 0.0: the root was dropped without a word
+        with pytest.raises(InvalidInput, match=r"leading coefficient "
+                           r"1e-200 j has norm 0\.0"):
+            roots(f(1e-200))
+
+    def test_anomaly_states_residual_and_threshold(self, PR):
+        # (x^2 + 1)(x - lam) with re lam = 3e-6, off the sphere (0, 1): the
+        # two classes of the companion lie within the clustering distance,
+        # so the merged class misses the root -E^-1 G by about 4e-6
+        lam = Octonion.make(PR, [3e-6, 0, math.sqrt(1 - 9e-12)])
+        f = OPolynomial.make(PR, [1, 0, 1]) * OPolynomial.make(PR, [-lam, 1])
         _, reason = roots(f).anomalies[0]
         m = re.search(r"residual (\S+) > threshold (\S+)$", reason)
         residual, threshold = float(m.group(1)), float(m.group(2))
