@@ -177,7 +177,7 @@ _MAX_ITER = 1000
 _RESTARTS = 4
 
 
-def _companion_eigvals(cs: np.ndarray):
+def _companion_eigvals(cs: np.ndarray) -> np.ndarray | None:
     """The eigenvalues of np.roots's companion matrix of the descending float
     coefficients cs (cs[0] != 0), or None if an entry is not finite."""
     comp = np.diag(np.ones(len(cs) - 2), -1)
