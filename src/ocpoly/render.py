@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Octonion
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 from .opoly import OPolynomial
 
 RETIRE_EVERY = 8  # steps between fixed-point checks
+MAX_PIXELS = 2048 * 2048  # the largest raster, before any array exists
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,9 @@ class SliceSpec:
             raise InvalidInput("slice directions must be nonzero")
         if self.width < 1 or self.height < 1 or self.max_iter < 1:
             raise InvalidInput("bad raster dimensions")
+        if self.width * self.height > MAX_PIXELS:
+            raise ResourceLimit(f"raster {self.width} x {self.height} above "
+                                f"the cap of {MAX_PIXELS} pixels")
         r = self.escape_radius
         if not (0 < r and r * r < math.inf):  # escape tests compare r^2
             raise InvalidInput(f"escape radius must be positive with a "

@@ -6,8 +6,9 @@ E*lam + G = 0.  One class rule, _class_root, reads it: the class holds
 the one root -E^{-1} G if that lies in it, all its members if E = G = 0,
 and no root of any scalar multiple otherwise.  roots() applies it to
 every companion class, lmr_describe_class to one, and the RMR and LMR
-queries to mu's own class before one backward-error rule, against
-sum_t |a_t| |mu|^t: a witness c for f(x)c, or a singular c -> (c f)(mu).
+queries to mu's own class.  Every point is judged by one backward-error
+rule, |g(mu)| <= tol * sum_t |b_t| |mu|^t: a root of f at residual_tol, a
+witness c for f(x)c and a singular c -> (c f)(mu) at witness_tol.
 The one root of c f in a class is -(c E)^-1 (c G), drawn c by c.
 """
 
@@ -100,22 +101,25 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
     raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, scale))
 
 
-def _evaluated_root(f: OPolynomial, lam: Octonion,
-                    what: str = "candidate") -> Octonion:
-    """lam if f(lam) is negligible at residual_tol against f's coefficient
-    scale, the rule for a root; else NotInRMR stating what failed."""
-    tol, scale = f.params.field.residual_tol, f.coeff_scale
-    val = f.eval(lam)
-    if not val.negligible(tol, scale):
-        raise NotInRMR(what + " fails evaluation: " + val.misfit(tol, scale))
-    return lam
-
-
 def _eval_scale(f: OPolynomial, mu: Octonion) -> float:
     """sum_t |a_t| |mu|^t, |x| = sqrt(size2): the scale of f's error at mu."""
     size = math.sqrt(mu.size2())
     return sum(math.sqrt(a.size2()) * size ** t
                for t, a in enumerate(f.coeffs))
+
+
+def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
+                    what: str = "candidate fails evaluation") -> Octonion:
+    """mu if its backward error is within tol, |f(mu)| <= tol * sum_t |a_t|
+    |mu|^t, the one rule for a point (exact mode: f(mu) = 0); else NotInRMR
+    stating what failed."""
+    val = f.eval(mu)
+    if val.is_zero():  # no scale needed, and all that exact mode accepts
+        return mu
+    scale = _eval_scale(f, mu)
+    if not val.negligible(tol, scale):
+        raise NotInRMR(f"{what}: {val.misfit(tol, scale)}")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
     that holds no root of any scalar multiple raises NotInRMR."""
     if cls.central:
         return _evaluated_root(f, Octonion.scalar(f.params, cls.r),
-                               "central class: candidate")
+                               f.params.field.residual_tol,
+                               "central class: candidate fails evaluation")
     red = _reduction(f, cls)
     if _whole_class(f, red):
         return None
@@ -172,7 +177,7 @@ def roots(f: OPolynomial) -> RootSet:
                 # its own class, which its conjugates match at class_tol
                 cls = ConjClass(lam.trace(), lam.norm(),
                                 multiplicity=cls.multiplicity)
-                _evaluated_root(f, lam)
+                _evaluated_root(f, lam, f.params.field.residual_tol)
             found["isolated"].append((lam, cls))
         except NotInRMR as exc:
             found["anomalies"].append((cls, str(exc)))
@@ -209,12 +214,8 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
             except NotConjugate as exc:
                 raise NotInRMR("the class of mu holds no root: "
                                + str(exc)) from exc
-    fc = f.scale_right(c)
-    val, scale = fc.eval(mu), _eval_scale(fc, mu)
-    tol = f.params.field.witness_tol
-    if not val.negligible(tol, scale):
-        raise NotInRMR("witness verification failed: "
-                       + val.misfit(tol, scale))
+    _evaluated_root(f.scale_right(c), mu, f.params.field.witness_tol,
+                    "witness verification failed")
     return c
 
 

@@ -10,7 +10,7 @@ from which every threshold derives, and does coercion and parsing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -122,16 +122,6 @@ class CentralPoly:
             acc = acc * z + c
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for t, c in enumerate(self.coeffs):
-            if c == 0 and self.field.exact:
-                continue
-            terms.append(f"({c})x^{t}" if t else f"({c})")
-        return " + ".join(terms) or "0"
-
 
 @dataclass(frozen=True)
 class ConjClass:
@@ -219,27 +209,6 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise NoConvergence(f"Aberth solver failed for degree {n}")
 
 
-def _cluster_real(candidates):
-    """Merge classes that coincide within tolerance, summing multiplicity."""
-    merged = []
-    for cand in candidates:
-        for k, m in enumerate(merged):
-            if m.central != cand.central:
-                continue
-            if cand.central:
-                near = abs(m.r - cand.r) <= 1e-6 * (1.0 + abs(m.r))
-            else:
-                near = (abs(m.T - cand.T) <= 1e-6 * (1.0 + abs(m.T))
-                        and abs(m.N - cand.N) <= 1e-6 * (1.0 + abs(m.N)))
-            if near:
-                merged[k] = replace(
-                    m, multiplicity=m.multiplicity + cand.multiplicity)
-                break
-        else:
-            merged.append(cand)
-    return merged
-
-
 def _central_roots_real(p: CentralPoly) -> list:
     coeffs = np.array([float(c) for c in p.coeffs])
     if p.degree == 0:
@@ -265,30 +234,18 @@ def _central_roots_real(p: CentralPoly) -> list:
                 z = z - step if np.isfinite(step) else z
         centers.append((z, m))
 
+    # A real polynomial's roots are mirror images: a centre on the axis is
+    # a central class, one above it a class (T, N), one below its mirror.
     pair_tol = 1e-8 * scale
-    out = []
-    used = [False] * len(centers)
-    for idx, (z, mult) in enumerate(centers):
-        if used[idx]:
-            continue
-        used[idx] = True
-        if abs(z.imag) <= pair_tol:
-            out.append(ConjClass.of_scalar(float(z.real), mult))
-            continue
-        best, bestd = None, np.inf
-        for jdx, (w, wmult) in enumerate(centers):
-            if used[jdx] or wmult != mult:
-                continue
-            d = abs(w - np.conj(z))
-            if d < bestd:
-                best, bestd = jdx, d
-        if best is not None and bestd <= pair_tol:
-            used[best] = True
-            z = 0.5 * (z + np.conj(centers[best][0]))
-        # else unpaired, which real coefficients give only from noise
-        out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
-                             multiplicity=mult))
-    return sorted(_cluster_real(out), key=lambda c: (c.T, c.N))
+    out = [ConjClass.of_scalar(float(z.real), m) if abs(z.imag) <= pair_tol
+           else ConjClass(float(2 * z.real), float(abs(z) ** 2),
+                          multiplicity=m)
+           for z, m in centers if z.imag >= -pair_tol]
+    placed = sum(c.multiplicity * (1 if c.central else 2) for c in out)
+    if placed != p.degree:  # iterates that are no mirror images
+        raise NoConvergence(f"classes place {placed} of the {p.degree} "
+                            "roots of a real polynomial")
+    return sorted(out, key=lambda c: (c.T, c.N))
 
 
 def _primitive(cs: list) -> list:

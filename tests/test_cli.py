@@ -240,6 +240,24 @@ class TestSubcommands:
         assert main(["classify", str(path), f"--alpha={alpha}"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["order"] == 2
 
+    def test_classify_all_fixed_points(self, tmp_path, capsys):
+        """Without --alpha, classify reports every fixed point: x^2 fixes
+        0, where f' = 0, and 1, where f' = 2."""
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        assert main(["classify", str(path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        points = [p["root"][0] for p in out["fixed_points"]["isolated"]]
+        verdicts = [r["verdict"] for r in out["reports"]]
+        assert sorted(zip(points, verdicts)) == [(0.0, "attracting"),
+                                                 (1.0, "repelling")]
+
+    def test_orbit_escapes(self, tmp_path, capsys):
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        assert main(["orbit", str(path), "--start=2"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("# escaped,1\n")
+
     def test_orbit_csv(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("x^2 - 1\n")
@@ -464,16 +482,17 @@ class TestExitCodes:
     def test_lmr_central_class_without_root(self, tmp_path, capsys):
         """Over (2, 3, 5) this quadratic has real companion roots that are
         no roots of f: lmr refuses with the residual and the threshold
-        that roots reports for them."""
+        that roots reports for them, 1e-8 * sum_t |a_t| |r|^t at the
+        first, r = -0.4329."""
         path = tmp_path / "split.json"
         path.write_text(json.dumps({"params": [2, 3, 5], "coeffs": [
             [3, -3, 2, 0, -1, 2, 3, -2], [1, -3, -1, -3, -3, -3, 2, 1],
             [-3, 0, 2, -2, 0, 2, -3, 1]]}))
         assert main(["lmr", str(path)]) == EXIT_MATH
         err = capsys.readouterr().err
-        assert "residual 1.903e+01 > threshold 3.000e-08" in err
+        assert "residual 1.903e+01 > threshold 2.888e-07" in err
         assert main(["roots", str(path)]) == EXIT_OK
-        assert "residual 1.903e+01 > threshold 3.000e-08" in \
+        assert "residual 1.903e+01 > threshold 2.888e-07" in \
             capsys.readouterr().out
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "1e9"])
@@ -542,6 +561,17 @@ class TestExitCodes:
         path.write_text("x^" + "9" * 5000 + " + 1\n")
         assert main(["roots", str(path)]) == EXIT_RESOURCE
         assert "exponent of 5000 digits" in capsys.readouterr().err
+
+    def test_render_raster_beyond_memory(self, tmp_path, capsys):
+        # lattice() died with numpy's _ArrayMemoryError (exit 1)
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        assert main(["render", str(path), "--width=10000000",
+                     "--height=10000000",
+                     f"--out={tmp_path / 'img.pgm'}"]) == EXIT_RESOURCE
+        assert "raster 10000000 x 10000000 above the cap of 4194304 " \
+            "pixels" in capsys.readouterr().err
+        assert not (tmp_path / "img.pgm").exists()
 
     def test_orbit_max_iter_beyond_memory(self, tmp_path, capsys):
         # storage grows with the orbit, which revisits at step 17

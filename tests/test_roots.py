@@ -709,15 +709,19 @@ class TestLMROnSplitAlgebras:
 
     def test_central_class_without_root(self):
         """A real companion root r of f over (2, 3, 5) with f(r) != 0: as
-        (c f)(r) = c f(r), no multiple has a root in {r}."""
+        (c f)(r) = c f(r), no multiple has a root in {r}.  Each class is
+        judged by its backward error, residual_tol * sum_t |a_t| |r|^t."""
         P = AlgebraParams(REAL, 2, 3, 5)
         f = OPolynomial.make(P, [Octonion.make(P, cs) for cs in SPLIT_FOUND])
         central = [c for c in rmr_classes(f) if c.central]
         assert len(central) == 2
         for cls in central:
-            with pytest.raises(NotInRMR, match=r"central class: candidate "
-                               r"fails evaluation: residual \S+ > "
-                               r"threshold 3\.000e-08"):
+            threshold = REAL.residual_tol * sum(
+                math.sqrt(a.size2()) * abs(cls.r) ** t
+                for t, a in enumerate(f.coeffs))
+            with pytest.raises(NotInRMR, match=re.escape(
+                    "central class: candidate fails evaluation: residual ")
+                    + r"\S+ > " + re.escape(f"threshold {threshold:.3e}")):
                 lmr_describe_class(f, cls)
         assert [c for c, _ in roots(f).anomalies] == central
 
@@ -773,10 +777,11 @@ class TestLMRKinds:
     @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
     def test_central_class_off_the_root_set(self, field):
         """x - 2 at the central class {5}: f(5) = 3, so no multiple has a
-        root there, and 5 is no LMR point."""
+        root there, and 5 is no LMR point.  The threshold is the backward
+        error's, 1e-8 * (|-2| + |1| * 5)."""
         P = AlgebraParams.octonions(field)
         f = parse_opolynomial("x - 2", P)
-        threshold = "0.000e+00" if field.exact else "2.000e-08"
+        threshold = "0.000e+00" if field.exact else "7.000e-08"
         with pytest.raises(NotInRMR, match=re.escape(
                 f"residual 3.000e+00 > threshold {threshold}")):
             lmr_describe_class(f, ConjClass.of_scalar(field.coerce(5)))
