@@ -209,38 +209,64 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise NoConvergence(f"Aberth solver failed for degree {n}")
 
 
+def _clusters(coeffs: list, zs: list) -> list:
+    """The iterates zs in clusters, as (centroid, size).  A group of k
+    iterates with centroid c lies within its spread plus the Weierstrass
+    radius (n |p(c)| / |a_n prod_{z outside} (c - z)|)^(1/k) of k roots,
+    with |p(c)| at least its rounding error eps sum_t |a_t| |c|^t (Braess &
+    Hadeler, Numer. Math. 21, 1973).  Two groups merge while each is the
+    other's nearest and their discs overlap; equal iterates always do."""
+    n, groups = len(zs), [[z] for z in zs]
+    while True:
+        cs = [sum(g) / len(g) for g in groups]
+        rads = []
+        for g, c in zip(groups, cs):
+            val, err, size = 0j, 0.0, abs(c)
+            for a in reversed(coeffs):
+                val, err = val * c + a, err * size + abs(a)
+            prod = abs(coeffs[-1]) * math.prod(
+                abs(c - z) for h in groups if h is not g for z in h)
+            val = n * (abs(val) + math.ulp(1.0) * err)
+            rads.append(max(abs(z - c) for z in g)
+                        + ((val / prod) ** (1 / len(g)) if prod else math.inf))
+        near = [min((j for j in range(len(cs)) if j != i), default=i,
+                    key=lambda j, c=c: abs(c - cs[j]))
+                for i, c in enumerate(cs)]
+        pairs = {j: i for i, j in enumerate(near) if i < j and near[j] == i
+                 and abs(cs[i] - cs[j]) <= rads[i] + rads[j]}
+        if not pairs:
+            return list(zip(cs, map(len, groups)))
+        for j, i in pairs.items():
+            groups[i] += groups[j]
+        groups = [g for k, g in enumerate(groups) if k not in pairs]
+
+
 def _central_roots_real(p: CentralPoly) -> list:
     coeffs = np.array([float(c) for c in p.coeffs])
     if p.degree == 0:
         return []
-    roots = _aberth(coeffs, np.random.default_rng(0))  # fixed: same roots
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    # A root of multiplicity m is only located to ~(residual)^(1/m), so first
-    # collapse nearby iterates into clusters; the cluster centroid cancels the
-    # leading splitting error and is far more accurate than its members.
-    cluster_tol = 1e-5 * scale
-    remaining = list(roots)
-    centers = []  # (centroid, multiplicity)
-    while remaining:
-        z = remaining.pop()
-        group = [z]
-        group += [w for w in remaining if abs(w - z) <= cluster_tol]
-        remaining = [w for w in remaining if abs(w - z) > cluster_tol]
-        z, m = sum(group) / len(group), len(group)
-        if m > 1:  # Newton on p^(m-1), where an m-fold root is simple
+    j = int(np.flatnonzero(coeffs)[0])  # x^j divides p: j roots exactly 0
+    roots = np.zeros(j, complex)
+    if j < p.degree:  # the seed is fixed: the same roots on every call
+        roots = np.append(roots, _aberth(coeffs[j:], np.random.default_rng(0)))
+    # A real polynomial's roots are mirror images: a cluster centre on the
+    # axis is a central class, one above it a class (T, N), one below its
+    # mirror.  An m-fold root is only located to ~(residual)^(1/m): the
+    # centroid cancels the leading splitting error, and Newton on p^(m-1),
+    # where the root is simple, refines it.
+    pair_tol = 1e-8 * max(1.0, float(np.max(np.abs(roots))))
+    out = []
+    for z, m in _clusters(p.coeffs, roots.tolist()):
+        if m > 1:
             d = np.polynomial.Polynomial(coeffs).deriv(m - 1)
             for _ in range(3):
                 step = d(z) / d.deriv()(z)
                 z = z - step if np.isfinite(step) else z
-        centers.append((z, m))
-
-    # A real polynomial's roots are mirror images: a centre on the axis is
-    # a central class, one above it a class (T, N), one below its mirror.
-    pair_tol = 1e-8 * scale
-    out = [ConjClass.of_scalar(float(z.real), m) if abs(z.imag) <= pair_tol
-           else ConjClass(float(2 * z.real), float(abs(z) ** 2),
-                          multiplicity=m)
-           for z, m in centers if z.imag >= -pair_tol]
+        if abs(z.imag) <= pair_tol:
+            out.append(ConjClass.of_scalar(float(z.real), m))
+        elif z.imag > 0:
+            out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
+                                 multiplicity=m))
     placed = sum(c.multiplicity * (1 if c.central else 2) for c in out)
     if placed != p.degree:  # iterates that are no mirror images
         raise NoConvergence(f"classes place {placed} of the {p.degree} "

@@ -257,8 +257,8 @@ class TestRoots:
 
     def test_anomaly_states_residual_and_threshold(self, PR):
         # (x^2 + 1)(x - lam) with re lam = 3e-6, off the sphere (0, 1): the
-        # two classes of the companion lie within the clustering distance,
-        # so the merged class misses the root -E^-1 G by about 4e-6
+        # two classes of the companion lie within one cluster's disc, so
+        # the merged class misses the root -E^-1 G by about 4e-6
         lam = Octonion.make(PR, [3e-6, 0, math.sqrt(1 - 9e-12)])
         f = OPolynomial.make(PR, [1, 0, 1]) * OPolynomial.make(PR, [-lam, 1])
         _, reason = roots(f).anomalies[0]
