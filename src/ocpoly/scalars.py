@@ -209,31 +209,32 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise NoConvergence(f"Aberth solver failed for degree {n}")
 
 
-def _clusters(coeffs: list, zs: list) -> list:
-    """The iterates zs in clusters, as (centroid, size).  A group of k
-    iterates with centroid c lies within its spread plus the Weierstrass
-    radius (n |p(c)| / |a_n prod_{z outside} (c - z)|)^(1/k) of k roots,
-    with |p(c)| at least its rounding error eps sum_t |a_t| |c|^t (Braess &
-    Hadeler, Numer. Math. 21, 1973).  Two groups merge while each is the
-    other's nearest and their discs overlap; equal iterates always do."""
+def _clusters(p: CentralPoly, zs: list) -> list:
+    """The iterates zs in clusters, as (centroid, size): two groups merge
+    while each is the other's nearest and their discs overlap.  A group of
+    k iterates with centroid c lies within its spread plus (n |p(c)| / |a_n
+    prod_h (c - c_h)^(k_h)|)^(1/k) of k roots, h over the other groups and
+    |p(c)| at least its rounding error eps sum_t |a_t| |c|^t (Braess &
+    Hadeler, Numer. Math. 21, 1973)."""
     n, groups = len(zs), [[z] for z in zs]
+    size = CentralPoly(p.field, tuple(map(abs, p.coeffs)))
+
+    def radius(i):
+        c, g = cs[i], groups[i]
+        prod = size.coeffs[-1] * math.prod(
+            d ** len(h) for d, h in zip(dist[i], groups) if h is not g)
+        res = n * (abs(p.eval(c)) + math.ulp(1.0) * size.eval(abs(c)))
+        return max(abs(z - c) for z in g) + (
+            (res / prod) ** (1 / len(g)) if prod else math.inf)
+
     while True:
         cs = [sum(g) / len(g) for g in groups]
-        rads = []
-        for g, c in zip(groups, cs):
-            val, err, size = 0j, 0.0, abs(c)
-            for a in reversed(coeffs):
-                val, err = val * c + a, err * size + abs(a)
-            prod = abs(coeffs[-1]) * math.prod(
-                abs(c - z) for h in groups if h is not g for z in h)
-            val = n * (abs(val) + math.ulp(1.0) * err)
-            rads.append(max(abs(z - c) for z in g)
-                        + ((val / prod) ** (1 / len(g)) if prod else math.inf))
-        near = [min((j for j in range(len(cs)) if j != i), default=i,
-                    key=lambda j, c=c: abs(c - cs[j]))
-                for i, c in enumerate(cs)]
+        dist = [[abs(c - e) for e in cs] for c in cs]
+        for i, d in enumerate(dist):
+            d[i] = math.inf  # no group is its own nearest
+        near = [d.index(min(d)) for d in dist]
         pairs = {j: i for i, j in enumerate(near) if i < j and near[j] == i
-                 and abs(cs[i] - cs[j]) <= rads[i] + rads[j]}
+                 and dist[i][j] <= radius(i) + radius(j)}
         if not pairs:
             return list(zip(cs, map(len, groups)))
         for j, i in pairs.items():
@@ -242,25 +243,26 @@ def _clusters(coeffs: list, zs: list) -> list:
 
 
 def _central_roots_real(p: CentralPoly) -> list:
-    coeffs = np.array([float(c) for c in p.coeffs])
     if p.degree == 0:
         return []
-    j = int(np.flatnonzero(coeffs)[0])  # x^j divides p: j roots exactly 0
-    roots = np.zeros(j, complex)
+    coeffs = np.array([float(c) for c in p.coeffs])
+    j = next(t for t, c in enumerate(p.coeffs) if c)  # x^j divides p
+    roots = [0j] * j
     if j < p.degree:  # the seed is fixed: the same roots on every call
-        roots = np.append(roots, _aberth(coeffs[j:], np.random.default_rng(0)))
+        roots += _aberth(coeffs[j:], np.random.default_rng(0)).tolist()
     # A real polynomial's roots are mirror images: a cluster centre on the
     # axis is a central class, one above it a class (T, N), one below its
     # mirror.  An m-fold root is only located to ~(residual)^(1/m): the
     # centroid cancels the leading splitting error, and Newton on p^(m-1),
     # where the root is simple, refines it.
-    pair_tol = 1e-8 * max(1.0, float(np.max(np.abs(roots))))
+    pair_tol = 1e-8 * max(1.0, *map(abs, roots))
     out = []
-    for z, m in _clusters(p.coeffs, roots.tolist()):
+    for z, m in _clusters(p, roots):
         if m > 1:
             d = np.polynomial.Polynomial(coeffs).deriv(m - 1)
+            dd = d.deriv()
             for _ in range(3):
-                step = d(z) / d.deriv()(z)
+                step = d(z) / dd(z)
                 z = z - step if np.isfinite(step) else z
         if abs(z.imag) <= pair_tol:
             out.append(ConjClass.of_scalar(float(z.real), m))

@@ -255,6 +255,16 @@ class TestRoots:
                            r"1e-200 j has norm 0\.0"):
             roots(f(1e-200))
 
+    def test_close_pair_is_not_merged(self, PR):
+        """x - (2 + 1e-7 i): the companion roots 2 +- 1e-7 i are far apart
+        against their discs, so they give the class of the root, not the
+        central class {2} that f(2) = -1e-7 i rules out."""
+        lam = Octonion.make(PR, [2, 1e-7])
+        rs = roots(OPolynomial.make(PR, [-lam, 1]))
+        assert rs.anomalies == () and rs.spherical == ()
+        ((root, cls),) = rs.isolated
+        assert root.isclose(lam) and not cls.central
+
     def test_anomaly_states_residual_and_threshold(self, PR):
         # (x^2 + 1)(x - lam) with re lam = 3e-6, off the sphere (0, 1): the
         # two classes of the companion lie within one cluster's disc, so

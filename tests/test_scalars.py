@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from ocpoly.errors import InvalidInput, UnsupportedDegree
+from ocpoly import scalars
+from ocpoly.errors import InvalidInput, NoConvergence, UnsupportedDegree
 from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
 
@@ -15,6 +17,15 @@ def classes_of(cands):
 
 def central_of(cands):
     return sorted(float(c.r) for c in cands if c.central)
+
+
+def times(p, q):
+    """The product of two polynomials given by ascending coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for t, a in enumerate(p):
+        for u, b in enumerate(q):
+            out[t + u] += a * b
+    return out
 
 
 class TestExactMode:
@@ -103,6 +114,59 @@ class TestRealMode:
                     total += 2 * c.multiplicity
                 assert abs(p.eval(z)) < 1e-8 * scale
             assert total == p.degree
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(-7, 10), st.lists(
+        st.tuples(st.integers(-8, 8), st.integers(0, 8), st.integers(1, 3)),
+        min_size=1, max_size=12, unique_by=lambda c: c[:2]))
+    def test_planted_classes_come_back(self, exponent, planted):
+        """Real roots a and pairs a +- b i on a grid of step scale/4, scale
+        = 2^exponent (1e-2 to 1e3), multiplicities 1-3, degree <= 12: the
+        float coefficients are exact, and every planted class comes back
+        with its multiplicity, or the solver says it did not converge."""
+        scale, degree, classes = Fraction(2) ** exponent, 0, []
+        for a, b, m in planted:
+            if degree + m * (1 if b == 0 else 2) <= 12:
+                degree += m * (1 if b == 0 else 2)
+                classes.append((a * scale / 4, b * scale / 4, m))
+        poly = [Fraction(1)]
+        for a, b, m in classes:
+            for _ in range(m):
+                poly = times(poly, [-a, 1] if b == 0
+                             else [a * a + b * b, -2 * a, 1])
+        assert all(Fraction(float(c)) == c for c in poly)  # exact in float
+        try:
+            got = central_roots(CentralPoly.make(REAL, poly))
+        except NoConvergence:
+            event("NoConvergence")
+            return
+        assert sum(c.multiplicity * (1 if c.central else 2)
+                   for c in got) == degree
+        assert len(got) == len(classes)
+        for a, b, m in classes:
+            assert any(c.central == (b == 0) and c.multiplicity == m
+                       and abs(c.T - 2 * a) <= 1e-4 * scale
+                       and abs(c.N - a * a - b * b) <= 1e-4 * scale ** 2
+                       for c in got), (a, b, m, got)
+
+    def test_iterates_that_are_no_mirror_images(self, monkeypatch):
+        """(x^2 + 1)(x^2 + 4), with the pair +-2i iterated as -2i and
+        -2i - 1e-3: the class (0, 4) would be lost, so the solver refuses
+        and states how many roots its classes place."""
+        monkeypatch.setattr(scalars, "_aberth", lambda coeffs, rng: np.array(
+            [1j, -1j, -2j, -2j - 1e-3]))
+        with pytest.raises(NoConvergence,
+                           match="classes place 2 of the 4 roots"):
+            central_roots(CentralPoly.make(REAL, [4, 0, 5, 0, 1]))
+
+    def test_zero_roots_are_exact(self):
+        # x^3 (x^2 + 1): three roots exactly 0, split off before the solver
+        p = CentralPoly.make(REAL, [0, 0, 0, 1, 0, 1])
+        zero, sphere = central_roots(p)
+        assert (zero.T, zero.N, zero.central, zero.multiplicity) == \
+            (0.0, 0.0, True, 3)
+        assert (sphere.central, sphere.multiplicity) == (False, 1)
 
     def test_determinism(self):
         """Root finding takes no seed and reads no global random state."""
