@@ -219,7 +219,7 @@ def _clusters(p: CentralPoly, zs: list) -> list:
     n, groups = len(zs), [[z] for z in zs]
     size = CentralPoly(p.field, tuple(map(abs, p.coeffs)))
 
-    def radius(i):
+    def radius(i):  # of group i, from this round's cs and dist
         c, g = cs[i], groups[i]
         prod = size.coeffs[-1] * math.prod(
             d ** len(h) for d, h in zip(dist[i], groups) if h is not g)
