@@ -255,7 +255,6 @@ def _central_roots_real(p: CentralPoly) -> list:
     # mirror.  An m-fold root is only located to ~(residual)^(1/m): the
     # centroid cancels the leading splitting error, and Newton on p^(m-1),
     # where the root is simple, refines it.
-    pair_tol = 1e-8 * max(1.0, *map(abs, roots))
     out = []
     for z, m in _clusters(p, roots):
         if m > 1:
@@ -264,7 +263,7 @@ def _central_roots_real(p: CentralPoly) -> list:
             for _ in range(3):
                 step = d(z) / dd(z)
                 z = z - step if np.isfinite(step) else z
-        if abs(z.imag) <= pair_tol:
+        if abs(z.imag) <= 1e-8 * abs(z):  # on the axis, at any scale
             out.append(ConjClass.of_scalar(float(z.real), m))
         elif z.imag > 0:
             out.append(ConjClass(float(2 * z.real), float(abs(z) ** 2),
