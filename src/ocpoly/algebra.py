@@ -570,13 +570,8 @@ def anisotropic(d: Octonion, tol, size) -> bool:
 
 
 def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
-    """A trace-zero invertible delta with delta*lam = mu*delta, for mu in
-    the class of lam (ConjClass.matches, at class_tol).  With v = im lam,
-    w = im mu, v^2 = w^2 gives (v + w) v = w (v + w): delta = v + w, the
-    line of solutions over a division algebra.  For mu = conj(lam) it
-    vanishes, and the first anisotropic [e_a, v] serves, since it
-    anticommutes with v.  Zero and isotropic are judged relative to the
-    size of v; real mode returns a delta of unit size."""
+    """A trace-zero invertible delta with delta*lam = mu*delta, of unit size
+    in real mode, for mu in the class of lam (ConjClass.matches)."""
     lam._check(mu)
     cls = ConjClass(lam.trace(), lam.norm())
     if not cls.matches(mu):
@@ -587,29 +582,28 @@ def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
 
 
 def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
-    """conjugating_element for a mu its caller has matched to lam's class."""
-    params = lam.params
-    f = params.field
-    if lam.is_central():
-        if lam.isclose(mu):
-            return Octonion.basis(params, 1)
-        raise NotConjugate("central element conjugates only to itself")
+    """conjugating_element for a mu its caller matched to lam's class.  With
+    v = im lam, w = im mu, v^2 = w^2 gives (v + w) v = w (v + w): delta =
+    v + w.  At mu = conj(lam) it vanishes, and the first anisotropic [e_a,
+    v] serves, as it anticommutes with v; e_1 serves a central lam.
+    NotConjugate if |delta lam - mu delta| > witness_tol |delta| |lam|."""
+    params, f = lam.params, lam.params.field
     v, tol = lam.im(), f.witness_tol
     size = math.sqrt(v.size2())
-    cands = [v + mu.im()]
+    cands = [Octonion.basis(params, 1) if lam.is_central() else v + mu.im()]
     if cands[0].negligible(tol, size):  # mu = conj(lam)
         cands = (e.commutator(v) for e in _units(params))
     delta = next((d for d in cands if anisotropic(d, tol, size)), None)
     if delta is None:
         raise WitnessFailure("no anisotropic conjugator found; "
                              "is the algebra split?")
-    if not f.exact:  # unit size: rmr_witness judges c = delta^-1 at f's scale
+    if not f.exact:  # unit size, and so is c = delta^-1 of rmr_witness
         delta = delta / math.sqrt(delta.size2())
     resid = delta * lam - mu * delta
-    scale = max(1.0, math.sqrt(abs(float(delta.norm() * lam.norm()))))
-    if not resid.negligible(f.witness_tol, scale):
-        raise WitnessFailure("conjugation residual too large: "
-                             + resid.misfit(f.witness_tol, scale))
+    scale = 0 if f.exact else math.sqrt(lam.size2())  # |delta| |lam|
+    if not resid.negligible(tol, scale):
+        raise NotConjugate("conjugation residual too large: "
+                           + resid.misfit(tol, scale))
     return delta
 
 

@@ -26,13 +26,13 @@ class NotInvertible(OcpolyError):
 
 
 class NotConjugate(OcpolyError):
-    """mu outside lam's class at class_tol (the message states the gap and
-    threshold), or a central lam != mu; rmr_witness reports it as NotInRMR."""
+    """mu off lam's class at class_tol, or no conjugator within witness_tol
+    (stating the misfit and threshold); rmr_witness reports it as NotInRMR."""
 
 
 class WitnessFailure(OcpolyError):
-    """No anisotropic conjugating element found; should not happen over a
-    division algebra, so this signals a genuine bug or an isotropic algebra."""
+    """No anisotropic conjugator found, as on a split algebra; a definite
+    algebra always has one, so there this signals a bug."""
 
 
 class NotInRMR(OcpolyError):

@@ -65,13 +65,9 @@ class OPolynomial:
         return Octonion.zero(self.params)
 
     @functools.cached_property
-    def coeff_scale(self) -> float:
-        """max(1, largest |coordinate|): the scale of residual thresholds."""
-        if self.params.field.exact:  # max |num| / den: the same float
-            return max([1.0] + [max(map(abs, c.num)) / c.den
-                                for c in self.coeffs])
-        return max([1.0] + [abs(float(v)) for c in self.coeffs
-                            for v in c.coords])
+    def coeff_sizes(self) -> tuple:
+        """|a_t| = sqrt(size2(a_t)), which real-mode thresholds are made of."""
+        return tuple(c.size2() ** 0.5 for c in self.coeffs)
 
     def is_monic(self) -> bool:
         return (not self.is_zero()

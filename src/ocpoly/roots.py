@@ -6,10 +6,11 @@ E*lam + G = 0.  One class rule, _class_root, reads it: the class holds
 the one root -E^{-1} G if that lies in it, all its members if E = G = 0,
 and no root of any scalar multiple otherwise.  roots() applies it to
 every companion class, lmr_describe_class to one, and the RMR and LMR
-queries to mu's own class.  Every point is judged by one backward-error
-rule, |g(mu)| <= tol * sum_t |b_t| |mu|^t: a root of f at residual_tol, a
-witness c for f(x)c and a singular c -> (c f)(mu) at witness_tol.
-The one root of c f in a class is -(c E)^-1 (c G), drawn c by c.
+queries to mu's own class.  A computed value is negligible within tol of
+the sizes of the terms it sums: E and G at class_tol, a point by its
+backward error |g(mu)| <= tol * sum_t |b_t| |mu|^t, a root of f at
+residual_tol, a witness c for f(x)c and a singular c -> (c f)(mu) at
+witness_tol.  The one root of c f in a class is -(c E)^-1 (c G).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def rmr_classes(f: OPolynomial) -> list:
 class LinearReduction:
     E: Octonion
     G: Octonion
+    E_size: float = 0.0  # real mode: the sizes of the terms E and G sum
+    G_size: float = 0.0
 
     @functools.cached_property
     def Einv(self) -> Octonion:
@@ -49,14 +52,16 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
     With lam^t = p_t lam + q_t, the central recursion
     lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
-    G = sum a_t q_t, each one combination of the coefficients.  Exact mode
-    runs it on integers P_t = p_t D^(t-1), Q_t = q_t D^t, D = lcm(den T,
-    den N): P' = (T D) P + Q, Q' = -(N D^2) P, E and G over D^deg.
+    G = sum a_t q_t, each one combination of the coefficients.  Real mode
+    also sums their term sizes, sum |a_t| p'_t and sum |a_t| q'_t, where p'
+    and q' follow the recursion on 2s for T (which may be rounding) and -s^2
+    for N, the sizes of their terms, s^2 = max(T^2/4, |N|).  Exact mode runs
+    it on integers P_t = p_t D^(t-1), Q_t = q_t D^t, D = lcm(den T, den N):
+    P' = (T D) P + Q, Q' = -(N D^2) P, E and G over D^deg.
     """
     fld, cs = f.params.field, f.coeffs
     if not cs:
-        zero = Octonion.zero(f.params)
-        return LinearReduction(E=zero, G=zero)
+        return LinearReduction(*[Octonion.zero(f.params)] * 2)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
     p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
     if fld.exact:  # T D and N D^2 from the integers of T and N
@@ -68,7 +73,11 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         qs.append(q)
         p, q = T * p + q, -N * p
     if not fld.exact:
-        return LinearReduction(E=combination(ps, cs), G=combination(qs, cs))
+        s2, sp, sq, Es, Gs = max(T * T / 4, abs(N)), 0.0, 1.0, 0.0, 0.0
+        for a in f.coeff_sizes:  # sp, sq: p'_t, q'_t
+            Es, Gs = Es + a * sp, Gs + a * sq
+            sp, sq = 2 * math.sqrt(s2) * sp + sq, s2 * sp
+        return LinearReduction(combination(ps, cs), combination(qs, cs), Es, Gs)
     k = len(cs) - 1  # p_t = P_t D^(k+1-t) / D^k, q_t = Q_t D^(k-t) / D^k
     E = combination([P * D ** (k + 1 - t) for t, P in enumerate(ps)], cs)
     G = combination([Q * D ** (k - t) for t, Q in enumerate(qs)], cs)
@@ -91,21 +100,20 @@ def _reduction(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
 
 def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
-    """True if E = G = 0 at class_tol (a sphere), False if E != 0; E = 0
-    with G != 0 raises NotInRMR, as every (f c)(lam) = G c on the class."""
-    tol, scale = f.params.field.class_tol, f.coeff_scale
-    if not red.E.negligible(tol, scale):
+    """True if E = G = 0 at class_tol of their term sizes (a sphere), False
+    if E != 0; E = 0 with G != 0 raises NotInRMR: (f c)(lam) = G c."""
+    tol = f.params.field.class_tol
+    if not red.E.negligible(tol, red.E_size):
         return False
-    if red.G.negligible(tol, scale):
+    if red.G.negligible(tol, red.G_size):
         return True
-    raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, scale))
+    raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, red.G_size))
 
 
 def _eval_scale(f: OPolynomial, mu: Octonion) -> float:
     """sum_t |a_t| |mu|^t, |x| = sqrt(size2): the scale of f's error at mu."""
     size = math.sqrt(mu.size2())
-    return sum(math.sqrt(a.size2()) * size ** t
-               for t, a in enumerate(f.coeffs))
+    return sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
 
 
 def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
@@ -114,11 +122,10 @@ def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
     |mu|^t, the one rule for a point (exact mode: f(mu) = 0); else NotInRMR
     stating what failed."""
     val = f.eval(mu)
-    if val.is_zero():  # no scale needed, and all that exact mode accepts
-        return mu
-    scale = _eval_scale(f, mu)
-    if not val.negligible(tol, scale):
-        raise NotInRMR(f"{what}: {val.misfit(tol, scale)}")
+    if not val.is_zero():  # 0 needs no scale, and is all exact mode takes
+        scale = _eval_scale(f, mu)
+        if not val.negligible(tol, scale):
+            raise NotInRMR(f"{what}: {val.misfit(tol, scale)}")
     return mu
 
 
@@ -199,16 +206,16 @@ def rmr_contains(f: OPolynomial, mu: Octonion) -> bool:
 def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
     """A scalar c with mu a root of f(x)*c, from the class rule on mu's
     class alone: c = 1 at a central mu, on a sphere or at its root lam =
-    mu, else delta^-1 for delta = im lam + im mu.  Real mode checks the
-    backward error |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t,
-    |x| = sqrt(size2), exact mode checks 0; a failure raises NotInRMR."""
+    mu, else _conjugator(lam, mu)^-1.  Real mode checks the backward error
+    |(f c)(mu)| <= witness_tol * sum_t |a_t c| |mu|^t, |x| = sqrt(size2),
+    exact mode checks 0; a failure raises NotInRMR."""
     if f.degree < 1:
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     c = Octonion.one(f.params)
     if not mu.is_central():
         lam = _class_root(f, ConjClass(mu.trace(), mu.norm()))
         # on a sphere (None) every member, mu too, is a root
-        if lam is not None and not lam.isclose(mu):
+        if lam is not None and lam != mu:
             try:  # lam matched mu's class in _class_root
                 c = _conjugator(lam, mu).inverse()
             except NotConjugate as exc:
@@ -271,10 +278,11 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
     if lam is None:
         return LMRClassDescription(f, cls, "whole-class")
     if not cls.central:
-        red = _reduction(f, cls)
+        red, fld = _reduction(f, cls), f.params.field
         e_inv_g, g_e_inv = -lam, red.G * red.Einv
         comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
-        if not comm.negligible(f.params.field.class_tol, f.coeff_scale):
+        size = 0 if fld.exact else math.sqrt(red.Einv.size2() * red.G.size2())
+        if not comm.negligible(fld.class_tol, size):  # against |E^-1| |G|
             return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
                                        g_e_inv=g_e_inv, comm=comm)
     return LMRClassDescription(f, cls, "single-point", point=lam)

@@ -31,20 +31,20 @@ def _threshold(at_default: float) -> property:
 @dataclass(frozen=True)
 class Field:
     """Scalar mode: exact rationals, or floats with tolerance eps, from which
-    every verification threshold derives (relative to a caller's scale)."""
+    every threshold derives, each against the sizes of what it judges."""
 
     exact: bool
     eps: float = DEFAULT_EPS
 
-    residual_tol = _threshold(1e-8)     # |f(lam)| of a root
-    class_tol = _threshold(1e-6)        # E, G, class membership
+    residual_tol = _threshold(1e-8)     # f(lam) of a root: backward error
+    class_tol = _threshold(1e-6)        # E, G, [conj G, E^-1], class gaps
     fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
-    witness_tol = _threshold(1e-7)      # conjugation, witnesses, lmr_singular
+    witness_tol = _threshold(1e-7)      # conjugators, witnesses, lmr_singular
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:  # false for nan and inf as well
-            raise InvalidInput(f"eps must be finite with 0 < eps < 1, "
+        if not 0 < self.eps < 1e-3:  # nan, inf; at 1e-3 class_tol is 1
+            raise InvalidInput(f"eps must be finite with 0 < eps < 1e-3, "
                                f"got {self.eps!r}")
 
     def coerce(self, x):
@@ -145,9 +145,11 @@ class ConjClass:
         return self.T / 2
 
     def gap(self, mu):
-        """max(|tr mu - T|, |n(mu) - N|) / max(1, |T|, |N|): 0 iff mu in it."""
-        scale = max(1, abs(self.T), abs(self.N))
-        return max(abs(mu.trace() - self.T), abs(mu.norm() - self.N)) / scale
+        """max(|tr mu - T| / s, |n(mu) - N| / s^2), s^2 the largest T^2/4 or
+        |N| of this class and mu's (0 if both are {0}): 0 iff mu in it."""
+        T, N = mu.trace(), mu.norm()
+        s2 = max(self.T * self.T / 4, abs(self.N), T * T / 4, abs(N))
+        return s2 and max(abs(T - self.T) / s2 ** 0.5, abs(N - self.N) / s2)
 
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""

@@ -352,13 +352,20 @@ class TestOneMembershipRule:
     """RMR and LMR membership read one class rule, so the library calls and
     the commands answer alike."""
 
-    # E = 0 with G = 1.5e-4 j, beyond class_tol: no multiple has a root in
-    # the class of 10i; with 5e-5 j the class is a sphere; f(2) = -1e-7 i
-    # passes the backward error at witness_tol, not the root rule of roots
+    # On the class of 10i, E = 0 and G = a_0 = c j, judged at class_tol
+    # against the sizes of G's terms, |c| + |a_3| |q_3| = |c| + 2 s^3 at the
+    # class scale s = 10: with 2.5e-3 j no multiple has a root in the class;
+    # with 5e-5 j it is a sphere, and f(10i) passes the backward error at
+    # witness_tol.  f(2) = -1e-7 i passes that, not the root rule of roots.
+    # 1.0000001 j matches the class of i at class_tol, but no conjugator
+    # of i reaches it at witness_tol.
     @pytest.mark.parametrize("poly,element,inside,refusal", [
-        ("x^3 + 100x + (1.5e-4 j)", "10 i", False, "E = 0 but G != 0"),
+        ("x^3 + 100x + (2.5e-3 j)", "10 i", False,
+         "E = 0 but G != 0: residual 2.500e-03 > threshold "
+         f"{REAL.class_tol * (2.5e-3 + 2 * 10 ** 3):.3e}"),
         ("x^3 + 100x + (5e-5 j)", "10 i", True, None),
-        ("x + (-2 - 1e-7 i)", "2", True, "central class: ")])
+        ("x + (-2 - 1e-7 i)", "2", True, "central class: "),
+        ("x - i", "1.0000001 j", False, None)])
     def test_margins_agree(self, tmp_path, capsys, poly, element, inside,
                            refusal):
         P = AlgebraParams.octonions(REAL)
@@ -495,7 +502,8 @@ class TestExitCodes:
         assert "residual 1.903e+01 > threshold 2.888e-07" in \
             capsys.readouterr().out
 
-    @pytest.mark.parametrize("eps", ["-1", "nan", "1e9"])
+    # at 1e-3, class_tol reaches 1 and every class is a sphere
+    @pytest.mark.parametrize("eps", ["-1", "nan", "1e9", "1e-3"])
     def test_eps_out_of_range(self, quad_file, capsys, eps):
         assert main([f"--eps={eps}", "roots", quad_file]) == EXIT_MATH
         assert repr(float(eps)) in capsys.readouterr().err

@@ -383,19 +383,6 @@ def test_exact_matches_is_zero_gap(params, m, q, s):
     assert not cls.matches(mu + s)
 
 
-big = st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
-                   max_denominator=10 ** 30)
-
-
-@SETTINGS
-@given(st.sampled_from(DEFINITE_AND_SPLIT),
-       st.lists(st.tuples(*[st.one_of(rationals, big)] * 8), max_size=4))
-def test_exact_coeff_scale_is_the_float_formula(params, rows):
-    f = OPolynomial.make(params, [Octonion.make(params, r) for r in rows])
-    assert f.coeff_scale == max([1.0] + [abs(float(v)) for c in f.coeffs
-                                         for v in c.coords])
-
-
 @SETTINGS
 @given(st.sampled_from(DEFINITE_AND_SPLIT),
        st.lists(coords, min_size=1, max_size=5), rationals, rationals)
