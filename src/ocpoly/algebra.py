@@ -587,9 +587,8 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
     v + w.  At mu = conj(lam) it vanishes, and the first anisotropic [e_a,
     v] serves, as it anticommutes with v; e_1 serves a central lam.
     NotConjugate if |delta lam - mu delta| > witness_tol |delta| |lam|."""
-    params, f = lam.params, lam.params.field
-    v, tol = lam.im(), f.witness_tol
-    size = math.sqrt(v.size2())
+    params, f, v = lam.params, lam.params.field, lam.im()
+    tol, size = f.witness_tol, math.sqrt(v.size2())
     cands = [Octonion.basis(params, 1) if lam.is_central() else v + mu.im()]
     if cands[0].negligible(tol, size):  # mu = conj(lam)
         cands = (e.commutator(v) for e in _units(params))
@@ -600,7 +599,7 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
     if not f.exact:  # unit size, and so is c = delta^-1 of rmr_witness
         delta = delta / math.sqrt(delta.size2())
     resid = delta * lam - mu * delta
-    scale = 0 if f.exact else math.sqrt(lam.size2())  # |delta| |lam|
+    scale = math.sqrt(lam.size2())  # |delta| |lam|
     if not resid.negligible(tol, scale):
         raise NotConjugate("conjugation residual too large: "
                            + resid.misfit(tol, scale))

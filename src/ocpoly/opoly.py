@@ -191,8 +191,6 @@ class OPolynomial:
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         terms = []
         for t in range(self.degree, -1, -1):
             c = self.coeff(t)

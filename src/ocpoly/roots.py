@@ -7,10 +7,10 @@ the one root -E^{-1} G if that lies in it, all its members if E = G = 0,
 and no root of any scalar multiple otherwise.  roots() applies it to
 every companion class, lmr_describe_class to one, and the RMR and LMR
 queries to mu's own class.  A computed value is negligible within tol of
-the sizes of the terms it sums: E and G at class_tol, a point by its
-backward error |g(mu)| <= tol * sum_t |b_t| |mu|^t, a root of f at
-residual_tol, a witness c for f(x)c and a singular c -> (c f)(mu) at
-witness_tol.  The one root of c f in a class is -(c E)^-1 (c G).
+the sizes of the terms it sums: a point by its backward error |g(mu)| <=
+tol * sum_t |b_t| |mu|^t, a root of f at residual_tol, a witness c for
+f(x)c, a singular c -> (c f)(mu) and a sphere's members at witness_tol,
+as E is.  The one root of c f in a class is -(c E)^-1 (c G).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def rmr_classes(f: OPolynomial) -> list:
 class LinearReduction:
     E: Octonion
     G: Octonion
-    E_size: float = 0.0  # real mode: the sizes of the terms E and G sum
-    G_size: float = 0.0
+    E_size: float = 0.0  # real mode: the sizes of the terms E sums, and
+    s: float = 0.0       # the class scale, |mu| of a member if definite
 
     @functools.cached_property
     def Einv(self) -> Octonion:
@@ -53,15 +53,16 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
     With lam^t = p_t lam + q_t, the central recursion
     lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
     G = sum a_t q_t, each one combination of the coefficients.  Real mode
-    also sums their term sizes, sum |a_t| p'_t and sum |a_t| q'_t, where p'
-    and q' follow the recursion on 2s for T (which may be rounding) and -s^2
-    for N, the sizes of their terms, s^2 = max(T^2/4, |N|).  Exact mode runs
+    also sums E's term sizes, sum |a_t| p'_t, where p' and q' follow the
+    recursion on 2s for T (which may be rounding) and -s^2 for N, the sizes
+    of their terms, s^2 = max(T^2/4, |N|).  Exact mode runs
     it on integers P_t = p_t D^(t-1), Q_t = q_t D^t, D = lcm(den T, den N):
     P' = (T D) P + Q, Q' = -(N D^2) P, E and G over D^deg.
     """
     fld, cs = f.params.field, f.coeffs
     if not cs:
-        return LinearReduction(*[Octonion.zero(f.params)] * 2)
+        zero = Octonion.zero(f.params)
+        return LinearReduction(E=zero, G=zero)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
     p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
     if fld.exact:  # T D and N D^2 from the integers of T and N
@@ -73,11 +74,11 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         qs.append(q)
         p, q = T * p + q, -N * p
     if not fld.exact:
-        s2, sp, sq, Es, Gs = max(T * T / 4, abs(N)), 0.0, 1.0, 0.0, 0.0
+        s, sp, sq, Es = math.sqrt(max(T * T / 4, abs(N))), 0.0, 1.0, 0.0
         for a in f.coeff_sizes:  # sp, sq: p'_t, q'_t
-            Es, Gs = Es + a * sp, Gs + a * sq
-            sp, sq = 2 * math.sqrt(s2) * sp + sq, s2 * sp
-        return LinearReduction(combination(ps, cs), combination(qs, cs), Es, Gs)
+            Es += a * sp
+            sp, sq = 2 * s * sp + sq, s * s * sp
+        return LinearReduction(combination(ps, cs), combination(qs, cs), Es, s)
     k = len(cs) - 1  # p_t = P_t D^(k+1-t) / D^k, q_t = Q_t D^(k-t) / D^k
     E = combination([P * D ** (k + 1 - t) for t, P in enumerate(ps)], cs)
     G = combination([Q * D ** (k - t) for t, Q in enumerate(qs)], cs)
@@ -100,19 +101,23 @@ def _reduction(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
 
 def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
-    """True if E = G = 0 at class_tol of their term sizes (a sphere), False
-    if E != 0; E = 0 with G != 0 raises NotInRMR: (f c)(lam) = G c."""
-    tol = f.params.field.class_tol
-    if not red.E.negligible(tol, red.E_size):
+    """A sphere (True) if E = 0 at witness_tol of its term sizes and each
+    member mu (|mu| = s if definite) passes the point rule, |E mu + G| <=
+    |E| s + |G| <= witness_tol sum_t |a_t| s^t; False if E != 0; else
+    NotInRMR."""
+    fld = f.params.field
+    if not red.E.negligible(fld.witness_tol, red.E_size):
         return False
-    if red.G.negligible(tol, red.G_size):
+    resid = math.sqrt(red.E.size2()) * red.s + math.sqrt(red.G.size2())
+    limit = 0 if fld.exact else fld.witness_tol * _eval_scale(f, red.s)
+    if red.G.is_zero() if fld.exact else resid <= limit:  # exact: E = 0
         return True
-    raise NotInRMR("E = 0 but G != 0: " + red.G.misfit(tol, red.G_size))
+    raise NotInRMR(f"E = 0 but G != 0: residual {resid:.3e} > threshold "
+                   f"{limit:.3e}")
 
 
-def _eval_scale(f: OPolynomial, mu: Octonion) -> float:
-    """sum_t |a_t| |mu|^t, |x| = sqrt(size2): the scale of f's error at mu."""
-    size = math.sqrt(mu.size2())
+def _eval_scale(f: OPolynomial, size: float) -> float:
+    """sum_t |a_t| size^t: the scale of f's error at a point of that size."""
     return sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
 
 
@@ -123,7 +128,7 @@ def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
     stating what failed."""
     val = f.eval(mu)
     if not val.is_zero():  # 0 needs no scale, and is all exact mode takes
-        scale = _eval_scale(f, mu)
+        scale = _eval_scale(f, math.sqrt(mu.size2()))
         if not val.negligible(tol, scale):
             raise NotInRMR(f"{what}: {val.misfit(tol, scale)}")
     return mu
@@ -214,7 +219,6 @@ def rmr_witness(f: OPolynomial, mu: Octonion) -> Octonion:
     c = Octonion.one(f.params)
     if not mu.is_central():
         lam = _class_root(f, ConjClass(mu.trace(), mu.norm()))
-        # on a sphere (None) every member, mu too, is a root
         if lam is not None and lam != mu:
             try:  # lam matched mu's class in _class_root
                 c = _conjugator(lam, mu).inverse()
@@ -235,12 +239,11 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
     red = _reduction(f, cls)
     if _whole_class(f, red):
         raise WholeClass("E = 0: the whole class consists of roots")
-    Einv = red.Einv
     cinv = c.inverse()
     if side == "right":
-        return _in_class(cls, -((cinv * Einv) * (red.G * c)))
+        return _in_class(cls, -((cinv * red.Einv) * (red.G * c)))
     if side == "left":
-        return _in_class(cls, -((Einv * cinv) * (c * red.G)))
+        return _in_class(cls, -((red.Einv * cinv) * (c * red.G)))
     raise InvalidInput("side must be 'left' or 'right'")
 
 
@@ -281,7 +284,7 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
         red, fld = _reduction(f, cls), f.params.field
         e_inv_g, g_e_inv = -lam, red.G * red.Einv
         comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
-        size = 0 if fld.exact else math.sqrt(red.Einv.size2() * red.G.size2())
+        size = math.sqrt(red.Einv.size2() * red.G.size2())
         if not comm.negligible(fld.class_tol, size):  # against |E^-1| |G|
             return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
                                        g_e_inv=g_e_inv, comm=comm)
@@ -355,7 +358,8 @@ def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
     red = _reduction(f, cls)
     M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
     sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
-    return bool(sigma_min <= f.params.field.witness_tol * _eval_scale(f, mu))
+    scale = _eval_scale(f, math.sqrt(mu.size2()))
+    return bool(sigma_min <= f.params.field.witness_tol * scale)
 
 
 def class_member(cls: ConjClass, params, rng) -> Octonion:
@@ -372,8 +376,7 @@ def class_member(cls: ConjClass, params, rng) -> Octonion:
     while True:
         dirv = Octonion.make(params, [0] + [rng.uniform(-1, 1)
                                             for _ in range(7)])
-        n = float(dirv.norm())
-        if n > 1e-6:
+        if dirv.norm() > 1e-6:
             break
     u = dirv / dirv.abs()
     return Octonion.scalar(params, cls.T / 2) + u * (disc ** 0.5)

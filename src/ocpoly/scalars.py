@@ -37,10 +37,10 @@ class Field:
     eps: float = DEFAULT_EPS
 
     residual_tol = _threshold(1e-8)     # f(lam) of a root: backward error
-    class_tol = _threshold(1e-6)        # E, G, [conj G, E^-1], class gaps
+    class_tol = _threshold(1e-6)        # [conj G, E^-1], class gaps
     fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
-    witness_tol = _threshold(1e-7)      # conjugators, witnesses, lmr_singular
+    witness_tol = _threshold(1e-7)      # E, G, conjugators, witnesses, LMR
 
     def __post_init__(self):
         if not 0 < self.eps < 1e-3:  # nan, inf; at 1e-3 class_tol is 1

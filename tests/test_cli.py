@@ -17,7 +17,7 @@ from ocpoly.errors import NotInRMR
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (class_member, lmr_contains, lmr_describe,
                           lmr_describe_class, lmr_sample, lmr_singular,
-                          multiple_root, rmr_contains)
+                          multiple_root, rmr_contains, roots)
 from ocpoly.scalars import REAL, ConjClass
 
 
@@ -352,17 +352,19 @@ class TestOneMembershipRule:
     """RMR and LMR membership read one class rule, so the library calls and
     the commands answer alike."""
 
-    # On the class of 10i, E = 0 and G = a_0 = c j, judged at class_tol
-    # against the sizes of G's terms, |c| + |a_3| |q_3| = |c| + 2 s^3 at the
-    # class scale s = 10: with 2.5e-3 j no multiple has a root in the class;
-    # with 5e-5 j it is a sphere, and f(10i) passes the backward error at
-    # witness_tol.  f(2) = -1e-7 i passes that, not the root rule of roots.
-    # 1.0000001 j matches the class of i at class_tol, but no conjugator
-    # of i reaches it at witness_tol.
+    # On the class of 10i, E = 0 and G = a_0 = c j, so f(mu) = c j at every
+    # member mu, |mu| = s = 10: the class is a sphere when |c| is within
+    # witness_tol of the point scale |c| + 100 s + s^3, the point rule of
+    # the witness.  With 1e-3 j no multiple has a root in the class; with
+    # 5e-5 j it is a sphere.  f(2) = -1e-7 i passes the backward error at
+    # witness_tol, not the root rule of roots.  1.0000001 j matches the
+    # class of i at class_tol, but no conjugator of i reaches it at
+    # witness_tol.  No row's class holds an isolated root, so a non-central
+    # mu is inside exactly when roots lists a sphere that it matches.
     @pytest.mark.parametrize("poly,element,inside,refusal", [
-        ("x^3 + 100x + (2.5e-3 j)", "10 i", False,
-         "E = 0 but G != 0: residual 2.500e-03 > threshold "
-         f"{REAL.class_tol * (2.5e-3 + 2 * 10 ** 3):.3e}"),
+        ("x^3 + 100x + (1e-3 j)", "10 i", False,
+         "E = 0 but G != 0: residual 1.000e-03 > threshold "
+         f"{REAL.witness_tol * (1e-3 + 2 * 10 ** 3):.3e}"),
         ("x^3 + 100x + (5e-5 j)", "10 i", True, None),
         ("x + (-2 - 1e-7 i)", "2", True, "central class: "),
         ("x - i", "1.0000001 j", False, None)])
@@ -372,6 +374,8 @@ class TestOneMembershipRule:
         f, mu = parse_opolynomial(poly, P), parse_octonion(element, P)
         assert lmr_singular(f, mu) is inside
         assert rmr_contains(f, mu) is inside
+        if not mu.is_central():
+            assert any(c.matches(mu) for c in roots(f).spherical) is inside
         cls = ConjClass(mu.trace(), mu.norm(), mu.is_central())
         if refusal is None:
             assert lmr_contains(lmr_describe_class(f, cls), mu) is inside
@@ -502,7 +506,7 @@ class TestExitCodes:
         assert "residual 1.903e+01 > threshold 2.888e-07" in \
             capsys.readouterr().out
 
-    # at 1e-3, class_tol reaches 1 and every class is a sphere
+    # at 1e-3, class_tol reaches 1: a class match within 100%
     @pytest.mark.parametrize("eps", ["-1", "nan", "1e9", "1e-3"])
     def test_eps_out_of_range(self, quad_file, capsys, eps):
         assert main([f"--eps={eps}", "roots", quad_file]) == EXIT_MATH

@@ -288,18 +288,32 @@ class TestRoots:
         assert len(rs.spherical) == spheres
         assert not rs.isolated and not rs.anomalies
 
+    @pytest.mark.parametrize("c", [1e-12, 5e-5, 1.5e-4, 3e-4, 5e-4, 1e-3])
+    def test_sphere_members_pass_the_point_rule(self, PR, c):
+        """The classes of x^3 + 100x + (c j) near (0, 100) have E about 0
+        and G about c j: roots lists one as a sphere only when its members
+        pass the point rule of rmr_contains and lmr_singular, and as an
+        anomaly only when they do not."""
+        f = parse_opolynomial(f"x^3 + 100x + ({c} j)", PR)
+        rs, rng = roots(f), random.Random(7)
+        listed = [(k, True) for k in rs.spherical] + [
+            (k, False) for k, _ in rs.anomalies]
+        assert listed
+        for cls, inside in listed:
+            for mu in (class_member(cls, PR, rng) for _ in range(5)):
+                assert rmr_contains(f, mu) is inside, (cls, mu)
+                assert lmr_singular(f, mu) is inside, (cls, mu)
+
     def test_anomaly_states_residual_and_threshold(self, PR):
-        # (x^2 + 1)(x - lam) with re lam = 1e-5, off the sphere (0, 1): the
-        # two classes of the companion lie within one cluster's disc, and
-        # on the merged class (s = 1) G = a_0 + a_2 q_2 + a_3 q_3 is about
-        # 7e-6, beyond class_tol times its term sizes |a_0| + |a_2| s^2 +
-        # |a_3| 2 s^3 = 4
-        lam = Octonion.make(PR, [1e-5, 0, math.sqrt(1 - 1e-10)])
+        # (x^2 + 1)(x - lam) with re lam = 3e-6, off the sphere (0, 1): the
+        # two classes of the companion lie within one cluster's disc, so
+        # the merged class misses the root -E^-1 G by about 4e-6
+        lam = Octonion.make(PR, [3e-6, 0, math.sqrt(1 - 9e-12)])
         f = OPolynomial.make(PR, [1, 0, 1]) * OPolynomial.make(PR, [-lam, 1])
         _, reason = roots(f).anomalies[0]
         m = re.search(r"residual (\S+) > threshold (\S+)$", reason)
         residual, threshold = float(m.group(1)), float(m.group(2))
-        assert threshold == pytest.approx(4 * REAL.class_tol, rel=1e-3)
+        assert threshold == pytest.approx(REAL.class_tol, rel=1e-3)
         assert residual > threshold
 
 
