@@ -18,7 +18,7 @@ class UnsupportedDegree(OcpolyError):
 
 
 class NoConvergence(OcpolyError):
-    """The simultaneous-iteration solver hit its iteration cap."""
+    """Companion eigenvalues failed the stop test; Aberth hit its cap too."""
 
 
 class NotInvertible(OcpolyError):

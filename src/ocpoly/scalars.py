@@ -117,10 +117,18 @@ class CentralPoly:
         return not self.coeffs
 
     def eval(self, z):
+        """Horner's rule: at floats, bit for bit numpy's polyval."""
         acc = 0 * z if self.coeffs else self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
+
+    def deriv(self, k: int = 1) -> "CentralPoly":
+        """The k-th derivative: c_j -> j c_j, k times, as numpy's polyder."""
+        cs = self.coeffs
+        for _ in range(k):
+            cs = tuple(j * c for j, c in enumerate(cs))[1:]
+        return CentralPoly(self.field, cs)
 
 
 @dataclass(frozen=True)
@@ -163,34 +171,39 @@ class ConjClass:
 
 
 # ---------------------------------------------------------------------------
-# Real-mode solver: Aberth-style simultaneous iteration.
+# Real-mode solver: companion eigenvalues, Aberth iteration if they fail.
 
 _MAX_ITER = 1000
 _RESTARTS = 4
 
 
-def _companion_eigvals(cs: np.ndarray) -> np.ndarray | None:
+def _companion_eigvals(cs: np.ndarray) -> np.ndarray:
     """The eigenvalues of np.roots's companion matrix of the descending float
-    coefficients cs (cs[0] != 0), or None if an entry is not finite."""
+    coefficients cs (cs[0] != 0); InvalidInput if an entry is not finite."""
     comp = np.diag(np.ones(len(cs) - 2), -1)
-    comp[0] = -cs[1:] / cs[0]
-    return np.linalg.eigvals(comp) if np.isfinite(comp).all() else None
+    with np.errstate(over="ignore"):
+        comp[0] = -cs[1:] / cs[0]
+    if not np.isfinite(comp).all():
+        raise InvalidInput(f"leading coefficient {cs[0]}: the companion "
+                           "matrix is not finite")
+    return np.linalg.eigvals(comp)
 
 
 def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """All complex roots of the polynomial with ascending float coefficients."""
+    target = 1e-12 * max(1.0, np.max(np.abs(coeffs)))
+    start = _companion_eigvals(coeffs[::-1])
+    if np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(start))) < target:
+        return start  # most calls: no iteration, nothing more to set up
     n = len(coeffs) - 1
     p = np.polynomial.Polynomial(coeffs)
     dp = p.deriv()
-    scale = np.max(np.abs(coeffs))
-    target = 1e-12 * max(1.0, scale)
     radius = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
-    start = _companion_eigvals(coeffs[::-1])
     for attempt in range(_RESTARTS):
         phases = 2 * np.pi * (np.arange(n) / n + rng.uniform(0, 1))
         z = radius * (0.4 + 0.6 * rng.uniform(size=n) if attempt else 0.9) \
             * np.exp(1j * phases)
-        if attempt == 0 and start is not None:  # else the ring
+        if attempt == 0:
             z = start
         for _ in range(_MAX_ITER):
             pv = p(z)
@@ -260,10 +273,10 @@ def _central_roots_real(p: CentralPoly) -> list:
     out = []
     for z, m in _clusters(p, roots):
         if m > 1:
-            d = np.polynomial.Polynomial(coeffs).deriv(m - 1)
+            d = p.deriv(m - 1)
             dd = d.deriv()
             for _ in range(3):
-                step = d(z) / dd(z)
+                step = np.complex128(d.eval(z)) / dd.eval(z)
                 z = z - step if np.isfinite(step) else z
         if abs(z.imag) <= 1e-8 * abs(z):  # on the axis, at any scale
             out.append(ConjClass.of_scalar(float(z.real), m))

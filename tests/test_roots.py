@@ -52,6 +52,8 @@ def assert_near_exact(real, exact):
                                          abs=1e-9)
 
 
+LAM = [0.5, -1, 2, 0, 0.25, 0, -0.75, 1]  # T = 1, N = 6.875
+
 GAMMAS = ((-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
           (Fraction(3, 7), -5, Fraction(2, 3)))
 
@@ -252,14 +254,39 @@ class TestRoots:
             r = roots(g * OPolynomial.make(PR, [-lam, 1]))
             assert any(mu.isclose(lam, 1e-6) for mu, _ in r.isolated)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # Aberth on inf
+    @pytest.mark.parametrize("g,lam,planted", [
+        ([[1]], LAM, [(1, 6.875, 1)]),
+        ([[1, 0, 0, 2], [1]], LAM, [(1, 6.875, 1)]),
+        ([[3, 1], [0, 0, -1, 0, 1], [1]], LAM, [(1, 6.875, 1)]),
+        ([[2], [-3], [1]], LAM, [(1, 6.875, 1), (2, 1, 2), (4, 4, 2)]),
+        ([[5], [2], [1]], LAM, [(1, 6.875, 1), (-2, 5, 2)]),
+        ([[1], [0], [1]], [0, 0, 1], [(0, 1, 3)])])
+    def test_converging_path_builds_no_polynomial(self, PR, monkeypatch, g,
+                                                  lam, planted):
+        """g(x)(x - lam) at degree 1-3, s(x)(x - lam) with s real quadratic
+        (double clusters) and (x^2 + 1)(x - j) (a cube): the companion
+        eigenvalues pass the solver's stop test, so no numpy Polynomial is
+        built, and multiple roots are refined with CentralPoly alone."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.polynomial.Polynomial built")
+        monkeypatch.setattr(np.polynomial, "Polynomial", refuse)
+        g = OPolynomial.make(PR, [Octonion.make(PR, c) for c in g])
+        r = roots(g * OPolynomial.make(PR, [-Octonion.make(PR, lam), 1]))
+        assert not r.anomalies
+        got = [c for _, c in r.isolated] + list(r.spherical)
+        for T, N, m in planted:
+            assert any(c.T == pytest.approx(T, abs=1e-9)
+                       and c.N == pytest.approx(N, abs=1e-9)
+                       and c.multiplicity == m for c in got), (T, N, m, got)
+
     def test_tiny_leading_coefficient(self, PR):
         def f(e):
             return OPolynomial.make(PR, [Octonion.make(PR, [1, 2]),
                                          Octonion.make(PR, [0, 0, e])])
         # n(1e-160 j) = 1e-320: the companion matrix holds an inf, so the
-        # solver starts from its ring alone and stops with a typed error
-        with pytest.raises(NoConvergence):
+        # solver refuses before it starts
+        with pytest.raises(InvalidInput, match=r"leading coefficient "
+                           r"1e-320: the companion matrix is not finite"):
             roots(f(1e-160))
         # n(1e-200 j) underflows to 0.0: the root was dropped without a word
         with pytest.raises(InvalidInput, match=r"leading coefficient "

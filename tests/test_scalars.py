@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -175,6 +176,41 @@ class TestRealMode:
         a = central_roots(p)
         np.random.seed(2)
         assert central_roots(p) == a
+
+
+def hexes(z):
+    """The bits of a complex scalar or array, as hex."""
+    return [(complex(w).real.hex(), complex(w).imag.hex())
+            for w in np.ravel(z)]
+
+
+FLOATS = st.floats(-1e3, 1e3)
+COEFFS = st.lists(FLOATS, min_size=2, max_size=17).filter(lambda cs: cs[-1])
+POINTS = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+
+
+class TestAgainstNumpy:
+    """CentralPoly's derivative and Horner evaluation are numpy's polyder
+    and polyval to the last bit, so the solver's stop test and its Newton
+    steps on multiple roots decide as numpy.polynomial would."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(COEFFS, st.data())
+    def test_deriv_is_polyder(self, cs, data):
+        k = data.draw(st.integers(0, len(cs) - 1))
+        got = CentralPoly.make(REAL, cs).deriv(k).coeffs
+        want = npp.polyder(cs, k)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(COEFFS, POINTS, st.lists(POINTS, min_size=1, max_size=12))
+    def test_eval_is_polyval(self, cs, z, zs):
+        p = CentralPoly.make(REAL, cs)
+        assert hexes(p.eval(z)) == hexes(npp.polyval(z, cs))
+        zs = np.array(zs)
+        assert hexes(p.eval(zs)) == hexes(npp.polyval(zs, cs))
 
 
 # Each named threshold and, at the default eps, the literal its sites used.
