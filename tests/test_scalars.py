@@ -184,8 +184,8 @@ def hexes(z):
             for w in np.ravel(z)]
 
 
-FLOATS = st.floats(-1e3, 1e3)
-COEFFS = st.lists(FLOATS, min_size=2, max_size=17).filter(lambda cs: cs[-1])
+COEFFS = st.lists(st.floats(-1e3, 1e3), min_size=2,
+                  max_size=17).filter(lambda cs: cs[-1])
 POINTS = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
 
 
