@@ -355,7 +355,7 @@ class Octonion:
 
 class ExactOctonion(Octonion):
     """Exact element: integers ``num`` over ``den`` > 0, gcd(den, *num) = 1,
-    one gcd per operation; ``coords`` (Fractions) are built when read."""
+    one gcd per result; ``coords`` (Fractions) are built when read."""
 
     __slots__ = ()
 
@@ -386,7 +386,7 @@ class ExactOctonion(Octonion):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return _exact(self.params, self.den, [-a for a in self.num])
+        return _exact(self.params, self.den, [-a for a in self.num], 1)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
@@ -407,7 +407,7 @@ class ExactOctonion(Octonion):
 
     def conj(self) -> "ExactOctonion":
         n = self.num
-        return _exact(self.params, self.den, (n[0], *(-v for v in n[1:])))
+        return _exact(self.params, self.den, (n[0], *(-v for v in n[1:])), 1)
 
     def trace(self):
         return Fraction(2 * self.num[0], self.den)
@@ -422,8 +422,14 @@ class ExactOctonion(Octonion):
         return Fraction(self._norm_num(), self.params.table.den * self.den**2)
 
     def _norm_num(self) -> int:  # n(x) * den_t * den^2, an integer
-        return sum(v * c * c for v, c in
-                   zip(self.params.table.int_norm_diag, self.num))
+        w, n = self.params.table.int_norm_diag, self.num
+        return sum(map(operator.mul, map(operator.mul, w, n), n))
+
+    def in_class(self, T, N) -> bool:
+        """trace = T and norm = N, by integer cross-multiplication."""
+        d, e = self.den, self.params.table.den
+        return 2 * self.num[0] * T.denominator == T.numerator * d and \
+            self._norm_num() * N.denominator == N.numerator * e * d * d
 
     def inverse(self) -> "ExactOctonion":
         """conj(x) / n(x) on integers: conj(num) den_t den / _norm_num."""
@@ -442,39 +448,67 @@ class ExactOctonion(Octonion):
         return not any(self.num)
 
 
-def _exact(params: AlgebraParams, den: int, num) -> ExactOctonion:
-    """The exact element num / den, reduced by one gcd to den > 0."""
-    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+def _exact(params: AlgebraParams, den: int, num, g=0) -> ExactOctonion:
+    """num / den, reduced by one gcd to den > 0; g = 1 if it already is."""
+    g = g or (math.gcd(den, *num) if den > 0 else -math.gcd(den, *num))
     x = object.__new__(ExactOctonion)
     _set(x, "params", params)
     _set(x, "den", den // g)
-    _set(x, "num", tuple(num) if g == 1 else tuple(a // g for a in num))
+    _set(x, "num", tuple(num) if g == 1 else tuple([a // g for a in num]))
     return x
 
 
-def combination(ws, xs) -> Octonion:
+def _common(xs):
+    """L = lcm of the exact xs' denominators, and each x's L / den."""
+    L = math.lcm(*(x.den for x in xs))
+    return L, [L // x.den for x in xs]
+
+
+def combination(ws, xs, den: int = 1) -> Octonion:
     """sum ws[t] xs[t] for scalars ws (integers in exact mode) and elements
-    xs of one algebra, in one pass per coordinate; exact mode on integer
-    numerators over one common denominator."""
+    xs of one algebra, in one pass per coordinate; exact mode row by row on
+    the numerators, each weight times L / den, over den L with one gcd."""
     params = xs[0].params
     if params.field.exact:
-        den = math.lcm(*(x.den for x in xs))
-        cols = zip(*([v * (den // x.den) for v in x.num] for x in xs))
-        return _exact(params, den,
-                      [sum(map(operator.mul, ws, c)) for c in cols])
+        (L, ks), acc = _common(xs), [0] * 8
+        for w, x in zip(map(operator.mul, ws, ks), xs):
+            acc = [u + w * v for u, v in zip(acc, x.num)] if w else acc
+        return _exact(params, den * L, acc)
     cols = zip(*(x.coords for x in xs))
     return Octonion(tuple(sum(map(operator.mul, ws, c)) for c in cols),
                     params)
 
 
+def horner(xs, lam: Octonion) -> ExactOctonion:
+    """sum_t xs[t] lam^t (exact) by Horner's rule on numerators, over
+    L (den_t den_lam)^k after k steps, L of _common: one gcd, at the end."""
+    lam._check(xs[0])
+    t, (L, ks) = lam.params.table, _common(xs)
+    acc, scale, k = [v * ks[-1] for v in xs[-1].num], 1, t.den * lam.den
+    for x, kx in zip(xs[-2::-1], ks[-2::-1]):
+        acc, scale = t.mul(acc, lam.num), scale * k
+        acc = [u + v * scale * kx for u, v in zip(acc, x.num)]
+    return _exact(lam.params, L * scale, acc)
+
+
+def norm_products(xs) -> list:
+    """The coefficients of conj(f) f, f = sum xs[t] x^t (exact), as companion
+    sums them, on integers over den_t L^2 (L of _common), one Fraction each."""
+    t, (L, ks) = xs[0].params.table, _common(xs)
+    out = [0] * (2 * len(xs) - 1)
+    for s, x in enumerate(xs):
+        wx = [w * v * ks[s] for w, v in zip(t.int_norm_diag, x.num)]
+        for u, (k, y) in enumerate(zip(ks[s:], xs[s:]), s):
+            out[s + u] += (1 + (u > s)) * k * sum(map(operator.mul, wx, y.num))
+    return [Fraction(c, t.den * L * L) for c in out]
+
+
 def polar_form(x: Octonion, y: Octonion):
     """Polar bilinear form of the norm: b(x,y) = norm(x+y)-norm(x)-norm(y)."""
     x._check(y)
-    t = x.params.table
-    if t.exact:
-        s = sum(v * a * b for v, a, b in zip(t.int_norm_diag, x.num, y.num))
-        return Fraction(2 * s, t.den * x.den * y.den)
-    diag = t.norm_diag
+    if x.params.field.exact:
+        return norm_products([x, y])[1]
+    diag = x.params.table.norm_diag
     return sum(2 * d * a * b for d, a, b in zip(diag, x.coords, y.coords))
 
 
@@ -532,26 +566,13 @@ def parse_octonion(text: str, params: AlgebraParams) -> Octonion:
 
 
 def format_octonion(x: Octonion) -> str:
-    parts = []
+    out = ""
     for a, c in enumerate(x.coords):
-        if c == 0:
-            continue
-        mag = abs(c)
-        s = "-" if c < 0 else "+"
-        if a == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = BASIS_NAMES[a]
-        else:
-            body = f"{mag} {BASIS_NAMES[a]}"
-        parts.append((s, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for s, body in parts[1:]:
-        out += f" {s} {body}"
-    return out
+        if c != 0:
+            mag, u, s = abs(c), BASIS_NAMES[a], "-" if c < 0 else "+"
+            body = str(mag) if a == 0 else u if mag == 1 else f"{mag} {u}"
+            out += f" {s} {body}" if out else s.strip("+") + body
+    return out or "0"
 
 
 def _units(params: AlgebraParams):

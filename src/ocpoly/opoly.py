@@ -10,7 +10,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import AlgebraParams, Octonion, _read_terms, polar_form
+from .algebra import (AlgebraParams, Octonion, _read_terms, horner,
+                      norm_products, polar_form)
 from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
@@ -116,10 +117,12 @@ class OPolynomial:
     def companion(self) -> CentralPoly:
         """conj(f) * f, central by construction: as conj(x) y + conj(y) x =
         polar_form(x, y), coefficient k sums polar_form(a_s, a_t) over s < t,
-        s + t = k, plus norm(a_{k/2})."""
+        s + t = k, plus norm(a_{k/2}); exact mode on integers."""
         if self.is_zero():
             raise InvalidInput("zero polynomial has no companion")
         cs = self.coeffs
+        if self.params.field.exact:
+            return CentralPoly.make(self.params.field, norm_products(cs))
         out = [0] * (2 * len(cs) - 1)
         for s, x in enumerate(cs):
             out[2 * s] += x.norm()
@@ -132,6 +135,9 @@ class OPolynomial:
     def eval(self, lam: Octonion) -> Octonion:
         """sum a_t lam^t by Horner's rule, exact since a_t and lam generate an
         associative subalgebra (Artin); lam may also be a scalar."""
+        if self.coeffs and self.params.field.exact:
+            return horner(self.coeffs, lam if isinstance(lam, Octonion)
+                          else Octonion.scalar(self.params, lam))
         acc = self.coeff(self.degree)
         for a in reversed(self.coeffs[:-1]):
             acc = acc * lam + a

@@ -64,10 +64,10 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         zero = Octonion.zero(f.params)
         return LinearReduction(E=zero, G=zero)
     T, N = fld.coerce(cls.T), fld.coerce(cls.N)
-    p, q = fld.zero(), fld.one()   # lam^0 = 0*lam + 1
+    p, q = (0, 1) if fld.exact else (fld.zero(), fld.one())  # lam^0 = 1
     if fld.exact:  # T D and N D^2 from the integers of T and N
         D = math.lcm(dt := T.denominator, dn := N.denominator)
-        T, N, p, q = T.numerator * (D // dt), N.numerator * (D // dn) * D, 0, 1
+        T, N = T.numerator * (D // dt), N.numerator * (D // dn) * D
     ps, qs = [], []
     for _ in cs:
         ps.append(p)
@@ -79,10 +79,10 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
             Es += a * sp
             sp, sq = 2 * s * sp + sq, s * s * sp
         return LinearReduction(combination(ps, cs), combination(qs, cs), Es, s)
-    k = len(cs) - 1  # p_t = P_t D^(k+1-t) / D^k, q_t = Q_t D^(k-t) / D^k
-    E = combination([P * D ** (k + 1 - t) for t, P in enumerate(ps)], cs)
-    G = combination([Q * D ** (k - t) for t, Q in enumerate(qs)], cs)
-    return LinearReduction(E=E / D ** k, G=G / D ** k)
+    w = [D ** (len(cs) - 1 - t) for t in range(len(cs))]  # D^(k-t), k = deg
+    E = combination([P * D * d for P, d in zip(ps, w)], cs, w[0])  # p_t D^k
+    G = combination([Q * d for Q, d in zip(qs, w)], cs, w[0])      # q_t D^k
+    return LinearReduction(E=E, G=G)
 
 
 # (f, cls, reduce_linear(f, cls)) of the last reduction made, replaced whole

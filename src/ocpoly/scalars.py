@@ -162,7 +162,7 @@ class ConjClass:
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""
         if mu.params.field.exact:  # gap 0: equal trace and norm
-            return mu.trace() == self.T and mu.norm() == self.N
+            return mu.in_class(self.T, self.N)
         return self.gap(mu) <= mu.params.field.class_tol
 
     def to_json(self, f):
@@ -193,7 +193,8 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """All complex roots of the polynomial with ascending float coefficients."""
     target = 1e-12 * max(1.0, np.max(np.abs(coeffs)))
     start = _companion_eigvals(coeffs[::-1])
-    if np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(start))) < target:
+    best = np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(start)))
+    if best < target:
         return start  # most calls: no iteration, nothing more to set up
     n = len(coeffs) - 1
     p = np.polynomial.Polynomial(coeffs)
@@ -207,8 +208,9 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             z = start
         for _ in range(_MAX_ITER):
             pv = p(z)
-            if np.max(np.abs(pv)) < target:
+            if (res := np.max(np.abs(pv))) < target:
                 return z
+            best = np.fmin(best, res)  # the smallest any attempt reached
             dv = dp(z)
             # Newton correction with a guard against p'(z) = 0
             bad = np.abs(dv) < 1e-300
@@ -221,7 +223,8 @@ def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             denom[np.abs(denom) < 1e-300] = 1.0
             z = z - w / denom
         # perturb and retry
-    raise NoConvergence(f"Aberth solver failed for degree {n}")
+    raise NoConvergence(f"Aberth solver failed for degree {n}: residual "
+                        f"{best:.3e} > threshold {target:.3e}")
 
 
 def _clusters(p: CentralPoly, zs: list) -> list:

@@ -383,23 +383,112 @@ def test_exact_matches_is_zero_gap(params, m, q, s):
     assert not cls.matches(mu + s)
 
 
+# ---------------------------------------------------------------------------
+# The class rule's integer paths (companion, linear reduction, class
+# membership, evaluation), each against its Fraction form, on the standard
+# octonions, a nonstandard definite algebra with den_t = 2 and a split one
+
+CHAIN_PARAMS = [AlgebraParams(EXACT, *g) for g in
+                ((-1, -1, -1), (-2, -3, Fraction(-1, 2)), (2, 3, 5))]
+
+
+@st.composite
+def polynomials(draw, max_degree=5):
+    """An algebra of CHAIN_PARAMS and 1 to max_degree + 1 coefficients,
+    zeros among them."""
+    params = draw(st.sampled_from(CHAIN_PARAMS))
+    coeff = st.one_of(elements(params), st.just(Octonion.zero(params)))
+    return params, draw(st.lists(coeff, min_size=1, max_size=max_degree + 1))
+
+
 @SETTINGS
-@given(st.sampled_from(DEFINITE_AND_SPLIT),
-       st.lists(coords, min_size=1, max_size=5), rationals, rationals)
-def test_integer_reduce_linear_is_the_fraction_recursion(params, rows, T, N):
+@given(polynomials(), rationals, rationals)
+def test_integer_reduce_linear_is_the_fraction_recursion(poly, T, N):
     """E = sum a_t p_t, G = sum a_t q_t with p_0 = 0, q_0 = 1 and
-    p' = T p + q, q' = -N p, run on Fractions here."""
-    cs = [Octonion.make(params, r) for r in rows]
+    p' = T p + q, q' = -N p, run on Fraction coordinates here."""
+    params, cs = poly
     f = OPolynomial.make(params, cs)
     red = reduce_linear(f, ConjClass(T, N))
-    E, G = Octonion.zero(params), Octonion.zero(params)
+    E, G = [Fraction(0)] * 8, [Fraction(0)] * 8
     p, q = Fraction(0), Fraction(1)
     for a in f.coeffs:
-        E, G = E + a * p, G + a * q
+        E = [e + c * p for e, c in zip(E, a.coords)]
+        G = [g + c * q for g, c in zip(G, a.coords)]
         p, q = T * p + q, -N * p
-    for got, want in ((red.E, E), (red.G, G)):
-        assert (got.num, got.den) == (want.num, want.den)
-        assert got.coords == want.coords
+    assert_exact(red.E, E)
+    assert_exact(red.G, G)
+
+
+def fraction_companion(cs, params) -> list:
+    """conj(f) f from Fraction coordinates: norm(a_s) at 2s and the polar
+    form n(a_s + a_t) - n(a_s) - n(a_t) at s + t, by the doubling rule."""
+    out = [Fraction(0)] * (2 * len(cs) - 1)
+    for s, x in enumerate(cs):
+        out[2 * s] += cd_norm(x, params)
+        for t, y in enumerate(cs[s + 1:], s + 1):
+            xy = tuple(a + b for a, b in zip(x, y))
+            out[s + t] += (cd_norm(xy, params) - cd_norm(x, params)
+                           - cd_norm(y, params))
+    while out[-1] == 0:
+        out.pop()
+    return out
+
+
+@SETTINGS
+@given(polynomials())
+def test_companion_is_the_fraction_sum(poly):
+    params, cs = poly
+    f = OPolynomial.make(params, cs)
+    if f.is_zero():
+        return
+    got = f.companion().coeffs
+    assert list(got) == fraction_companion([a.coords for a in f.coeffs],
+                                           params)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_companion_trims_an_isotropic_leading_coefficient():
+    """On (2, 3, 5), n(i + j + l + il) = -2 - 3 - 5 + 10 = 0: the companion
+    of (i + j + l + il) x^2 + i x + 1/3 j has degree 3, not 4."""
+    P = CHAIN_PARAMS[2]
+    lead = parse_octonion("i + j + l + il", P)
+    f = OPolynomial.make(P, [parse_octonion("1/3 j", P),
+                             Octonion.basis(P, 1), lead])
+    got = f.companion().coeffs
+    assert lead.norm() == 0 and len(got) == 4
+    assert list(got) == fraction_companion([a.coords for a in f.coeffs], P)
+
+
+@SETTINGS
+@given(st.sampled_from(CHAIN_PARAMS), coords, coords, rationals, rationals,
+       st.integers(-3, 3))
+def test_matches_is_equal_trace_and_norm(params, m, o, T, N, k):
+    """matches on integers equals equal trace and norm in Fractions, for
+    mu's own class, another element's, one with T or N moved, a drawn one
+    and one with integer T and N."""
+    mu, other = Octonion.make(params, m), Octonion.make(params, o)
+    tr, n = 2 * mu.coords[0], cd_norm(mu.coords, params)
+    for cT, cN in ((tr, n), (other.trace(), other.norm()), (tr, n + 1),
+                   (tr + Fraction(1, 7), n), (T, N), (k, k * k)):
+        cls = ConjClass(cT, cN)
+        assert cls.matches(mu) == (tr == cT and n == cN)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(polynomials(max_degree=32), st.data())
+def test_eval_is_stepwise_horner(poly, data):
+    """f(lam) on integers with one gcd equals Horner's rule through * and
+    + on canonical elements, at degree 0 to 32; a scalar lam is the
+    element it stands for."""
+    params, cs = poly
+    f = OPolynomial.make(params, cs)
+    lam = data.draw(elements(params))
+    want = f.coeff(f.degree)
+    for a in reversed(f.coeffs[:-1]):
+        want = want * lam + a
+    assert_exact(f.eval(lam), want.coords)
+    s = data.draw(rationals)
+    assert f.eval(s) == f.eval(Octonion.scalar(params, s))
 
 
 def test_exact_queries_never_compute_a_gap(monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module of
 the package imports is read somewhere in that module, only the modules
-that make thresholds read the raw tolerance eps, and every name of the
-package that the benchmark in perfbench/ calls or traces exists."""
+that make thresholds read the raw tolerance eps, only algebra.py touches
+the integers of exact elements, and every name of the package that the
+benchmark in perfbench/ calls or traces exists."""
 
 import ast
 import importlib
@@ -81,6 +82,46 @@ def test_eps_is_read_only_where_thresholds_are_made():
              if what != ".eps" or path.name not in EPS_READERS]
     assert found == []
 
+
+INTEGER_ATTRS = {"num", "den", "int_terms", "int_norm_diag", "_norm_num"}
+
+
+def integer_reads(tree: ast.Module) -> list:
+    """(line, name) of each read of an exact element's integers: the
+    attributes INTEGER_ATTRS, and the constructor _exact, read as a name
+    or imported."""
+    found = [(n.lineno, "." + n.attr) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in INTEGER_ATTRS
+             and isinstance(n.ctx, ast.Load)]
+    found += [(n.lineno, n.id) for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and n.id == "_exact"
+              and isinstance(n.ctx, ast.Load)]
+    found += [(n.lineno, a.name) for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) for a in n.names
+              if a.name == "_exact"]
+    return sorted(found)
+
+
+def test_integer_reads_are_found():
+    tree = ast.parse("from .algebra import _exact, combination\n"
+                     "def f(x, t):\n"
+                     "    return _exact(x.params, x.den * t.den, x.num)\n"
+                     "def g(x):\n"
+                     "    return x._norm_num() + x.params.table.int_terms[0]"
+                     " + sum(x.params.table.int_norm_diag)\n"
+                     "numerator = denominator = x.numerator\n")
+    assert integer_reads(tree) == [
+        (1, "_exact"), (3, ".den"), (3, ".den"), (3, ".num"), (3, "_exact"),
+        (5, "._norm_num"), (5, ".int_norm_diag"), (5, ".int_terms")]
+
+
+def test_only_algebra_reads_exact_integers():
+    """README: the integer arithmetic of exact mode lives in algebra.py;
+    other modules work on elements through its operations."""
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "algebra.py"
+             for line, what in integer_reads(ast.parse(path.read_text()))]
+    assert found == []
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from ocpoly import scalars
+from ocpoly.algebra import AlgebraParams, random_octonion
 from ocpoly.errors import InvalidInput, NoConvergence, UnsupportedDegree
+from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
 
@@ -160,6 +163,29 @@ class TestRealMode:
         with pytest.raises(NoConvergence,
                            match="classes place 2 of the 4 roots"):
             central_roots(CentralPoly.make(REAL, [4, 0, 5, 0, 1]))
+
+    def test_no_convergence_states_residual_and_threshold(self):
+        """The 35th monic cubic over the octonions with random_octonion
+        coefficients from random.Random(3): its companion's eigenvalues
+        miss the stop rule (max|p(z)| 7.4e-10 against 8.0e-11), and so does
+        every Aberth attempt.  The error states the smallest max|p(z)| any
+        attempt reached and the threshold, as Octonion.misfit does."""
+        P, rng = AlgebraParams.octonions(REAL), random.Random(3)
+        for _ in range(35):
+            f = OPolynomial.make(P, [random_octonion(P, rng)
+                                     for _ in range(3)] + [1])
+        p = f.companion()
+        number = r"(\d\.\d{3}e[+-]\d\d)"
+        with pytest.raises(NoConvergence) as info:
+            central_roots(p)
+        m = re.fullmatch(f"Aberth solver failed for degree 6: residual "
+                         f"{number} > threshold {number}", str(info.value))
+        assert m, str(info.value)
+        target = 1e-12 * max(1.0, max(abs(c) for c in p.coeffs))
+        assert m[2] == f"{target:.3e}" and float(m[1]) > float(m[2])
+        # no larger than at the eigenvalues, where the first attempt starts
+        start = scalars._companion_eigvals(np.array(p.coeffs[::-1]))
+        assert float(m[1]) <= float(f"{np.max(np.abs(p.eval(start))):.3e}")
 
     def test_zero_roots_are_exact(self):
         # x^3 (x^2 + 1): three roots exactly 0, split off before the solver
