@@ -44,6 +44,9 @@ class AlgebraParams:
         if 0 in self.gammas:
             raise InvalidInput("structure constants must be nonzero")
 
+    def __reduce__(self):  # the cached table's exec-built mul does not pickle
+        return AlgebraParams, (self.field, *self.gammas)
+
     @classmethod
     def octonions(cls, field: Field = REAL) -> "AlgebraParams":
         """The standard instance (-1, -1, -1): H and O."""
@@ -279,7 +282,9 @@ class Octonion:
     def abs(self) -> float:
         if self.params.field.exact:  # sqrt(n(x)) leaves the rationals
             raise ModeMismatch("abs is a real-mode operation")
-        return math.sqrt(self.norm())
+        if (n := self.norm()) < 0:  # on a split algebra
+            raise InvalidInput(f"abs of an element of negative norm {n!r}")
+        return math.sqrt(n)
 
     def inverse(self) -> "Octonion":
         n = self.norm()
@@ -297,7 +302,7 @@ class Octonion:
         return not any(self.coords)
 
     def is_central(self) -> bool:
-        return self.im().is_zero()
+        return not any(self.coords[1:])
 
     def size2(self) -> float:
         """sum |w_a| x_a^2 over the norm diagonal w: the norm on a definite
@@ -323,9 +328,9 @@ class Octonion:
         judges a fixed point, a pseudo-period and an orbit's revisit;
         exact mode compares by equality."""
         self._check(other)
-        if tol is None:
-            tol = self.params.field.fixed_tol
-        return (self - other).negligible(tol, 1 + math.sqrt(other.size2()))
+        tol = self.params.field.fixed_tol if tol is None else tol
+        scale = tol and 1 + math.sqrt(other.size2())  # no size at tol 0
+        return (self - other).negligible(tol, scale)
 
     # -- formatting ---------------------------------------------------------
 
@@ -446,6 +451,9 @@ class ExactOctonion(Octonion):
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def is_central(self) -> bool:
+        return not any(self.num[1:])
 
 
 def _exact(params: AlgebraParams, den: int, num, g=0) -> ExactOctonion:
@@ -609,7 +617,7 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
     v] serves, as it anticommutes with v; e_1 serves a central lam.
     NotConjugate if |delta lam - mu delta| > witness_tol |delta| |lam|."""
     params, f, v = lam.params, lam.params.field, lam.im()
-    tol, size = f.witness_tol, math.sqrt(v.size2())
+    tol, size = f.witness_tol, f.witness_tol and math.sqrt(v.size2())
     cands = [Octonion.basis(params, 1) if lam.is_central() else v + mu.im()]
     if cands[0].negligible(tol, size):  # mu = conj(lam)
         cands = (e.commutator(v) for e in _units(params))
@@ -620,7 +628,7 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
     if not f.exact:  # unit size, and so is c = delta^-1 of rmr_witness
         delta = delta / math.sqrt(delta.size2())
     resid = delta * lam - mu * delta
-    scale = math.sqrt(lam.size2())  # |delta| |lam|
+    scale = tol and math.sqrt(lam.size2())  # |delta| |lam|
     if not resid.negligible(tol, scale):
         raise NotConjugate("conjugation residual too large: "
                            + resid.misfit(tol, scale))

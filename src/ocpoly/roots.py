@@ -281,11 +281,11 @@ def lmr_describe_class(f: OPolynomial, cls: ConjClass) -> LMRClassDescription:
     if lam is None:
         return LMRClassDescription(f, cls, "whole-class")
     if not cls.central:
-        red, fld = _reduction(f, cls), f.params.field
+        red, tol = _reduction(f, cls), f.params.field.class_tol
         e_inv_g, g_e_inv = -lam, red.G * red.Einv
         comm = e_inv_g - g_e_inv  # [conj G, E^-1], as Re G is central
-        size = math.sqrt(red.Einv.size2() * red.G.size2())
-        if not comm.negligible(fld.class_tol, size):  # against |E^-1| |G|
+        size = tol and math.sqrt(red.Einv.size2() * red.G.size2())
+        if not comm.negligible(tol, size):  # against |E^-1| |G|; 0 at tol 0
             return LMRClassDescription(f, cls, "parametrized", e_inv_g=e_inv_g,
                                        g_e_inv=g_e_inv, comm=comm)
     return LMRClassDescription(f, cls, "single-point", point=lam)

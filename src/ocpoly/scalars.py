@@ -173,8 +173,7 @@ class ConjClass:
 # ---------------------------------------------------------------------------
 # Real-mode solver: companion eigenvalues, Aberth iteration if they fail.
 
-_MAX_ITER = 1000
-_RESTARTS = 4
+_MAX_ITER = 4000
 
 
 def _companion_eigvals(cs: np.ndarray) -> np.ndarray:
@@ -189,42 +188,34 @@ def _companion_eigvals(cs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _aberth(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """All complex roots of the polynomial with ascending float coefficients."""
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
+    """All complex roots of the polynomial with ascending float coefficients:
+    the companion eigenvalues, refined by Aberth steps if they fail."""
     target = 1e-12 * max(1.0, np.max(np.abs(coeffs)))
-    start = _companion_eigvals(coeffs[::-1])
-    best = np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(start)))
+    z = _companion_eigvals(coeffs[::-1])
+    best = np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(z)))
     if best < target:
-        return start  # most calls: no iteration, nothing more to set up
-    n = len(coeffs) - 1
+        return z  # most calls: no iteration, nothing more to set up
     p = np.polynomial.Polynomial(coeffs)
     dp = p.deriv()
-    radius = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
-    for attempt in range(_RESTARTS):
-        phases = 2 * np.pi * (np.arange(n) / n + rng.uniform(0, 1))
-        z = radius * (0.4 + 0.6 * rng.uniform(size=n) if attempt else 0.9) \
-            * np.exp(1j * phases)
-        if attempt == 0:
-            z = start
-        for _ in range(_MAX_ITER):
-            pv = p(z)
-            if (res := np.max(np.abs(pv))) < target:
-                return z
-            best = np.fmin(best, res)  # the smallest any attempt reached
-            dv = dp(z)
-            # Newton correction with a guard against p'(z) = 0
-            bad = np.abs(dv) < 1e-300
-            dv[bad] = 1.0
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * s
-            denom[np.abs(denom) < 1e-300] = 1.0
-            z = z - w / denom
-        # perturb and retry
-    raise NoConvergence(f"Aberth solver failed for degree {n}: residual "
-                        f"{best:.3e} > threshold {target:.3e}")
+    for _ in range(_MAX_ITER):
+        pv = p(z)
+        if (res := np.max(np.abs(pv))) < target:
+            return z
+        best = np.fmin(best, res)  # the smallest any step reached
+        dv = dp(z)
+        # Newton correction with a guard against p'(z) = 0
+        bad = np.abs(dv) < 1e-300
+        dv[bad] = 1.0
+        w = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - w * s
+        denom[np.abs(denom) < 1e-300] = 1.0
+        z = z - w / denom
+    raise NoConvergence(f"Aberth solver failed for degree {len(coeffs) - 1}: "
+                        f"residual {best:.3e} > threshold {target:.3e}")
 
 
 def _clusters(p: CentralPoly, zs: list) -> list:
@@ -266,8 +257,8 @@ def _central_roots_real(p: CentralPoly) -> list:
     coeffs = np.array([float(c) for c in p.coeffs])
     j = next(t for t, c in enumerate(p.coeffs) if c)  # x^j divides p
     roots = [0j] * j
-    if j < p.degree:  # the seed is fixed: the same roots on every call
-        roots += _aberth(coeffs[j:], np.random.default_rng(0)).tolist()
+    if j < p.degree:
+        roots += _aberth(coeffs[j:]).tolist()
     # A real polynomial's roots are mirror images: a cluster centre on the
     # axis is a central class, one above it a class (T, N), one below its
     # mirror.  An m-fold root is only located to ~(residual)^(1/m): the

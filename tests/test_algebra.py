@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -150,6 +152,31 @@ class TestInvolution:
         # it raised InvalidInput, not the error for the wrong mode
         with pytest.raises(ModeMismatch, match="real-mode"):
             Octonion.make(P, [3, 4]).abs()
+
+    def test_abs_of_negative_norm_is_typed(self):
+        # on the split algebra (2, 3, 5), n(i) = -2 and n(3 + i) = 7
+        P = AlgebraParams(REAL, 2, 3, 5)
+        i = Octonion.basis(P, 1)
+        with pytest.raises(InvalidInput, match="negative norm -2.0"):
+            i.abs()
+        assert (3 + i).abs() == math.sqrt(7)
+
+
+class TestCopiesAndHashes:
+    @pytest.mark.parametrize("field", [EXACT, REAL])
+    def test_pickle_and_deepcopy_round_trip(self, field):
+        P = AlgebraParams(field, -2, 3, Fraction(-1, 2))
+        x = Octonion.make(P, [1, -2, Fraction(1, 4), 0, 3, 0, 0, 7])
+        for y in (x, x * x):  # exact x * x has no coords until read
+            for z in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
+                assert type(z) is type(y) and z == y and z.params == P
+
+    def test_real_equal_elements_hash_equal(self, PR):
+        x = Octonion.make(PR, [1, 2])
+        y = Octonion.make(PR, [1.0, 2.0, 0, 0, 0, 0, 0, 0.0])
+        z = (x + x) / 2
+        assert x == y == z and hash(x) == hash(y) == hash(z)
+        assert len({x, y, z}) == 1
 
 
 class TestInverse:

@@ -16,7 +16,8 @@ from sympy.polys import factortools
 from sympy.polys.factortools import dup_factor_list
 
 import ocpoly
-from ocpoly.algebra import AlgebraParams, Octonion, parse_octonion, polar_form
+from ocpoly.algebra import (AlgebraParams, ExactOctonion, Octonion,
+                            parse_octonion, polar_form)
 from ocpoly.errors import InvalidInput, NotInvertible
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (lmr_describe_class, lmr_sample_detailed,
@@ -511,3 +512,21 @@ def test_exact_queries_never_compute_a_gap(monkeypatch):
     desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
     for _, _, c, pt in lmr_sample_detailed(desc, 8, seed=5):
         assert f.scale_left(c).eval(pt).is_zero()
+
+
+def test_exact_verdicts_compute_no_size(monkeypatch):
+    """Exact thresholds are 0, so a witness at a non-central conjugate of a
+    root, a parametrized LMR class, isclose and is_central take no size2."""
+    def refuse(self):
+        raise AssertionError("size2 computed")
+
+    P = PARAMS[0]
+    f = parse_opolynomial("x^2 + ix - ij + 1", P)
+    monkeypatch.setattr(ExactOctonion, "size2", refuse)
+    mu = parse_octonion("-k", P)  # a conjugate of the root j
+    c = rmr_witness(f, mu)
+    assert c != Octonion.one(P) and f.scale_right(c).eval(mu).is_zero()
+    desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
+    assert desc.kind == "parametrized"
+    assert mu.isclose(-(-mu)) and not mu.isclose(-mu)
+    assert Octonion.scalar(P, 3).is_central() and not mu.is_central()

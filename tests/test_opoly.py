@@ -22,6 +22,17 @@ class TestArithmetic:
         assert ((f + g) - g).coeffs == f.coeffs
         assert (f - f).is_zero()
 
+    def test_scalar_operands(self, P, basis):
+        one, i, j, k, l = basis
+        f = OPolynomial.make(P, [i, one])
+        assert (f + 2).coeffs == (i + 2, one)
+        assert (f - j).coeffs == (i - j, one)
+        assert (f - i).coeffs == (Octonion.zero(P), one)
+
+    def test_mul_by_zero(self, P, basis):
+        f, zero = OPolynomial.make(P, basis), OPolynomial.zero(P)
+        assert (f * zero).is_zero() and (zero * f).is_zero()
+
     def test_trailing_zero_trim(self, P, basis):
         one, i, j, k, l = basis
         f = OPolynomial.make(P, [i, one, Octonion.zero(P)])

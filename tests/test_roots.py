@@ -243,7 +243,7 @@ class TestRoots:
 
     def test_first_attempt_starts_at_companion_eigenvalues(
             self, PR, monkeypatch):
-        # three iterations from a ring of starting points never converge;
+        # three Aberth steps are too few to converge from a poor start;
         # from the eigenvalues of the companion matrix they need none
         monkeypatch.setattr(scalars, "_MAX_ITER", 3)
         py_rng = random.Random(24)

@@ -78,6 +78,17 @@ class TestExactMode:
             central_roots(CentralPoly.make(EXACT, []))
 
 
+def failing_cubic_companion():
+    """The companion of the 35th monic cubic over the octonions with
+    random_octonion coefficients from random.Random(3), on which the solver
+    does not converge."""
+    P, rng = AlgebraParams.octonions(REAL), random.Random(3)
+    for _ in range(35):
+        f = OPolynomial.make(P, [random_octonion(P, rng)
+                                 for _ in range(3)] + [1])
+    return f.companion()
+
+
 class TestRealMode:
     def test_biquadratic(self):
         p = CentralPoly.make(REAL, [2, 0, 3, 0, 1])
@@ -158,7 +169,7 @@ class TestRealMode:
         """(x^2 + 1)(x^2 + 4), with the pair +-2i iterated as -2i and
         -2i - 1e-3: the class (0, 4) would be lost, so the solver refuses
         and states how many roots its classes place."""
-        monkeypatch.setattr(scalars, "_aberth", lambda coeffs, rng: np.array(
+        monkeypatch.setattr(scalars, "_aberth", lambda coeffs: np.array(
             [1j, -1j, -2j, -2j - 1e-3]))
         with pytest.raises(NoConvergence,
                            match="classes place 2 of the 4 roots"):
@@ -168,13 +179,10 @@ class TestRealMode:
         """The 35th monic cubic over the octonions with random_octonion
         coefficients from random.Random(3): its companion's eigenvalues
         miss the stop rule (max|p(z)| 7.4e-10 against 8.0e-11), and so does
-        every Aberth attempt.  The error states the smallest max|p(z)| any
-        attempt reached and the threshold, as Octonion.misfit does."""
-        P, rng = AlgebraParams.octonions(REAL), random.Random(3)
-        for _ in range(35):
-            f = OPolynomial.make(P, [random_octonion(P, rng)
-                                     for _ in range(3)] + [1])
-        p = f.companion()
+        every Aberth step from them.  The error states the smallest
+        max|p(z)| any step reached and the threshold, as Octonion.misfit
+        does."""
+        p = failing_cubic_companion()
         number = r"(\d\.\d{3}e[+-]\d\d)"
         with pytest.raises(NoConvergence) as info:
             central_roots(p)
@@ -183,7 +191,7 @@ class TestRealMode:
         assert m, str(info.value)
         target = 1e-12 * max(1.0, max(abs(c) for c in p.coeffs))
         assert m[2] == f"{target:.3e}" and float(m[1]) > float(m[2])
-        # no larger than at the eigenvalues, where the first attempt starts
+        # no larger than at the eigenvalues, where the iteration starts
         start = scalars._companion_eigvals(np.array(p.coeffs[::-1]))
         assert float(m[1]) <= float(f"{np.max(np.abs(p.eval(start))):.3e}")
 
@@ -202,6 +210,32 @@ class TestRealMode:
         a = central_roots(p)
         np.random.seed(2)
         assert central_roots(p) == a
+
+    def test_no_random_generator(self, monkeypatch):
+        """No call builds a generator: not at the eigenvalues, not when
+        Aberth steps refine them (a start moved off by 1e-3), not when
+        the steps fail."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.random.default_rng called")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        (c,) = central_roots(CentralPoly.make(REAL, [1, 0, 1]))
+        assert (c.T, c.N) == pytest.approx((0, 1))
+        eigvals = scalars._companion_eigvals
+        polynomial, built = np.polynomial.Polynomial, []
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_companion_eigvals",
+                      lambda cs: eigvals(cs) + 1e-3)
+            m.setattr(np.polynomial, "Polynomial",
+                      lambda cs: built.append(cs) or polynomial(cs))
+            got = central_roots(CentralPoly.make(REAL, [-6, 11, -6, 1]))
+        assert len(built) == 1  # the start failed: Aberth iterated
+        assert [c.r for c in got] == pytest.approx([1, 2, 3])
+        with pytest.raises(NoConvergence):
+            central_roots(failing_cubic_companion())
+
+    @pytest.mark.parametrize("field", [EXACT, REAL])
+    def test_nonzero_constant_has_no_roots(self, field):
+        assert central_roots(CentralPoly.make(field, [3])) == []
 
 
 def hexes(z):
