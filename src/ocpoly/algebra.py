@@ -447,7 +447,10 @@ class ExactOctonion(Octonion):
     def size2(self) -> float:
         t = self.params.table
         n = sum(abs(v) * c * c for v, c in zip(t.int_norm_diag, self.num))
-        return n / (t.den * self.den * self.den)
+        try:
+            return n / (t.den * self.den * self.den)
+        except OverflowError:  # beyond float range: inf, as a real sum goes
+            return math.inf
 
     def is_zero(self) -> bool:
         return not any(self.num)

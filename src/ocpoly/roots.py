@@ -78,6 +78,9 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         for a in f.coeff_sizes:  # sp, sq: p'_t, q'_t
             Es += a * sp
             sp, sq = 2 * s * sp + sq, s * s * sp
+        if not Es * Es < math.inf:  # sizes are compared squared
+            raise InvalidInput(f"the terms of E on a class of size {s:.3e} "
+                               "are beyond float range")
         return LinearReduction(combination(ps, cs), combination(qs, cs), Es, s)
     w = [D ** (len(cs) - 1 - t) for t in range(len(cs))]  # D^(k-t), k = deg
     E = combination([P * D * d for P, d in zip(ps, w)], cs, w[0])  # p_t D^k
@@ -108,17 +111,27 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
     fld = f.params.field
     if not red.E.negligible(fld.witness_tol, red.E_size):
         return False
+    if fld.exact and red.G.is_zero():  # E = G = 0: no size to compute
+        return True
     resid = math.sqrt(red.E.size2()) * red.s + math.sqrt(red.G.size2())
     limit = 0 if fld.exact else fld.witness_tol * _eval_scale(f, red.s)
-    if red.G.is_zero() if fld.exact else resid <= limit:  # exact: E = 0
+    if resid <= limit and not fld.exact:
         return True
     raise NotInRMR(f"E = 0 but G != 0: residual {resid:.3e} > threshold "
                    f"{limit:.3e}")
 
 
 def _eval_scale(f: OPolynomial, size: float) -> float:
-    """sum_t |a_t| size^t: the scale of f's error at a point of that size."""
-    return sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
+    """sum_t |a_t| size^t: the scale of f's error at a point of that size;
+    InvalidInput if it is beyond float range."""
+    try:
+        scale = sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
+    except OverflowError:  # of size ** t
+        scale = math.inf
+    if not scale * scale < math.inf:  # sizes are compared squared
+        raise InvalidInput(f"the terms of f at a point of size {size:.3e} "
+                           "are beyond float range")
+    return scale
 
 
 def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
@@ -128,7 +141,7 @@ def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
     stating what failed."""
     val = f.eval(mu)
     if not val.is_zero():  # 0 needs no scale, and is all exact mode takes
-        scale = _eval_scale(f, math.sqrt(mu.size2()))
+        scale = tol and _eval_scale(f, math.sqrt(mu.size2()))
         if not val.negligible(tol, scale):
             raise NotInRMR(f"{what}: {val.misfit(tol, scale)}")
     return mu

@@ -157,7 +157,11 @@ class ConjClass:
         |N| of this class and mu's (0 if both are {0}): 0 iff mu in it."""
         T, N = mu.trace(), mu.norm()
         s2 = max(self.T * self.T / 4, abs(self.N), T * T / 4, abs(N))
-        return s2 and max(abs(T - self.T) / s2 ** 0.5, abs(N - self.N) / s2)
+        dT, dN = abs(T - self.T), abs(N - self.N)
+        try:
+            return s2 and max(dT / s2 ** 0.5, dN / s2)
+        except OverflowError:  # an exact s2 beyond float range: ratios first
+            return max((dT * dT / s2) ** 0.5, dN / s2)
 
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""
@@ -188,22 +192,18 @@ def _companion_eigvals(cs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All complex roots of the polynomial with ascending float coefficients:
-    the companion eigenvalues, refined by Aberth steps if they fail."""
-    target = 1e-12 * max(1.0, np.max(np.abs(coeffs)))
-    z = _companion_eigvals(coeffs[::-1])
-    best = np.max(np.abs(CentralPoly(REAL, tuple(coeffs)).eval(z)))
-    if best < target:
-        return z  # most calls: no iteration, nothing more to set up
-    p = np.polynomial.Polynomial(coeffs)
-    dp = p.deriv()
+def _aberth(p: CentralPoly) -> np.ndarray:
+    """All complex roots of the real polynomial p: Aberth steps from the
+    companion eigenvalues, which most calls accept at the first test."""
+    target = 1e-12 * max(1.0, max(map(abs, p.coeffs)))
+    z, best, dp = _companion_eigvals(np.array(p.coeffs[::-1])), np.inf, None
     for _ in range(_MAX_ITER):
-        pv = p(z)
+        pv = p.eval(z)
         if (res := np.max(np.abs(pv))) < target:
             return z
         best = np.fmin(best, res)  # the smallest any step reached
-        dv = dp(z)
+        dp = dp or p.deriv()  # p', derived at the first step taken
+        dv = dp.eval(z)
         # Newton correction with a guard against p'(z) = 0
         bad = np.abs(dv) < 1e-300
         dv[bad] = 1.0
@@ -214,7 +214,7 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         denom = 1.0 - w * s
         denom[np.abs(denom) < 1e-300] = 1.0
         z = z - w / denom
-    raise NoConvergence(f"Aberth solver failed for degree {len(coeffs) - 1}: "
+    raise NoConvergence(f"Aberth solver failed for degree {p.degree}: "
                         f"residual {best:.3e} > threshold {target:.3e}")
 
 
@@ -254,11 +254,10 @@ def _clusters(p: CentralPoly, zs: list) -> list:
 def _central_roots_real(p: CentralPoly) -> list:
     if p.degree == 0:
         return []
-    coeffs = np.array([float(c) for c in p.coeffs])
     j = next(t for t, c in enumerate(p.coeffs) if c)  # x^j divides p
     roots = [0j] * j
     if j < p.degree:
-        roots += _aberth(coeffs[j:]).tolist()
+        roots += _aberth(CentralPoly(p.field, p.coeffs[j:])).tolist()
     # A real polynomial's roots are mirror images: a cluster centre on the
     # axis is a central class, one above it a class (T, N), one below its
     # mirror.  An m-fold root is only located to ~(residual)^(1/m): the

@@ -554,6 +554,45 @@ class TestExitCodes:
         assert main(["roots", str(path)]) == EXIT_MATH
         assert named in capsys.readouterr().err
 
+    # real-mode sizes are sums of squares, so a size above 1.3e154 was inf
+    # and every threshold made from it passed: the first two answered
+    # true, the third and fourth true and a split algebra; the real cubic
+    # and the exact ones died with an OverflowError (exit 1).  At 1e150
+    # each answered, as it still does.
+    @pytest.mark.parametrize("mode,text,args,named", [
+        ("real", "x - 1e160 i", ["lmr", "--contains=j"], "-1e+160 i has"),
+        ("real", "x - 1e160 i", ["lmr", "--contains=5"], "-1e+160 i has"),
+        ("real", "x - 1e200 i", ["rmr", "--element=5"], "-1e+200 i has"),
+        ("real", "x - 1e200 i", ["rmr", "--element=j"], "-1e+200 i has"),
+        ("real", "x^3 + x", ["rmr", "--element=1e120 j"],
+         "size 1.000e+120"),
+        ("real", "x^3 + x", ["lmr", "--contains=1e120 j"],
+         "size 1.000e+120"),
+        ("real", "x^3 + x", ["rmr", "--element=1e120"],
+         "point of size 1.000e+120"),
+        ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=j"], None),
+        ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=1"], None),
+        ("real", "x - 1e150 i", ["lmr", "--contains=j"], None),
+        ("real", "x - 1e150 i", ["rmr", "--element=j"], None),
+        ("exact", f"x - 1{'0' * 150} i", ["rmr", "--element=j"], None),
+        ("exact", f"x - 1{'0' * 150} i", ["rmr", "--element=1"], None)],
+        ids=["lmr-j", "lmr-5", "rmr-5", "rmr-j", "rmr-cubic", "lmr-cubic",
+             "rmr-cubic-central", "exact-j", "exact-1", "in-range-lmr-j", "in-range-rmr-j",
+             "in-range-exact-j", "in-range-exact-1"])
+    def test_magnitude_beyond_float_range(self, tmp_path, capsys, mode, text,
+                                          args, named):
+        """Each query ends in its answer, false, or in a refusal that
+        states the magnitude."""
+        path = tmp_path / "f.txt"
+        path.write_text(text + "\n")
+        code = main([f"--mode={mode}", args[0], str(path), *args[1:]])
+        out, err = capsys.readouterr()
+        if named is None:
+            assert code == EXIT_OK and json.loads(out) == {"contains": False}
+        else:
+            assert code == EXIT_MATH and named in err
+            assert "beyond float range" in err
+
     def test_degree_cap(self, tmp_path, capsys):
         """A 15-byte text asking for 10^8 powers exits 4 at once; the
         largest degree compose returns reads back."""

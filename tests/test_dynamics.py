@@ -345,3 +345,17 @@ class TestIndefiniteAlgebra:
                     with pytest.raises(InvalidInput, match="definite"):
                         call()
         assert checked == 53
+
+
+# the refusals that no other test reaches, each by its text
+@pytest.mark.parametrize("call,error,text", [
+    (lambda f, PR: fixed_points(OPolynomial.x(PR)), InvalidInput,
+     "need a monic quadratic polynomial"),
+    (lambda f, PR: verify_composition_fixed(f, Octonion.scalar(PR, 2), 2),
+     NotAFixedPoint, "alpha is not fixed by f"),
+    (lambda f, PR: orbit(f, Octonion.one(PR), 0), InvalidInput,
+     "need n_max >= 1")],
+    ids=["not-quadratic", "not-fixed", "no-steps"])
+def test_refusals(PR, call, error, text):
+    with pytest.raises(error, match=text):
+        call(parse_opolynomial("x^2", PR), PR)

@@ -530,3 +530,15 @@ def test_exact_verdicts_compute_no_size(monkeypatch):
     assert desc.kind == "parametrized"
     assert mu.isclose(-(-mu)) and not mu.isclose(-mu)
     assert Octonion.scalar(P, 3).is_central() and not mu.is_central()
+
+
+def test_exact_sphere_computes_no_size(monkeypatch):
+    """roots(x^2 + 1): E = G = 0 on its one class, a sphere that exact mode
+    decides with no size2, where the sizes |E| s + |G| of the real-mode
+    test were taken first (2 calls)."""
+    calls, size2 = [], ExactOctonion.size2
+    monkeypatch.setattr(ExactOctonion, "size2",
+                        lambda x: calls.append(x) or size2(x))
+    r = roots(parse_opolynomial("x^2 + 1", PARAMS[0]))
+    assert len(r.spherical) == 1 and not r.isolated and not r.anomalies
+    assert calls == []

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ocpoly.algebra import (BASIS_NAMES, AlgebraParams, Octonion,
                             parse_octonion, random_octonion)
-from ocpoly.errors import ParseError, ResourceLimit
+from ocpoly.errors import InvalidInput, ParseError, ResourceLimit
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.scalars import EXACT, REAL
 
@@ -294,3 +295,35 @@ class TestSerialization:
         assert f.coeffs == (-i / 2 - one / 4, i, one)
         f = parse_opolynomial("2x^2 + ix - 1/2", P)
         assert f.coeffs == (-one / 2, i, 2 * one)
+
+
+# branches that no other test reaches: each refusal by its text, and
+# __str__ skipping a zero middle coefficient
+@pytest.mark.parametrize("call,error,text", [
+    (lambda P, PR: OPolynomial.make(P, [Octonion.one(PR)]), InvalidInput,
+     "coefficient from a different algebra"),
+    (lambda P, PR: OPolynomial.x(P) + OPolynomial.x(PR), InvalidInput,
+     "polynomials over different algebras"),
+    (lambda P, PR: OPolynomial.zero(P).companion(), InvalidInput,
+     "zero polynomial has no companion"),
+    (lambda P, PR: OPolynomial.x(P).power(-1), InvalidInput,
+     "negative power"),
+    (lambda P, PR: OPolynomial.x(P).iterate_comp(0), InvalidInput,
+     "need n >= 1"),
+    (lambda P, PR: OPolynomial.x(P).iterate_sub(Octonion.one(P), 0),
+     InvalidInput, "need n >= 1"),
+    (lambda P, PR: OPolynomial.zero(P).right_div_linear(Octonion.one(P)),
+     InvalidInput, "cannot divide the zero polynomial"),
+    (lambda P, PR: str(parse_opolynomial("x^2 + 1", P)), None,
+     "(1)x^2 + (1)"),
+    (lambda P, PR: OPolynomial.from_json({"params": [-1, -1, -1]}, EXACT),
+     ParseError, "bad polynomial JSON: 'coeffs'")],
+    ids=["make-other-algebra", "add-other-algebra", "companion-of-zero",
+         "negative-power", "iterate-comp-0", "iterate-sub-0",
+         "divide-zero", "str-zero-middle", "json-without-coeffs"])
+def test_refusals_and_branches(P, PR, call, error, text):
+    if error is None:
+        assert call(P, PR) == text
+    else:
+        with pytest.raises(error, match=re.escape(text)):
+            call(P, PR)

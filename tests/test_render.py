@@ -307,3 +307,15 @@ class TestImages:
         assert dims.split() == [b"128", b"128"]
         assert maxval == b"255"
         assert len(pixels) == 128 * 128
+
+
+# the refusals of SliceSpec that no other test reaches, each by its text
+@pytest.mark.parametrize("field,text", [
+    ("dir_u", "slice directions must be nonzero"),
+    ("dir_v", "slice directions must be nonzero"),
+    ("width", "bad raster dimensions"), ("height", "bad raster dimensions"),
+    ("max_iter", "bad raster dimensions")])
+def test_spec_refusals(spec, PR, field, text):
+    bad = Octonion.zero(PR) if field.startswith("dir") else 0
+    with pytest.raises(InvalidInput, match=text):
+        dataclasses.replace(spec, **{field: bad})

@@ -265,11 +265,10 @@ class TestRoots:
                                                   lam, planted):
         """g(x)(x - lam) at degree 1-3, s(x)(x - lam) with s real quadratic
         (double clusters) and (x^2 + 1)(x - j) (a cube): the companion
-        eigenvalues pass the solver's stop test, so no numpy Polynomial is
-        built, and multiple roots are refined with CentralPoly alone."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.polynomial.Polynomial built")
-        monkeypatch.setattr(np.polynomial, "Polynomial", refuse)
+        eigenvalues pass the solver's first stop test, so one pass of its
+        loop, which takes no step, returns them, and multiple roots are
+        refined by Newton steps on CentralPoly derivatives."""
+        monkeypatch.setattr(scalars, "_MAX_ITER", 1)
         g = OPolynomial.make(PR, [Octonion.make(PR, c) for c in g])
         r = roots(g * OPolynomial.make(PR, [-Octonion.make(PR, lam), 1]))
         assert not r.anomalies
@@ -1083,3 +1082,34 @@ class TestSmallNonzeroE:
         f = OPolynomial.make(PR, [1, 0, 1])
         with pytest.raises(NotInRMR, match=self.OFF):
             lmr_describe_class(f, ConjClass(1e-5, 1))
+
+
+def one_side(P, side):
+    f = parse_opolynomial("x - j", P)
+    return multiple_root(f, ConjClass(0, 1), Octonion.one(P), side)
+
+
+# branches that no other test reaches: each refusal by its text, and the
+# central class {2}, whose one member class_member returns
+@pytest.mark.parametrize("call,error,text", [
+    (lambda P, PR: roots(OPolynomial.make(P, [1])), InvalidInput,
+     "degree >= 1"),
+    (lambda P, PR: rmr_witness(OPolynomial.make(PR, [2]), Octonion.one(PR)),
+     InvalidInput, "degree >= 1"),
+    (lambda P, PR: one_side(P, "up"), InvalidInput, "'left' or 'right'"),
+    (lambda P, PR: class_member(ConjClass.of_scalar(2.0), PR,
+                                random.Random(0)), None, "2.0"),
+    (lambda P, PR: class_member(ConjClass(Fraction(0), Fraction(1)), P,
+                                random.Random(0)), ModeMismatch,
+     "need real mode"),
+    (lambda P, PR: class_member(ConjClass(0.0, -1.0), PR, random.Random(0)),
+     InvalidInput, "isotropic class")],
+    ids=["roots-of-a-constant", "witness-for-a-constant", "multiple-root-side",
+         "member-of-a-central-class", "member-in-exact-mode",
+         "member-of-an-isotropic-class"])
+def test_refusals_and_branches(P, PR, call, error, text):
+    if error is None:
+        assert str(call(P, PR)) == text
+    else:
+        with pytest.raises(error, match=text):
+            call(P, PR)

@@ -220,15 +220,15 @@ class TestRealMode:
         monkeypatch.setattr(np.random, "default_rng", refuse)
         (c,) = central_roots(CentralPoly.make(REAL, [1, 0, 1]))
         assert (c.T, c.N) == pytest.approx((0, 1))
-        eigvals = scalars._companion_eigvals
-        polynomial, built = np.polynomial.Polynomial, []
+        eigvals, deriv = scalars._companion_eigvals, CentralPoly.deriv
+        built = []
         with monkeypatch.context() as m:
             m.setattr(scalars, "_companion_eigvals",
                       lambda cs: eigvals(cs) + 1e-3)
-            m.setattr(np.polynomial, "Polynomial",
-                      lambda cs: built.append(cs) or polynomial(cs))
+            m.setattr(CentralPoly, "deriv",
+                      lambda p, k=1: built.append(k) or deriv(p, k))
             got = central_roots(CentralPoly.make(REAL, [-6, 11, -6, 1]))
-        assert len(built) == 1  # the start failed: Aberth iterated
+        assert built == [1]  # p' of the first failing step: Aberth iterated
         assert [c.r for c in got] == pytest.approx([1, 2, 3])
         with pytest.raises(NoConvergence):
             central_roots(failing_cubic_companion())
@@ -319,3 +319,11 @@ class TestRealRange:
     def test_parse_refuses(self, text, named):
         with pytest.raises(InvalidInput, match=re.escape(named)):
             REAL.parse(text)
+
+
+# the one refusal of ConjClass that no other test reaches
+@pytest.mark.parametrize("T,N", [(Fraction(0), Fraction(1)), (0.0, 1.0)],
+                         ids=["exact", "real"])
+def test_radius_of_a_class_that_is_no_scalar(T, N):
+    with pytest.raises(InvalidInput, match="not a central class"):
+        scalars.ConjClass(T, N).r
