@@ -311,10 +311,18 @@ class Octonion:
         return float(sum(abs(d) * c * c for d, c in zip(diag, self.coords)))
 
     def negligible(self, tol: float, scale=1.0) -> bool:
-        """Exact mode: x == 0.  Real mode: sqrt(size2) <= tol * scale."""
+        """Exact mode: x == 0.  Real mode: sqrt(size2) <= tol * scale, by
+        squares; InvalidInput if the threshold's square is beyond float
+        range, where any size would pass."""
         if self.params.field.exact:
             return self.is_zero()
-        return self.size2() <= (tol * scale) ** 2
+        try:
+            if (limit2 := (tol * scale) ** 2) < math.inf:
+                return self.size2() <= limit2
+        except OverflowError:
+            pass
+        raise InvalidInput(f"threshold {float(tol * scale):.3e} is beyond "
+                           "float range when squared")
 
     def misfit(self, tol: float, scale=1.0) -> str:
         """sqrt(size2) and the threshold it exceeds, for a failed

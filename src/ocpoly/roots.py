@@ -74,13 +74,10 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
         qs.append(q)
         p, q = T * p + q, -N * p
     if not fld.exact:
-        s, sp, sq, Es = math.sqrt(max(T * T / 4, abs(N))), 0.0, 1.0, 0.0
-        for a in f.coeff_sizes:  # sp, sq: p'_t, q'_t
-            Es += a * sp
+        s, sp, sq, Es = math.sqrt(max(T * T / 4, abs(N))), 1.0, 0.0, 0.0
+        for a in f.coeff_sizes[1:]:  # sp, sq: p'_t, q'_t from t = 1, as
+            Es += a * sp             # p'_0 = 0 (|a_0| may be inf)
             sp, sq = 2 * s * sp + sq, s * s * sp
-        if not Es * Es < math.inf:  # sizes are compared squared
-            raise InvalidInput(f"the terms of E on a class of size {s:.3e} "
-                               "are beyond float range")
         return LinearReduction(combination(ps, cs), combination(qs, cs), Es, s)
     w = [D ** (len(cs) - 1 - t) for t in range(len(cs))]  # D^(k-t), k = deg
     E = combination([P * D * d for P, d in zip(ps, w)], cs, w[0])  # p_t D^k
@@ -122,16 +119,12 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
 
 
 def _eval_scale(f: OPolynomial, size: float) -> float:
-    """sum_t |a_t| size^t: the scale of f's error at a point of that size;
-    InvalidInput if it is beyond float range."""
+    """sum_t |a_t| size^t: the scale of f's error at a point of that size,
+    inf if that is beyond float range."""
     try:
-        scale = sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
+        return sum(a * size ** t for t, a in enumerate(f.coeff_sizes))
     except OverflowError:  # of size ** t
-        scale = math.inf
-    if not scale * scale < math.inf:  # sizes are compared squared
-        raise InvalidInput(f"the terms of f at a point of size {size:.3e} "
-                           "are beyond float range")
-    return scale
+        return math.inf
 
 
 def _evaluated_root(f: OPolynomial, mu: Octonion, tol: float,
@@ -372,7 +365,10 @@ def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
     M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
     sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
     scale = _eval_scale(f, math.sqrt(mu.size2()))
-    return bool(sigma_min <= f.params.field.witness_tol * scale)
+    limit = f.params.field.witness_tol * scale
+    if not limit < math.inf:  # inf or nan: any sigma_min would pass
+        raise InvalidInput(f"threshold {limit:.3e} is beyond float range")
+    return bool(sigma_min <= limit)
 
 
 def class_member(cls: ConjClass, params, rng) -> Octonion:

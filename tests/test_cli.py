@@ -557,32 +557,36 @@ class TestExitCodes:
     # real-mode sizes are sums of squares, so a size above 1.3e154 was inf
     # and every threshold made from it passed: the first two answered
     # true, the third and fourth true and a split algebra; the real cubic
-    # and the exact ones died with an OverflowError (exit 1).  At 1e150
-    # each answered, as it still does.
+    # and the exact ones died with an OverflowError (exit 1).  Each refusal
+    # states its threshold.  The rest answer, as they did: at 1e150, and
+    # where only a size, not a threshold's square, is beyond float range.
     @pytest.mark.parametrize("mode,text,args,named", [
-        ("real", "x - 1e160 i", ["lmr", "--contains=j"], "-1e+160 i has"),
-        ("real", "x - 1e160 i", ["lmr", "--contains=5"], "-1e+160 i has"),
-        ("real", "x - 1e200 i", ["rmr", "--element=5"], "-1e+200 i has"),
-        ("real", "x - 1e200 i", ["rmr", "--element=j"], "-1e+200 i has"),
+        ("real", "x - 1e160 i", ["lmr", "--contains=j"], "threshold inf"),
+        ("real", "x - 1e160 i", ["lmr", "--contains=5"], "threshold inf"),
+        ("real", "x - 1e200 i", ["rmr", "--element=5"], "threshold inf"),
+        ("real", "x - 1e200 i", ["rmr", "--element=j"], "threshold inf"),
         ("real", "x^3 + x", ["rmr", "--element=1e120 j"],
-         "size 1.000e+120"),
+         "threshold 5.000e+233"),
         ("real", "x^3 + x", ["lmr", "--contains=1e120 j"],
-         "size 1.000e+120"),
-        ("real", "x^3 + x", ["rmr", "--element=1e120"],
-         "point of size 1.000e+120"),
+         "threshold 5.000e+233"),
+        ("real", "x^3 + x", ["rmr", "--element=1e120"], "threshold inf"),
         ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=j"], None),
         ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=1"], None),
         ("real", "x - 1e150 i", ["lmr", "--contains=j"], None),
         ("real", "x - 1e150 i", ["rmr", "--element=j"], None),
         ("exact", f"x - 1{'0' * 150} i", ["rmr", "--element=j"], None),
-        ("exact", f"x - 1{'0' * 150} i", ["rmr", "--element=1"], None)],
+        ("exact", f"x - 1{'0' * 150} i", ["rmr", "--element=1"], None),
+        ("real", "x^3 + x", ["lmr", "--contains=1e77 j"], None),
+        ("real", "x^3 + x", ["rmr", "--element=1e77 j"], None),
+        ("real", "x^3 + x", ["lmr", "--contains=1e60"], None)],
         ids=["lmr-j", "lmr-5", "rmr-5", "rmr-j", "rmr-cubic", "lmr-cubic",
-             "rmr-cubic-central", "exact-j", "exact-1", "in-range-lmr-j", "in-range-rmr-j",
-             "in-range-exact-j", "in-range-exact-1"])
+             "rmr-cubic-central", "exact-j", "exact-1", "in-range-lmr-j",
+             "in-range-rmr-j", "in-range-exact-j", "in-range-exact-1",
+             "large-class-lmr", "large-class-rmr", "large-point-lmr"])
     def test_magnitude_beyond_float_range(self, tmp_path, capsys, mode, text,
                                           args, named):
         """Each query ends in its answer, false, or in a refusal that
-        states the magnitude."""
+        states the threshold beyond float range."""
         path = tmp_path / "f.txt"
         path.write_text(text + "\n")
         code = main([f"--mode={mode}", args[0], str(path), *args[1:]])

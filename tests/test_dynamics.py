@@ -359,3 +359,12 @@ class TestIndefiniteAlgebra:
 def test_refusals(PR, call, error, text):
     with pytest.raises(error, match=text):
         call(parse_opolynomial("x^2", PR), PR)
+
+
+def test_fixed_point_beyond_float_range(PR):
+    """1e200 has size2 inf, so f(alpha) = alpha passed isclose at scale
+    1 + inf and growth_bounds died on an OverflowError; the threshold is
+    refused instead."""
+    f = parse_opolynomial("x^2", PR)
+    with pytest.raises(InvalidInput, match="threshold inf"):
+        classify_fixed(f, Octonion.scalar(PR, 1e200))
