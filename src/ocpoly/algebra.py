@@ -197,6 +197,8 @@ class Octonion:
             raise InvalidInput(f"need 1..8 coordinates, got {len(cs)}")
         cs += [0] * (8 - len(cs))
         f = params.field  # exact: ints and Fractions as they are, to num/den
+        if f.exact and all(type(c) is int for c in cs):  # over den 1
+            return _exact(params, 1, cs, 1)
         return cls(tuple([c if f.exact and type(c) in (int, Fraction)
                           else f.coerce(c) for c in cs]), params)
 
@@ -291,6 +293,17 @@ class Octonion:
         if n == 0 or not math.isfinite(1 / n):  # exact: ExactOctonion.inverse
             raise NotInvertible("zero or isotropic element")
         return self.conj() / n
+
+    def class_root(self, G, inv=None) -> "Octonion":
+        """-x^-1 G, x = self: the root of x lam + G in its class; inv() is
+        x^-1 (default inverse), as a caller may cache it."""
+        return -((inv or self.inverse)() * G)
+
+    def multiple_root(self, G, c, left: bool, inv=None) -> "Octonion":
+        """-((x^-1 c^-1)(c G)) if left, else -((c^-1 x^-1)(G c)): the root
+        of c f or f c where f = x lam + G, x = self; inv as in class_root."""
+        xinv, cinv = (inv or self.inverse)(), c.inverse()
+        return -((xinv * cinv) * (c * G) if left else (cinv * xinv) * (G * c))
 
     def commutator(self, other: "Octonion") -> "Octonion":
         return self * other - other * self
@@ -444,13 +457,33 @@ class ExactOctonion(Octonion):
         return 2 * self.num[0] * T.denominator == T.numerator * d and \
             self._norm_num() * N.denominator == N.numerator * e * d * d
 
+    def _inverse_num(self):
+        """(u, n) with x^-1 = u den_t / n, n = _norm_num, u = conj(num) den."""
+        if (n := self._norm_num()) == 0:
+            raise NotInvertible("zero or isotropic element")
+        d = self.den
+        return [self.num[0] * d, *(-a * d for a in self.num[1:])], n
+
     def inverse(self) -> "ExactOctonion":
         """conj(x) / n(x) on integers: conj(num) den_t den / _norm_num."""
-        n, k = self._norm_num(), self.params.table.den * self.den
-        if n == 0:
-            raise NotInvertible("zero or isotropic element")
-        return _exact(self.params, n, [self.num[0] * k,
-                                       *(-a * k for a in self.num[1:])])
+        (u, n), k = self._inverse_num(), self.params.table.den
+        return _exact(self.params, n, [a * k for a in u])
+
+    def class_root(self, G, inv=None) -> "ExactOctonion":
+        """-x^-1 G = mul(u, num_G) / (-n den_G), (u, n) of _inverse_num."""
+        u, n = self._inverse_num()
+        return _exact(self.params, -n * G.den, self.params.table.mul(u, G.num))
+
+    def multiple_root(self, G, c, left, inv=None) -> "ExactOctonion":
+        """mul(mul(u, v), mul(num_c, num_G)) / (-den_t n m den_c den_G) with
+        (u, n), (v, m) of _inverse_num of x = self and of c; right swaps each
+        pair.  One gcd."""
+        self._check(c)
+        (u, n), (v, m) = self._inverse_num(), c._inverse_num()
+        t, k, g = self.params.table, c.num, G.num
+        num = t.mul(t.mul(u, v), t.mul(k, g)) if left else \
+            t.mul(t.mul(v, u), t.mul(g, k))
+        return _exact(self.params, -t.den * n * m * c.den * G.den, num)
 
     def size2(self) -> float:
         t = self.params.table

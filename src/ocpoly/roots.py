@@ -177,7 +177,7 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
     red = _reduction(f, cls)
     if _whole_class(f, red):
         return None
-    return _in_class(cls, -(red.Einv * red.G))
+    return _in_class(cls, red.E.class_root(red.G, lambda: red.Einv))
 
 
 def roots(f: OPolynomial) -> RootSet:
@@ -192,9 +192,7 @@ def roots(f: OPolynomial) -> RootSet:
                 found["spherical"].append(cls)
                 continue
             if not cls.central:
-                # its own class, which its conjugates match at class_tol
-                cls = ConjClass(lam.trace(), lam.norm(),
-                                multiplicity=cls.multiplicity)
+                cls = cls.of_member(lam)
                 _evaluated_root(f, lam, f.params.field.residual_tol)
             found["isolated"].append((lam, cls))
         except NotInRMR as exc:
@@ -245,12 +243,10 @@ def multiple_root(f: OPolynomial, cls: ConjClass, c: Octonion,
     red = _reduction(f, cls)
     if _whole_class(f, red):
         raise WholeClass("E = 0: the whole class consists of roots")
-    cinv = c.inverse()
-    if side == "right":
-        return _in_class(cls, -((cinv * red.Einv) * (red.G * c)))
-    if side == "left":
-        return _in_class(cls, -((red.Einv * cinv) * (c * red.G)))
-    raise InvalidInput("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise InvalidInput("side must be 'left' or 'right'")
+    return _in_class(cls, red.E.multiple_root(red.G, c, side == "left",
+                                              lambda: red.Einv))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,10 @@ def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
             return False
     R = mu.params.table.right_matrix
     red = _reduction(f, cls)
-    M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = R(mu.coords) @ R(red.E.coords) + R(red.G.coords)
+    if not np.isfinite(M).all():
+        raise InvalidInput("R(mu) R(E) + R(G) is beyond float range")
     sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
     scale = _eval_scale(f, math.sqrt(mu.size2()))
     limit = f.params.field.witness_tol * scale

@@ -159,9 +159,17 @@ class ConjClass:
         s2 = max(self.T * self.T / 4, abs(self.N), T * T / 4, abs(N))
         dT, dN = abs(T - self.T), abs(N - self.N)
         try:
-            return s2 and max(dT / s2 ** 0.5, dN / s2)
+            ratios = s2 and (dT / s2 ** 0.5, dN / s2)
         except OverflowError:  # an exact s2 beyond float range: ratios first
-            return max((dT * dT / s2) ** 0.5, dN / s2)
+            ratios = ((dT * dT / s2) ** 0.5, dN / s2)
+        # inf / inf (a norm beyond float range) is nan, which max would drop
+        return ratios and max(r if r == r else math.inf for r in ratios)
+
+    def of_member(self, mu) -> "ConjClass":
+        """The class of mu, which matches this one, with its multiplicity:
+        this class itself in exact mode, where matching is equality."""
+        return self if mu.params.field.exact else ConjClass(
+            mu.trace(), mu.norm(), multiplicity=self.multiplicity)
 
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""

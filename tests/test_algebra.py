@@ -297,6 +297,16 @@ class TestConjugatingElement:
                            match=r"gap 4\.000e-06 > threshold 1\.000e-06"):
             conjugating_element(i, j * (1 + 2e-6))
 
+    def test_mismatch_with_a_norm_beyond_float_range(self, PR):
+        """n(1e160 j) is inf, and the norm's ratio inf / inf is nan: the gap
+        reads inf, where max dropped the nan and matched (then found no
+        conjugator, as if the algebra were split)."""
+        i, j = Octonion.basis(PR, 1), Octonion.basis(PR, 2)
+        with pytest.raises(NotConjugate, match=r"gap inf > threshold"):
+            conjugating_element(i, 1e160 * j)
+        with pytest.raises(NotConjugate, match=r"gap inf > threshold"):
+            conjugating_element(1e160 * j, i)
+
     def test_real_mode(self, PR, basis_r):
         one, i, j, k, l = basis_r
         rng = random.Random(5)

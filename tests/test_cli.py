@@ -557,19 +557,26 @@ class TestExitCodes:
     # real-mode sizes are sums of squares, so a size above 1.3e154 was inf
     # and every threshold made from it passed: the first two answered
     # true, the third and fourth true and a split algebra; the real cubic
-    # and the exact ones died with an OverflowError (exit 1).  Each refusal
-    # states its threshold.  The rest answer, as they did: at 1e150, and
+    # and the exact ones died with an OverflowError (exit 1), and the LMR
+    # matrix of a central point beyond float range with an SVD that did
+    # not converge.  Each refusal states what is beyond float range.  At j,
+    # mu's norm 1 against the class's inf (a nan gap) is no match: false,
+    # as exact mode answers.  The rest answer, as they did: at 1e150, and
     # where only a size, not a threshold's square, is beyond float range.
     @pytest.mark.parametrize("mode,text,args,named", [
-        ("real", "x - 1e160 i", ["lmr", "--contains=j"], "threshold inf"),
+        ("real", "x - 1e160 i", ["lmr", "--contains=j"], None),
         ("real", "x - 1e160 i", ["lmr", "--contains=5"], "threshold inf"),
         ("real", "x - 1e200 i", ["rmr", "--element=5"], "threshold inf"),
-        ("real", "x - 1e200 i", ["rmr", "--element=j"], "threshold inf"),
+        ("real", "x - 1e200 i", ["rmr", "--element=j"], None),
         ("real", "x^3 + x", ["rmr", "--element=1e120 j"],
          "threshold 5.000e+233"),
         ("real", "x^3 + x", ["lmr", "--contains=1e120 j"],
          "threshold 5.000e+233"),
         ("real", "x^3 + x", ["rmr", "--element=1e120"], "threshold inf"),
+        ("real", "x^3 + x", ["lmr", "--contains=1e120"],
+         "R(mu) R(E) + R(G) is"),
+        ("real", "x^3 + x", ["lmr", "--contains=5e102"],
+         "R(mu) R(E) + R(G) is"),
         ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=j"], None),
         ("exact", f"x - 1{'0' * 160} i", ["rmr", "--element=1"], None),
         ("real", "x - 1e150 i", ["lmr", "--contains=j"], None),
@@ -580,9 +587,11 @@ class TestExitCodes:
         ("real", "x^3 + x", ["rmr", "--element=1e77 j"], None),
         ("real", "x^3 + x", ["lmr", "--contains=1e60"], None)],
         ids=["lmr-j", "lmr-5", "rmr-5", "rmr-j", "rmr-cubic", "lmr-cubic",
-             "rmr-cubic-central", "exact-j", "exact-1", "in-range-lmr-j",
-             "in-range-rmr-j", "in-range-exact-j", "in-range-exact-1",
-             "large-class-lmr", "large-class-rmr", "large-point-lmr"])
+             "rmr-cubic-central", "lmr-cubic-central",
+             "lmr-cubic-central-finite-threshold", "exact-j", "exact-1",
+             "in-range-lmr-j", "in-range-rmr-j", "in-range-exact-j",
+             "in-range-exact-1", "large-class-lmr", "large-class-rmr",
+             "large-point-lmr"])
     def test_magnitude_beyond_float_range(self, tmp_path, capsys, mode, text,
                                           args, named):
         """Each query ends in its answer, false, or in a refusal that

@@ -22,7 +22,8 @@ from ocpoly.errors import InvalidInput, NotInvertible
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (lmr_describe_class, lmr_sample_detailed,
                           reduce_linear, rmr_witness, roots)
-from ocpoly.scalars import EXACT, CentralPoly, ConjClass, central_roots
+from ocpoly.scalars import (EXACT, REAL, CentralPoly, ConjClass,
+                            central_roots)
 
 from doubling import cd_conj, cd_mul
 
@@ -542,3 +543,116 @@ def test_exact_sphere_computes_no_size(monkeypatch):
     r = roots(parse_opolynomial("x^2 + 1", PARAMS[0]))
     assert len(r.spherical) == 1 and not r.isolated and not r.anomalies
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The fused kernels: the class root -E^-1 G and the multiple roots of c f
+# and f c, each one chain of products on numerators with one gcd, against
+# the composition of the operators they replace
+
+def composed(E, G, c):
+    """-E^-1 G, -((E^-1 c^-1)(c G)) and -((c^-1 E^-1)(G c)) by operators,
+    each a NotInvertible where an inverse is refused."""
+    out = []
+    for term in (lambda: -(E.inverse() * G),
+                 lambda: -((E.inverse() * c.inverse()) * (c * G)),
+                 lambda: -((c.inverse() * E.inverse()) * (G * c))):
+        try:
+            out.append(term())
+        except NotInvertible as exc:
+            out.append(exc)
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from(CHAIN_PARAMS), st.data())
+def test_fused_roots_are_the_composition(params, data):
+    """On a definite algebra, one with den_t = 2 and a split one."""
+    E, G, c = (data.draw(elements(params)) for _ in range(3))
+    for want, got in zip(composed(E, G, c),
+                         (lambda: E.class_root(G),
+                          lambda: E.multiple_root(G, c, True),
+                          lambda: E.multiple_root(G, c, False))):
+        if isinstance(want, NotInvertible):
+            with pytest.raises(NotInvertible):
+                got()
+        else:
+            assert_exact(got(), want.coords)
+
+
+def test_fused_roots_refuse_an_isotropic_element():
+    """x = -1 - i - j + 2k + 2l has norm 0 on (2, 3, 5)."""
+    P = PARAMS[1]
+    x = Octonion.make(P, [-1, -1, -1, 2, 2])
+    y = Octonion.make(P, [1, 2, 0, Fraction(1, 3)])
+    assert x.norm() == 0 and y.norm() != 0
+    for E, c in ((x, y), (y, x)):
+        for call in (lambda: E.multiple_root(y, c, True),
+                     lambda: E.multiple_root(y, c, False),
+                     lambda: -((E.inverse() * c.inverse()) * (c * y))):
+            with pytest.raises(NotInvertible):
+                call()
+    with pytest.raises(NotInvertible):
+        x.class_root(y)
+
+
+def test_real_roots_are_the_composition_bit_for_bit(rng):
+    """Real mode composes the operators in the same order, from a cached
+    inverse or its own."""
+    P = AlgebraParams.octonions(REAL)
+    bits = lambda x: [v.hex() for v in x.coords]  # noqa: E731
+    for _ in range(50):
+        E, G, c = (Octonion.make(P, [rng.uniform(-3, 3) for _ in range(8)])
+                   for _ in range(3))
+        Einv = E.inverse()
+        want = [-(Einv * G), -((Einv * c.inverse()) * (c * G)),
+                -((c.inverse() * Einv) * (G * c))]
+        for inv in (None, lambda: Einv):
+            got = [E.class_root(G, inv), E.multiple_root(G, c, True, inv),
+                   E.multiple_root(G, c, False, inv)]
+            assert list(map(bits, got)) == list(map(bits, want))
+
+
+def test_make_from_ints_skips_the_lcm(monkeypatch):
+    """All-int coordinates go straight to numerators over den 1, equal in
+    den, num, hash and == to the constructor's lcm path; a mixed int and
+    Fraction input still takes that path."""
+    built = []
+    init = Octonion.__init__
+    monkeypatch.setattr(Octonion, "__init__",
+                        lambda x, cs, p: built.append(cs) or init(x, cs, p))
+    cs = [3, -10 ** 30, 0, 7]
+    for params in DEFINITE_AND_SPLIT:
+        built.clear()
+        x = Octonion.make(params, cs)
+        assert built == []
+        y = Octonion(tuple(map(Fraction, cs + [0] * 4)), params)
+        assert (x.den, x.num) == (y.den, y.num) == (1, tuple(cs + [0] * 4))
+        assert x == y and hash(x) == hash(y)
+        built.clear()
+        z = Octonion.make(params, cs[:3] + [Fraction(7, 2)])
+        assert len(built) == 1 and z.den == 2
+
+
+def test_one_gcd_per_exact_answer(monkeypatch):
+    """On a reduction already made, the class root takes one _exact and
+    each multiple root one, where the composition took two and five."""
+    import ocpoly.algebra as algebra
+    import ocpoly.roots as roots_mod
+    P = PARAMS[0]
+    f = parse_opolynomial("x^2 + ix - ij + 1", P)
+    cls = ConjClass(Fraction(0), Fraction(1))
+    assert lmr_describe_class(f, cls).kind == "parametrized"
+    calls, exact = [], algebra._exact
+    monkeypatch.setattr(algebra, "_exact",
+                        lambda *a: calls.append(a) or exact(*a))
+    c = Octonion.make(P, [1, 2, 0, -1, 0, 3])
+    for side, g in (("left", f.scale_left(c)), ("right", f.scale_right(c))):
+        calls.clear()
+        mu = roots_mod.multiple_root(f, cls, c, side)
+        assert len(calls) == 1
+        assert g.eval(mu).is_zero()
+    calls.clear()
+    assert roots_mod._class_root(f, cls) in (parse_octonion("j", P),
+                                             parse_octonion("-i + j", P))
+    assert len(calls) == 1
