@@ -5,10 +5,16 @@ Usage: python3 benchmarks/render_bench.py [--size 256] [--max-iter 50]
 
 Times x^2 + ix - i/2 - 1/4, then fixed seeded polynomials of degrees 3, 5
 and 8 (the kernel's work grows as 9n+1 features per pixel at degree n).
-Prints, per polynomial, the best wall time of the repeats and the
-pixel-iterations per second: an escaped pixel counts its escape step, a
-bounded one max_iter.  That is the work of the answer, not the steps the
-kernel executed: a pixel retired on a fixed point still counts max_iter.
+Prints, per polynomial, the best wall time of the repeats and two rates of
+pixel-iterations per second.  "answered" counts, per pixel, its escape step
+or max_iter when bounded: the work of the answer.  "executed" counts the
+active pixels summed over the steps the kernel ran (plus the one column of
+the certificate's bound).  A pixel retired early stops counting there:
+one whose iterate repeats exactly, or one whose orbit the contraction
+certificate of ``escape_steps`` traps in a ball that f maps into itself.
+The quadratic has |a_1| = 1, for which there is no certificate.  Only
+escape_steps is timed, not the writing of an image (``write_pgm``, which
+overwrites an existing file in place).
 """
 
 import argparse
@@ -19,20 +25,38 @@ import numpy as np
 
 from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.opoly import OPolynomial
-from ocpoly.render import SliceSpec, escape_steps
+import ocpoly.render as render_mod
+from ocpoly.render import SliceSpec, escape_steps, substitute
 from ocpoly.scalars import REAL
 
 
+def executed_iters(f, spec):
+    """Columns of all substitute calls of one escape_steps(f, spec)."""
+    columns = []
+
+    def counted(mat, lam, norm):
+        columns.append(lam.shape[1])
+        return substitute(mat, lam, norm)
+
+    render_mod.substitute = counted
+    try:
+        escape_steps(f, spec)
+    finally:
+        render_mod.substitute = substitute
+    return sum(columns)
+
+
 def best_time(f, spec, repeats):
-    """(best wall seconds, pixel-iterations) of escape_steps(f, spec)."""
-    escape_steps(f, spec)  # warm-up
+    """(best wall seconds, answered pixel-iterations, executed ones) of
+    escape_steps(f, spec)."""
+    executed = executed_iters(f, spec)  # also the warm-up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         steps = escape_steps(f, spec)
         times.append(time.perf_counter() - t0)
     iters = int(np.where(steps > 0, steps, spec.max_iter).sum())
-    return min(times), iters
+    return min(times), iters, executed
 
 
 def main():
@@ -61,9 +85,9 @@ def main():
     print(f"{args.size}x{args.size}, max_iter={args.max_iter}, "
           f"best of {args.repeats}:")
     for name, f in polys:
-        best, iters = best_time(f, spec, args.repeats)
-        print(f"  {name:22s} {best * 1e3:9.2f} ms, "
-              f"{iters / best:.3g} pixel-iterations/s")
+        best, iters, executed = best_time(f, spec, args.repeats)
+        print(f"  {name:22s} {best * 1e3:9.2f} ms, pixel-iterations/s: "
+              f"{iters / best:.3g} answered, {executed / best:.3g} executed")
 
 
 if __name__ == "__main__":

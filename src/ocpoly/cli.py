@@ -8,6 +8,7 @@ Output JSON is emitted with sorted keys so runs can be diffed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -45,6 +46,16 @@ def _load_poly(path: str, field: Field) -> OPolynomial:
         return OPolynomial.from_json(data, field)
     params = AlgebraParams.octonions(field)
     return parse_opolynomial(text, params)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """An output file that cannot be written exits 2, as an unreadable
+    input file does."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 # Each polynomial command takes the loaded polynomial and the parsed
@@ -106,7 +117,7 @@ def cmd_orbit(f: OPolynomial, args):
         text += "# escaped,1\n"
     if not args.out:
         return text
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     return None
 
@@ -119,7 +130,8 @@ def cmd_render(f: OPolynomial, args):
         dir_v=parse_octonion(args.dir_v, params),
         width=args.width, height=args.height, scale=args.scale,
         max_iter=args.max_iter, escape_radius=args.escape_radius)
-    render_mod.render(f, spec, args.out)
+    with _writing(args.out):
+        render_mod.render(f, spec, args.out)
     return None
 
 

@@ -8,18 +8,23 @@ for real p_t, q_t, and f(lam) = sum_t p_t (a_t lam) + sum_t q_t a_t is one
 matrix product of the fixed left-multiplication matrices of the a_t with a
 column of features per pixel (``substitute``).  The norms of the escape test
 are the N of the next step, and escaped pixels leave the batch.  Every
-``RETIRE_EVERY`` steps, so do pixels whose iterate has landed exactly on a
-fixed point (orbits drawn to an attracting fixed point, such as 0 for x^2,
-do within a few steps): a step is a fixed float function of the pixel's 8
-coordinates, so the orbit stays there and never escapes, and step 0 is
-exactly what running it to ``max_iter`` would return.  The norm bounds the
-orbit only when the norm form is positive definite (all structure
-constants negative), so other algebras are refused.
+``RETIRE_EVERY`` steps, so do bounded pixels of two kinds, each given the
+step 0 that running to ``max_iter`` would give: an iterate that landed
+exactly on a fixed point (a step is a fixed float function of the pixel's
+8 coordinates, so the orbit stays there), and an orbit trapped in a ball
+that f maps into itself, rounding included, inside B(0, r*) where f
+contracts (``contraction_certificate``; the proof is in ``escape_steps``).
+The norm bounds the orbit only when the norm form is positive definite
+(all structure constants negative), so other algebras are refused.
+``write_pgm`` overwrites an existing file in place and cuts it to size,
+rather than truncating it first.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +33,9 @@ from .algebra import Octonion
 from .errors import InvalidInput, ResourceLimit
 from .opoly import OPolynomial
 
-RETIRE_EVERY = 8  # steps between fixed-point checks
+RETIRE_EVERY = 8  # steps between retirement checks
 MAX_PIXELS = 2048 * 2048  # the largest raster, before any array exists
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -111,28 +117,86 @@ def substitute(mat: np.ndarray, lam: np.ndarray,
     return mat @ feats
 
 
+def contraction_certificate(f: OPolynomial, mat: np.ndarray,
+                            diag: np.ndarray, radius: float):
+    """(r*, delta) of the retirement test of ``escape_steps``, or None when
+    |a_1| >= 1/2."""
+    sizes = [c.abs() for c in f.coeffs]
+    a1 = sizes[1] if len(sizes) > 1 else 0.0
+    if a1 >= 0.5:
+        return None
+    lip = sum(t * s for t, s in enumerate(sizes[2:], 2))
+    r = min(1.0, radius / 2, (0.5 - a1) / lip if lip else 1.0)
+    # substitute on absolute values: |mat|, each |lam_k| at its largest,
+    # r / sqrt(d_k), and the norm -r^2, so that q_{t+1} = r^2 p_t >= 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = substitute(np.abs(mat), (r / np.sqrt(diag))[:, None],
+                           np.array([-r * r]))[:, 0]
+        size = math.sqrt(8) * float(np.max(np.sqrt(diag) * bound))
+    k = 16 * ((mat.shape[1] - 1) // 9 + 1)
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    return r, 2 * gamma * (size + r)
+
+
 def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     """(height, width) array: 0 for bounded orbits, else the escape step.
 
     Escaped pixels leave the batch, and so, every ``RETIRE_EVERY`` steps,
-    do pixels whose new iterate equals the previous one in all 8
-    coordinates.  Such an iterate maps to itself at every later step and
-    its norm is within the escape radius, so the pixel keeps step 0, as
-    the loop run to max_iter would give it.  Escape is tested first."""
+    do pixels whose orbit is bounded for good, keeping the 0 that the loop
+    run to max_iter would give them; escape is tested first.  An orbit is
+    bounded for good when its new iterate equals the previous one x in all
+    8 coordinates, or when |x| + 4 (d + delta) <= r*, with d = |f(x) - x|
+    the step just taken, r* = min(1, R/2, (1/2 - |a_1|) / sum_{t>=2} t|a_t|)
+    for escape radius R, and delta a bound on the float error of one
+    ``substitute`` step at |lam| <= r*.
+
+    Proof.  |uv| = |u| |v| on a definite algebra, so the derivative of
+    a_t x^t along h, a sum of t products of a_t, h and t - 1 factors x, has
+    norm at most t |a_t| |x|^(t-1) |h|: f is L-Lipschitz on B(0, r*) with
+    L = sum_t t |a_t| r*^(t-1) <= 1/2, as r*^(t-1) <= r* for t >= 2.  With
+    rho = 4 (d + delta), B(x, rho) lies in B(0, r*), and the computed step
+    from any z in it lands within delta + L rho + delta + d <= rho of x
+    (rounding, Lipschitz, rounding at x, step).  So the float orbit stays
+    in that ball, inside B(0, R/2), and never escapes.  delta follows
+    Higham (Accuracy and Stability of Numerical Algorithms, ch. 3): the
+    float value of each coordinate is its exact sum of monomials, each
+    times at most k factors (1 + e), |e| <= u, so its error is at most
+    gamma_k = k u / (1 - k u) times the same sum of absolute values;
+    k = 16 (n + 1) bounds the roundings along any path (9n + 1 in the
+    product with mat, 2 in an entry of mat, 1 per feature, 2 per step of
+    the p_t recursion and 10 per factor of the norm).  That sum is taken at
+    the largest coordinates on B(0, r*), its norm bounded by sqrt(8) times
+    its largest coordinate so scaled, and delta is 2 gamma_k times that
+    plus r*, which covers the rounding of r*, |x|, d and the test.  The
+    rule leaves alone attracting points beyond r* and every f with
+    |a_1| >= 1/2; those orbits retire only on an exact repeat, until a
+    test centred on the Jacobian at the fixed point reaches them.
+    """
     f.params.require_real_definite("escape time")
     mat = step_matrix(f)
     diag = np.array([float(d) for d in f.params.table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
+    cert = contraction_certificate(f, mat, diag, spec.escape_radius)
     lam = spec.lattice().T
     norm = diag @ (lam * lam)
     steps = np.zeros(lam.shape[1], dtype=np.int64)
     active = np.arange(lam.shape[1])
     for it in range(1, spec.max_iter + 1):
         prev, lam = lam, substitute(mat, lam, norm)
-        norm = diag @ (lam * lam)
+        prev_norm, norm = norm, diag @ (lam * lam)
         keep = inside = norm <= esc2  # a norm that overflowed to nan escapes
         if it % RETIRE_EVERY == 0:
-            keep = inside & ~(lam == prev).all(axis=0)
+            settled = (lam == prev).all(axis=0)
+            # the test needs some x in B(0, r*); d^2 may overflow for an
+            # escaped pixel, whose step is recorded
+            if cert is not None and (prev_norm <= cert[0] ** 2).any():
+                r, delta = cert
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d2 = lam - prev
+                    d2 *= d2
+                    settled |= np.sqrt(prev_norm) + 4 * (
+                        np.sqrt(diag @ d2) + delta) <= r
+            keep = inside & ~settled
         if not keep.all():
             steps[active[~inside]] = it
             active = active[keep]
@@ -153,10 +217,19 @@ def steps_to_image(steps: np.ndarray, max_iter: int) -> np.ndarray:
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
+    """Write img as a binary PGM.  An existing regular file is overwritten
+    in place and then cut to size if it was longer: opening it with O_TRUNC
+    would first free all its blocks.  Other files (/dev/stdout, /dev/null)
+    are written as they are."""
     h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.astype(np.uint8).tobytes())
+    data = f"P5\n{w} {h}\n255\n".encode("ascii") + \
+        img.astype(np.uint8).tobytes()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fh.fileno(), len(data))
 
 
 def render(f: OPolynomial, spec: SliceSpec, path: str) -> np.ndarray:

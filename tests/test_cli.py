@@ -484,6 +484,19 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["roots", str(tmp_path / "nope.txt")]) == EXIT_PARSE
 
+    # each raised FileNotFoundError, a traceback with exit 1
+    @pytest.mark.parametrize("command", [
+        ["render", "--width=8", "--height=8"], ["orbit", "--start=0.5"]],
+        ids=["render", "orbit"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "sq.txt"
+        path.write_text("x^2\n")
+        out = str(tmp_path / "missing" / "o.out")
+        assert main([command[0], str(path), *command[1:],
+                     "--out", out]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            f"parse error: cannot write {out}: ")
+
     def test_math_error(self, tmp_path):
         # exact mode cannot factor this companion over Q
         path = tmp_path / "f.txt"

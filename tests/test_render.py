@@ -10,8 +10,9 @@ from ocpoly.algebra import AlgebraParams, Octonion, random_octonion
 from ocpoly.errors import InvalidInput
 from ocpoly.opoly import OPolynomial
 import ocpoly.render
-from ocpoly.render import (SliceSpec, escape_steps, render, step_matrix,
-                           steps_to_image, substitute)
+from ocpoly.render import (SliceSpec, contraction_certificate, escape_steps,
+                           render, step_matrix, steps_to_image, substitute,
+                           write_pgm)
 from ocpoly.scalars import REAL
 
 
@@ -68,6 +69,11 @@ def named_view(name, params):
         f = OPolynomial.make(params, [zero, zero, one])
         return f, SliceSpec(base=one, dir_u=one, dir_v=i, width=8,
                             height=8, scale=2.0 ** -30)
+    if name == "x^2 + 0.7":  # orbits leave a repelling point of size 0.84
+        f = OPolynomial.make(params, [one * 0.7, zero, one])
+        return f, SliceSpec(base=one * 0.5 + i * (math.sqrt(1.8) / 2),
+                            dir_u=one, dir_v=j, width=8, height=8,
+                            scale=2.0 ** -20)
     if name == "x^2 - 1":   # the superattracting 2-cycle 0, -1
         f = OPolynomial.make(params, [-one, zero, one])
         return f, SliceSpec(base=zero, dir_u=one, dir_v=i, width=64,
@@ -76,6 +82,36 @@ def named_view(name, params):
     f = OPolynomial.make(params, [i * (-0.5) - one * 0.25, i, one])
     return f, SliceSpec(base=j * 0.1, dir_u=one, dir_v=i, width=64,
                         height=64, scale=4 / 64, escape_radius=4.0)
+
+
+def degree_view(degree, size, gammas):
+    """(f, spec): f monic of the degree with seeded coefficients of the
+    size (the zero polynomial for "zero"), on a 32x32 view through 0.1 j."""
+    params = AlgebraParams(REAL, *gammas)
+    one = Octonion.one(params)
+    rng = random.Random(degree)
+    if degree == "zero":
+        f = OPolynomial.zero(params)
+    else:
+        f = OPolynomial.make(params, [
+            random_octonion(params, rng, span=1) * size
+            for _ in range(degree)] + [one])
+    return f, SliceSpec(base=Octonion.basis(params, 2) * 0.1, dir_u=one,
+                        dir_v=Octonion.basis(params, 1), width=32,
+                        height=32, scale=3 / 32, max_iter=40)
+
+
+def counted_steps(monkeypatch, f, spec):
+    """(escape_steps(f, spec), its calls of substitute): one per kernel
+    step, plus one for the bound of a certificate that exists."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return substitute(*args)
+
+    monkeypatch.setattr(ocpoly.render, "substitute", counted)
+    return escape_steps(f, spec), len(calls)
 
 
 @pytest.fixture
@@ -183,32 +219,22 @@ class TestEscapeSteps:
     @pytest.mark.parametrize("gammas", [(-1, -1, -1),
                                         (-2, -3, Fraction(-1, 2))])
     @pytest.mark.parametrize("name", ["z^2", "z^2 zoom", "z^2 near 1",
-                                      "x^2 - 1", "bench"])
+                                      "x^2 + 0.7", "x^2 - 1", "bench"])
     def test_retirement_matches_reference_views(self, name, gammas):
         f, spec = named_view(name, AlgebraParams(REAL, *gammas))
         assert np.array_equal(escape_steps(f, spec),
                               reference_steps(f, spec))
 
-    @pytest.mark.parametrize("degree", ["zero"] + list(range(9)))
+    @pytest.mark.parametrize("degree", ["zero"] + list(range(17)))
     @pytest.mark.parametrize("gammas", [(-1, -1, -1),
                                         (-2, -3, Fraction(-1, 2))])
     @pytest.mark.parametrize("size", [0.2, 0.05])
     def test_retirement_matches_reference_degrees(self, size, gammas,
                                                   degree):
-        # at size 0.05 the bounded orbits of degree >= 3 land on their
-        # fixed point; at 0.2 they approach it and run to max_iter
-        params = AlgebraParams(REAL, *gammas)
-        one = Octonion.one(params)
-        rng = random.Random(degree)
-        if degree == "zero":
-            f = OPolynomial.zero(params)
-        else:
-            f = OPolynomial.make(params, [
-                random_octonion(params, rng, span=1) * size
-                for _ in range(degree)] + [one])
-        spec = SliceSpec(base=Octonion.basis(params, 2) * 0.1, dir_u=one,
-                         dir_v=Octonion.basis(params, 1), width=32,
-                         height=32, scale=3 / 32, max_iter=40)
+        # at size 0.05 most bounded orbits of degree >= 3 land on their
+        # fixed point; at 0.2 they approach one beyond r* and run to
+        # max_iter; degrees 9-16 have the largest rounding bound delta
+        f, spec = degree_view(degree, size, gammas)
         assert np.array_equal(escape_steps(f, spec),
                               reference_steps(f, spec))
 
@@ -216,16 +242,38 @@ class TestEscapeSteps:
         """On the all-bounded z^2 view every orbit lands on 0, so the
         batch empties long before max_iter."""
         f, spec = named_view("z^2 zoom", PR)
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return substitute(*args)
-
-        monkeypatch.setattr(ocpoly.render, "substitute", counted)
-        steps = escape_steps(f, spec)
+        steps, calls = counted_steps(monkeypatch, f, spec)
         assert np.all(steps == 0)
-        assert len(calls) < spec.max_iter / 2
+        assert calls < spec.max_iter / 2
+
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1),
+                                        (-2, -3, Fraction(-1, 2))])
+    def test_certificate_fires(self, monkeypatch, gammas):
+        """The degree-2 view at size 0.05 approaches its attracting point
+        inside r* without landing on it: with the certificate off, every
+        step runs; with it on, fewer than half do."""
+        f, spec = degree_view(2, 0.05, gammas)
+        steps, calls = counted_steps(monkeypatch, f, spec)
+        assert np.any(steps == 0) and calls < spec.max_iter / 2
+        monkeypatch.setattr(ocpoly.render, "contraction_certificate",
+                            lambda *args: None)
+        _, calls_off = counted_steps(monkeypatch, f, spec)
+        assert calls_off == spec.max_iter
+
+    def test_certificate_absent_for_bench(self, PR, monkeypatch):
+        # |a_1| = |i| = 1 >= 1/2: no r*, and the same steps as without it
+        f, spec = named_view("bench", PR)
+        steps, calls = counted_steps(monkeypatch, f, spec)
+        assert np.any(steps == 0) and calls == spec.max_iter
+        mat = step_matrix(f)
+        assert contraction_certificate(f, mat, np.ones(8), 4.0) is None
+
+    def test_certificate_radius(self, PR):
+        # x^2: r* = min(1, R/2, (1/2 - 0) / 2) = 1/4, delta near u
+        f = OPolynomial.make(PR, [0, 0, 1])
+        r, delta = contraction_certificate(f, step_matrix(f), np.ones(8),
+                                           2.0)
+        assert r == 0.25 and 0 < delta < 1e-13
 
     def test_indefinite_norm_refused(self):
         for gammas, definite in (((2, 3, 5), False), ((-1, -1, -1), True)):
@@ -307,6 +355,21 @@ class TestImages:
         assert dims.split() == [b"128", b"128"]
         assert maxval == b"255"
         assert len(pixels) == 128 * 128
+
+    def test_overwrite_leaves_only_fresh_bytes(self, f_square, spec,
+                                               tmp_path):
+        # the image is written over the old one in place, then cut to size
+        path = str(tmp_path / "out.pgm")
+        render(f_square, spec, path)
+        small = dataclasses.replace(spec, width=16, height=16,
+                                    scale=4 / 16)
+        img = render(f_square, small, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"P5\n16 16\n255\n" + img.tobytes()
+
+    def test_write_to_a_device(self):
+        # /dev/null is no regular file: no ftruncate
+        write_pgm("/dev/null", np.zeros((4, 4), dtype=np.uint8))
 
 
 # the refusals of SliceSpec that no other test reaches, each by its text
