@@ -13,8 +13,7 @@ the certificate's bound).  A pixel retired early stops counting there:
 one whose iterate repeats exactly, or one whose orbit the contraction
 certificate of ``escape_steps`` traps in a ball that f maps into itself.
 The quadratic has |a_1| = 1, for which there is no certificate.  Only
-escape_steps is timed, not the writing of an image (``write_pgm``, which
-overwrites an existing file in place).
+escape_steps is timed, not the writing of an image.
 """
 
 import argparse

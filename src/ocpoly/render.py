@@ -16,15 +16,11 @@ that f maps into itself, rounding included, inside B(0, r*) where f
 contracts (``contraction_certificate``; the proof is in ``escape_steps``).
 The norm bounds the orbit only when the norm form is positive definite
 (all structure constants negative), so other algebras are refused.
-``write_pgm`` overwrites an existing file in place and cuts it to size,
-rather than truncating it first.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,19 +213,10 @@ def steps_to_image(steps: np.ndarray, max_iter: int) -> np.ndarray:
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
-    """Write img as a binary PGM.  An existing regular file is overwritten
-    in place and then cut to size if it was longer: opening it with O_TRUNC
-    would first free all its blocks.  Other files (/dev/stdout, /dev/null)
-    are written as they are."""
     h, w = img.shape
-    data = f"P5\n{w} {h}\n255\n".encode("ascii") + \
-        img.astype(np.uint8).tobytes()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-            os.ftruncate(fh.fileno(), len(data))
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(img.astype(np.uint8).tobytes())
 
 
 def render(f: OPolynomial, spec: SliceSpec, path: str) -> np.ndarray:

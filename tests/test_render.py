@@ -358,7 +358,7 @@ class TestImages:
 
     def test_overwrite_leaves_only_fresh_bytes(self, f_square, spec,
                                                tmp_path):
-        # the image is written over the old one in place, then cut to size
+        # a smaller image over a larger one leaves no bytes of the old
         path = str(tmp_path / "out.pgm")
         render(f_square, spec, path)
         small = dataclasses.replace(spec, width=16, height=16,
@@ -368,7 +368,7 @@ class TestImages:
             assert fh.read() == b"P5\n16 16\n255\n" + img.tobytes()
 
     def test_write_to_a_device(self):
-        # /dev/null is no regular file: no ftruncate
+        # --out /dev/null and /dev/stdout are no regular files
         write_pgm("/dev/null", np.zeros((4, 4), dtype=np.uint8))
 
 
