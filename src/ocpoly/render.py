@@ -172,7 +172,6 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
     mat = step_matrix(f)
     diag = np.array([float(d) for d in f.params.table.norm_diag])
     esc2 = float(spec.escape_radius) ** 2
-    cert = contraction_certificate(f, mat, diag, spec.escape_radius)
     lam = spec.lattice().T
     norm = diag @ (lam * lam)
     steps = np.zeros(lam.shape[1], dtype=np.int64)
@@ -182,6 +181,9 @@ def escape_steps(f: OPolynomial, spec: SliceSpec) -> np.ndarray:
         prev_norm, norm = norm, diag @ (lam * lam)
         keep = inside = norm <= esc2  # a norm that overflowed to nan escapes
         if it % RETIRE_EVERY == 0:
+            if it == RETIRE_EVERY:  # no render that ends sooner pays for it
+                cert = contraction_certificate(f, mat, diag,
+                                               spec.escape_radius)
             settled = (lam == prev).all(axis=0)
             # the test needs some x in B(0, r*); d^2 may overflow for an
             # escaped pixel, whose step is recorded
