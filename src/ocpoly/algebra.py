@@ -9,6 +9,7 @@ l^2 = gamma.  Multiplication is generated from the doubling rule
 applied to basis indices, so the structure constants are never
 hand-entered.  The resulting signed table e_a e_b = v e_c is built once
 per algebra, and every product runs it written out as straight-line code.
+Elements of an exact field are ExactOctonions, which override each mode rule.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInvertible,
-                     ParseError, ResourceLimit, WitnessFailure)
+from .errors import (InvalidInput, NotConjugate, NotInvertible, ParseError,
+                     ResourceLimit, WitnessFailure)
 from .scalars import REAL, ConjClass, Field
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
@@ -65,8 +66,7 @@ class AlgebraParams:
         """For what takes sqrt(n(x)) as the size of x: real mode
         (ModeMismatch) and a positive definite norm form, all structure
         constants negative (InvalidInput)."""
-        if self.field.exact:
-            raise ModeMismatch(f"{what} is a real-mode operation")
+        self.field.require_real(f"{what} is a real-mode operation")
         if any(d <= 0 for d in self.table.norm_diag):
             raise InvalidInput(f"{what} needs a positive definite norm form, "
                                f"got diagonal {self.table.norm_diag}")
@@ -86,7 +86,6 @@ class ProductTable:
     which the left and right multiplication matrices are read.
     """
 
-    exact: bool
     terms: tuple
     int_terms: tuple
     den: int
@@ -108,7 +107,7 @@ class ProductTable:
     def mul(self):
         """x, y -> x y (exact mode: numerators over den den_x den_y): per c,
         the sum of v x[a] y[b] over the terms in table order from 0 or 0.0."""
-        sums = ["0" if self.exact else "0.0"] * 8
+        sums = ["0" if self.int_terms else "0.0"] * 8
         for a, b, c, v in self.int_terms or self.terms:
             w = "" if abs(v) == 1 else f"{abs(v)!r} * "
             sums[c] += f" {'-' if v < 0 else '+'} {w}x{a} * y{b}"
@@ -148,12 +147,11 @@ def _product_table(params: AlgebraParams) -> ProductTable:
     for a, b, c, v in terms:
         translates[b, 8 * a + c] = float(v)
     if not params.field.exact:
-        return ProductTable(False, tuple(terms), (), 1, norm_diag, (),
-                            translates)
+        return ProductTable(tuple(terms), (), 1, norm_diag, (), translates)
     den = math.lcm(*(v.denominator for *_, v in terms))
     int_terms = tuple((a, b, c, int(v * den)) for a, b, c, v in terms)
     int_norm_diag = tuple(int(v * den) for v in norm_diag)
-    return ProductTable(True, tuple(terms), int_terms, den, norm_diag,
+    return ProductTable(tuple(terms), int_terms, den, norm_diag,
                         int_norm_diag, translates)
 
 
@@ -282,8 +280,7 @@ class Octonion:
         return sum(d * c * c for d, c in zip(diag, self.coords))
 
     def abs(self) -> float:
-        if self.params.field.exact:  # sqrt(n(x)) leaves the rationals
-            raise ModeMismatch("abs is a real-mode operation")
+        self.params.field.require_real("abs is a real-mode operation")
         if (n := self.norm()) < 0:  # on a split algebra
             raise InvalidInput(f"abs of an element of negative norm {n!r}")
         return math.sqrt(n)
@@ -324,11 +321,9 @@ class Octonion:
         return float(sum(abs(d) * c * c for d, c in zip(diag, self.coords)))
 
     def negligible(self, tol: float, scale=1.0) -> bool:
-        """Exact mode: x == 0.  Real mode: sqrt(size2) <= tol * scale, by
-        squares; InvalidInput if the threshold's square is beyond float
-        range, where any size would pass."""
-        if self.params.field.exact:
-            return self.is_zero()
+        """sqrt(size2) <= tol * scale, by squares (exact mode: x == 0);
+        InvalidInput if the threshold's square is beyond float range, where
+        any size would pass."""
         try:
             if (limit2 := (tol * scale) ** 2) < math.inf:
                 return self.size2() <= limit2
@@ -353,6 +348,43 @@ class Octonion:
         scale = tol and 1 + math.sqrt(other.size2())  # no size at tol 0
         return (self - other).negligible(tol, scale)
 
+    def anisotropic(self, tol, size) -> bool:
+        """x is neither negligible against size nor isotropic: |n(x)| >
+        tol * size2(x), so x^-1 = conj(x) / n(x) has a size below
+        1 / (tol |x|).  Size 0 tests isotropy alone.  Exact mode: n(x) != 0,
+        so x != 0."""
+        return not self.negligible(tol, size) and \
+            abs(self.norm()) > tol * self.size2()
+
+    def normalized(self) -> "Octonion":
+        """x / sqrt(size2(x)), of unit size; exact mode keeps x."""
+        return self / math.sqrt(self.size2())
+
+    @staticmethod
+    def combinations(xs, ps, qs, D=1) -> tuple:
+        """sum_t ps[t] xs[t] and sum_t qs[t] xs[t] (D = 1 on floats)."""
+        cols = list(zip(*(x.coords for x in xs)))
+        return tuple(Octonion(tuple(sum(map(operator.mul, ws, c)) for c in
+                                    cols), xs[0].params) for ws in (ps, qs))
+
+    @staticmethod
+    def horner(xs, lam) -> "Octonion":
+        """sum_t xs[t] lam^t by Horner's rule; lam may be a scalar."""
+        acc = xs[-1]
+        for a in reversed(xs[:-1]):
+            acc = acc * lam + a
+        return acc
+
+    @staticmethod
+    def norm_products(xs) -> list:
+        """The coefficients of conj(f) f, f = sum xs[t] x^t."""
+        out = [0] * (2 * len(xs) - 1)
+        for s, x in enumerate(xs):
+            out[2 * s] += x.norm()
+            for t in range(s + 1, len(xs)):
+                out[s + t] += polar_form(x, xs[t])
+        return out
+
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -372,11 +404,10 @@ class Octonion:
                 or any(isinstance(v, bool) for v in data):
             raise ParseError(f"bad element JSON: need a row of 1..8 "
                              f"numbers, got {data!r:.60}")
-        try:
-            coords = [params.field.coerce(v) for v in data]
+        try:  # make coerces each coordinate
+            return cls.make(params, data)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad element JSON: {exc}") from exc
-        return cls.make(params, coords)
 
 
 class ExactOctonion(Octonion):
@@ -485,6 +516,51 @@ class ExactOctonion(Octonion):
             t.mul(t.mul(v, u), t.mul(g, k))
         return _exact(self.params, -t.den * n * m * c.den * G.den, num)
 
+    def negligible(self, tol, scale=1.0) -> bool:  # tolerances are 0
+        return self.is_zero()
+
+    def anisotropic(self, tol, size) -> bool:  # on integers, no Fraction
+        return self._norm_num() != 0
+
+    def normalized(self) -> "ExactOctonion":
+        return self
+
+    @staticmethod
+    def combinations(xs, ps, qs, D=1) -> tuple:
+        """Both sums in one pass, of rows P_t = p_t D^(t-1), Q_t = q_t D^t."""
+        (L, ks), k = _common(xs), len(xs) - 1
+        E, G = [0] * 8, [0] * 8
+        for t, (P, Q, kx, x) in enumerate(zip(ps, qs, ks, xs)):
+            a, b = P * D * kx * D ** (k - t), Q * kx * D ** (k - t)
+            E = [u + a * v for u, v in zip(E, x.num)] if a else E
+            G = [u + b * v for u, v in zip(G, x.num)] if b else G
+        return tuple(_exact(xs[0].params, L * D ** k, acc) for acc in (E, G))
+
+    @staticmethod
+    def horner(xs, lam) -> "ExactOctonion":
+        """On numerators over L (den_t den_lam)^k after k steps: one gcd."""
+        if not isinstance(lam, Octonion):
+            lam = Octonion.scalar(xs[0].params, lam)
+        lam._check(xs[0])
+        t, (L, ks) = lam.params.table, _common(xs)
+        acc, scale, k = [v * ks[-1] for v in xs[-1].num], 1, t.den * lam.den
+        for x, kx in zip(xs[-2::-1], ks[-2::-1]):
+            acc, scale = t.mul(acc, lam.num), scale * k
+            acc = [u + v * scale * kx for u, v in zip(acc, x.num)]
+        return _exact(lam.params, L * scale, acc)
+
+    @staticmethod
+    def norm_products(xs) -> list:
+        """On integers over den_t L^2 (L of _common), one Fraction each."""
+        t, (L, ks) = xs[0].params.table, _common(xs)
+        out = [0] * (2 * len(xs) - 1)
+        for s, x in enumerate(xs):
+            wx = [w * v * ks[s] for w, v in zip(t.int_norm_diag, x.num)]
+            for u, (k, y) in enumerate(zip(ks[s:], xs[s:]), s):
+                out[s + u] += (1 + (u > s)) * k * sum(map(operator.mul, wx,
+                                                          y.num))
+        return [Fraction(c, t.den * L * L) for c in out]
+
     def size2(self) -> float:
         t = self.params.table
         n = sum(abs(v) * c * c for v, c in zip(t.int_norm_diag, self.num))
@@ -516,50 +592,9 @@ def _common(xs):
     return L, [L // x.den for x in xs]
 
 
-def combination(ws, xs, den: int = 1) -> Octonion:
-    """sum ws[t] xs[t] for scalars ws (integers in exact mode) and elements
-    xs of one algebra, in one pass per coordinate; exact mode row by row on
-    the numerators, each weight times L / den, over den L with one gcd."""
-    params = xs[0].params
-    if params.field.exact:
-        (L, ks), acc = _common(xs), [0] * 8
-        for w, x in zip(map(operator.mul, ws, ks), xs):
-            acc = [u + w * v for u, v in zip(acc, x.num)] if w else acc
-        return _exact(params, den * L, acc)
-    cols = zip(*(x.coords for x in xs))
-    return Octonion(tuple(sum(map(operator.mul, ws, c)) for c in cols),
-                    params)
-
-
-def horner(xs, lam: Octonion) -> ExactOctonion:
-    """sum_t xs[t] lam^t (exact) by Horner's rule on numerators, over
-    L (den_t den_lam)^k after k steps, L of _common: one gcd, at the end."""
-    lam._check(xs[0])
-    t, (L, ks) = lam.params.table, _common(xs)
-    acc, scale, k = [v * ks[-1] for v in xs[-1].num], 1, t.den * lam.den
-    for x, kx in zip(xs[-2::-1], ks[-2::-1]):
-        acc, scale = t.mul(acc, lam.num), scale * k
-        acc = [u + v * scale * kx for u, v in zip(acc, x.num)]
-    return _exact(lam.params, L * scale, acc)
-
-
-def norm_products(xs) -> list:
-    """The coefficients of conj(f) f, f = sum xs[t] x^t (exact), as companion
-    sums them, on integers over den_t L^2 (L of _common), one Fraction each."""
-    t, (L, ks) = xs[0].params.table, _common(xs)
-    out = [0] * (2 * len(xs) - 1)
-    for s, x in enumerate(xs):
-        wx = [w * v * ks[s] for w, v in zip(t.int_norm_diag, x.num)]
-        for u, (k, y) in enumerate(zip(ks[s:], xs[s:]), s):
-            out[s + u] += (1 + (u > s)) * k * sum(map(operator.mul, wx, y.num))
-    return [Fraction(c, t.den * L * L) for c in out]
-
-
 def polar_form(x: Octonion, y: Octonion):
     """Polar bilinear form of the norm: b(x,y) = norm(x+y)-norm(x)-norm(y)."""
     x._check(y)
-    if x.params.field.exact:
-        return norm_products([x, y])[1]
     diag = x.params.table.norm_diag
     return sum(2 * d * a * b for d, a, b in zip(diag, x.coords, y.coords))
 
@@ -627,21 +662,6 @@ def format_octonion(x: Octonion) -> str:
     return out or "0"
 
 
-def _units(params: AlgebraParams):
-    """e_1, ..., e_7, each built only when reached."""
-    return (Octonion.basis(params, a) for a in range(1, 8))
-
-
-def anisotropic(d: Octonion, tol, size) -> bool:
-    """d is neither negligible against size nor isotropic: |n(d)| >
-    tol * size2(d), so d^-1 = conj(d) / n(d) has a size below
-    1 / (tol |d|).  Size 0 tests isotropy alone.  Exact mode: d != 0 and
-    n(d) != 0."""
-    if d.params.field.exact:
-        return d._norm_num() != 0  # so d != 0
-    return not d.negligible(tol, size) and abs(d.norm()) > tol * d.size2()
-
-
 def conjugating_element(lam: Octonion, mu: Octonion) -> Octonion:
     """A trace-zero invertible delta with delta*lam = mu*delta, of unit size
     in real mode, for mu in the class of lam (ConjClass.matches)."""
@@ -664,13 +684,12 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
     tol, size = f.witness_tol, f.witness_tol and math.sqrt(v.size2())
     cands = [Octonion.basis(params, 1) if lam.is_central() else v + mu.im()]
     if cands[0].negligible(tol, size):  # mu = conj(lam)
-        cands = (e.commutator(v) for e in _units(params))
-    delta = next((d for d in cands if anisotropic(d, tol, size)), None)
+        cands = (Octonion.basis(params, a).commutator(v) for a in range(1, 8))
+    delta = next((d for d in cands if d.anisotropic(tol, size)), None)
     if delta is None:
         raise WitnessFailure("no anisotropic conjugator found; "
                              "is the algebra split?")
-    if not f.exact:  # unit size, and so is c = delta^-1 of rmr_witness
-        delta = delta / math.sqrt(delta.size2())
+    delta = delta.normalized()  # so is c = delta^-1 of rmr_witness
     resid = delta * lam - mu * delta
     scale = tol and math.sqrt(lam.size2())  # |delta| |lam|
     if not resid.negligible(tol, scale):
@@ -681,5 +700,4 @@ def _conjugator(lam: Octonion, mu: Octonion) -> Octonion:
 
 def random_octonion(params: AlgebraParams, rng, span: int = 4) -> Octonion:
     """Random element: small integers in exact mode, uniforms in real mode."""
-    draw = rng.randint if params.field.exact else rng.uniform
-    return Octonion.make(params, [draw(-span, span) for _ in range(8)])
+    return Octonion.make(params, params.field.draw(rng, span, span))

@@ -40,12 +40,11 @@ def _load_poly(path: str, field: Field) -> OPolynomial:
     text = text.strip()
     if text.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=field.json_float)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         return OPolynomial.from_json(data, field)
-    params = AlgebraParams.octonions(field)
-    return parse_opolynomial(text, params)
+    return parse_opolynomial(text, AlgebraParams.octonions(field))
 
 
 @contextlib.contextmanager

@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import (AlgebraParams, Octonion, _read_terms, horner,
-                      norm_products, polar_form)
+from .algebra import AlgebraParams, Octonion, _read_terms
 from .errors import InvalidInput, ParseError, ResourceLimit
 from .scalars import CentralPoly
 
@@ -117,17 +116,11 @@ class OPolynomial:
     def companion(self) -> CentralPoly:
         """conj(f) * f, central by construction: as conj(x) y + conj(y) x =
         polar_form(x, y), coefficient k sums polar_form(a_s, a_t) over s < t,
-        s + t = k, plus norm(a_{k/2}); exact mode on integers."""
+        s + t = k, plus norm(a_{k/2}): norm_products of the coefficients."""
         if self.is_zero():
             raise InvalidInput("zero polynomial has no companion")
         cs = self.coeffs
-        if self.params.field.exact:
-            return CentralPoly.make(self.params.field, norm_products(cs))
-        out = [0] * (2 * len(cs) - 1)
-        for s, x in enumerate(cs):
-            out[2 * s] += x.norm()
-            for t in range(s + 1, len(cs)):
-                out[s + t] += polar_form(x, cs[t])
+        out = cs[0].norm_products(cs)
         if out[-1] == 0 and min(self.params.table.norm_diag) > 0:  # underflow
             raise InvalidInput(f"leading coefficient {cs[-1]} has norm 0.0")
         return CentralPoly.make(self.params.field, out)
@@ -135,13 +128,8 @@ class OPolynomial:
     def eval(self, lam: Octonion) -> Octonion:
         """sum a_t lam^t by Horner's rule, exact since a_t and lam generate an
         associative subalgebra (Artin); lam may also be a scalar."""
-        if self.coeffs and self.params.field.exact:
-            return horner(self.coeffs, lam if isinstance(lam, Octonion)
-                          else Octonion.scalar(self.params, lam))
-        acc = self.coeff(self.degree)
-        for a in reversed(self.coeffs[:-1]):
-            acc = acc * lam + a
-        return acc
+        cs = self.coeffs
+        return cs[0].horner(cs, lam) if cs else Octonion.zero(self.params)
 
     # -- iteration ----------------------------------------------------------
 
@@ -209,9 +197,7 @@ class OPolynomial:
     def to_json(self) -> dict:
         f = self.params.field
         return {
-            "params": [f.to_json(self.params.alpha),
-                       f.to_json(self.params.beta),
-                       f.to_json(self.params.gamma)],
+            "params": [f.to_json(g) for g in self.params.gammas],
             "coeffs": [c.to_json() for c in self.coeffs],
         }
 

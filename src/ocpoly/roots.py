@@ -18,13 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Octonion, _conjugator, anisotropic, combination
-from .errors import (InvalidInput, ModeMismatch, NotConjugate, NotInRMR,
-                     WholeClass)
+from .algebra import Octonion, _conjugator
+from .errors import InvalidInput, NotConjugate, NotInRMR, WholeClass
 from .opoly import OPolynomial
 from .scalars import ConjClass, central_roots
 
@@ -52,37 +51,28 @@ def reduce_linear(f: OPolynomial, cls: ConjClass) -> LinearReduction:
 
     With lam^t = p_t lam + q_t, the central recursion
     lam^{t+1} = (T p_t + q_t) lam - N p_t gives E = sum a_t p_t and
-    G = sum a_t q_t, each one combination of the coefficients.  Real mode
+    G = sum a_t q_t, both summed by the coefficients' combinations, on
+    the scalars of Field.class_scalars (exact mode: integers).  Real mode
     also sums E's term sizes, sum |a_t| p'_t, where p' and q' follow the
     recursion on 2s for T (which may be rounding) and -s^2 for N, the sizes
-    of their terms, s^2 = max(T^2/4, |N|).  Exact mode runs
-    it on integers P_t = p_t D^(t-1), Q_t = q_t D^t, D = lcm(den T, den N):
-    P' = (T D) P + Q, Q' = -(N D^2) P, E and G over D^deg.
+    of their terms, s^2 = max(T^2/4, |N|); at tolerance 0 sizes are moot.
     """
     fld, cs = f.params.field, f.coeffs
     if not cs:
         zero = Octonion.zero(f.params)
         return LinearReduction(E=zero, G=zero)
-    T, N = fld.coerce(cls.T), fld.coerce(cls.N)
-    p, q = (0, 1) if fld.exact else (fld.zero(), fld.one())  # lam^0 = 1
-    if fld.exact:  # T D and N D^2 from the integers of T and N
-        D = math.lcm(dt := T.denominator, dn := N.denominator)
-        T, N = T.numerator * (D // dt), N.numerator * (D // dn) * D
-    ps, qs = [], []
+    T, N, D = fld.class_scalars(cls.T, cls.N)
+    p, q, ps, qs = 0, 1, [], []  # lam^0 = 1
     for _ in cs:
         ps.append(p)
         qs.append(q)
         p, q = T * p + q, -N * p
-    if not fld.exact:
-        s, sp, sq, Es = math.sqrt(max(T * T / 4, abs(N))), 1.0, 0.0, 0.0
-        for a in f.coeff_sizes[1:]:  # sp, sq: p'_t, q'_t from t = 1, as
-            Es += a * sp             # p'_0 = 0 (|a_0| may be inf)
-            sp, sq = 2 * s * sp + sq, s * s * sp
-        return LinearReduction(combination(ps, cs), combination(qs, cs), Es, s)
-    w = [D ** (len(cs) - 1 - t) for t in range(len(cs))]  # D^(k-t), k = deg
-    E = combination([P * D * d for P, d in zip(ps, w)], cs, w[0])  # p_t D^k
-    G = combination([Q * d for Q, d in zip(qs, w)], cs, w[0])      # q_t D^k
-    return LinearReduction(E=E, G=G)
+    tol = fld.witness_tol
+    s, sp, sq, Es = tol and math.sqrt(max(T * T / 4, abs(N))), 1.0, 0.0, 0.0
+    for a in f.coeff_sizes[1:] if tol else ():  # sp, sq: p'_t, q'_t from
+        Es += a * sp                           # t = 1, as p'_0 = 0 (|a_0|
+        sp, sq = 2 * s * sp + sq, s * s * sp   # may be inf)
+    return LinearReduction(*cs[0].combinations(cs, ps, qs, D), Es, s)
 
 
 # (f, cls, reduce_linear(f, cls)) of the last reduction made, replaced whole
@@ -105,13 +95,13 @@ def _whole_class(f: OPolynomial, red: LinearReduction) -> bool:
     member mu (|mu| = s if definite) passes the point rule, |E mu + G| <=
     |E| s + |G| <= witness_tol sum_t |a_t| s^t; False if E != 0; else
     NotInRMR."""
-    fld = f.params.field
-    if not red.E.negligible(fld.witness_tol, red.E_size):
+    fld, tol = f.params.field, f.params.field.witness_tol
+    if not red.E.negligible(tol, red.E_size):
         return False
     if fld.exact and red.G.is_zero():  # E = G = 0: no size to compute
         return True
     resid = math.sqrt(red.E.size2()) * red.s + math.sqrt(red.G.size2())
-    limit = 0 if fld.exact else fld.witness_tol * _eval_scale(f, red.s)
+    limit = tol and tol * _eval_scale(f, red.s)
     if resid <= limit and not fld.exact:
         return True
     raise NotInRMR(f"E = 0 but G != 0: residual {resid:.3e} > threshold "
@@ -191,8 +181,8 @@ def roots(f: OPolynomial) -> RootSet:
             if lam is None:
                 found["spherical"].append(cls)
                 continue
-            if not cls.central:
-                cls = cls.of_member(lam)
+            if not cls.central:  # lam's own class (exact: equal to cls)
+                cls = replace(cls, T=lam.trace(), N=lam.norm())
                 _evaluated_root(f, lam, f.params.field.residual_tol)
             found["isolated"].append((lam, cls))
         except NotInRMR as exc:
@@ -300,10 +290,9 @@ def lmr_describe(f: OPolynomial) -> list:
 def lmr_sample_detailed(desc: LMRClassDescription, count: int,
                         seed: int = 0) -> list:
     """count tuples (a, b, c, point) of a parametrized description: c from
-    8 seeded coordinates, kept when anisotropic at 1/8 (real mode |n(c)| >
-    size2(c) / 8, exact n(c) != 0: every c != 0 on a definite algebra), a
-    and b its quaternion halves, c = a + b*l, and point the root
-    -(c E)^-1 (c G) of c*f in the class."""
+    8 seeded coordinates (Field.draw), kept when anisotropic at 1/8 (every
+    c != 0 on a definite algebra), a and b its quaternion halves,
+    c = a + b*l, and point the root -(c E)^-1 (c G) of c*f in the class."""
     _require_count(count)
     if desc.kind != "parametrized":
         raise InvalidInput("sampling by multipliers needs a parametrized "
@@ -312,10 +301,9 @@ def lmr_sample_detailed(desc: LMRClassDescription, count: int,
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        cs = [rng.randint(-4, 4) if P.field.exact else rng.uniform(-2, 2)
-              for _ in range(8)]
+        cs = P.field.draw(rng, 4, 2)
         c = Octonion.make(P, cs)
-        if anisotropic(c, 1 / 8, 0):
+        if c.anisotropic(1 / 8, 0):
             out.append((Octonion.make(P, cs[:4]), Octonion.make(P, cs[4:]),
                         c, multiple_root(desc.f, desc.cls, c, "left")))
     return out
@@ -373,11 +361,9 @@ def lmr_singular(f: OPolynomial, mu: Octonion) -> bool:
 def class_member(cls: ConjClass, params, rng) -> Octonion:
     """Random member of a (real-mode) conjugacy class: T/2 + rho*u with u a
     random unit pure-imaginary direction and rho^2 = N - T^2/4."""
-    fld = params.field
     if cls.central:
         return Octonion.scalar(params, cls.r)
-    if fld.exact:
-        raise ModeMismatch("random class members need real mode")
+    params.field.require_real("random class members need real mode")
     disc = float(cls.N) - float(cls.T) ** 2 / 4
     if disc < 0:
         raise InvalidInput("isotropic class in real mode")

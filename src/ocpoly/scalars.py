@@ -3,8 +3,8 @@ root finding for central, scalar-coefficient polynomials, whose roots come
 as conjugacy classes (:class:`ConjClass`).
 
 Scalars themselves are plain ``fractions.Fraction`` (exact mode) or ``float``
-(real mode); a :class:`Field` instance carries the mode and the tolerance
-from which every threshold derives, and does coercion and parsing.
+(real mode); a :class:`Field` instance carries the mode, the tolerance
+from which every threshold derives and every scalar rule of the mode.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidInput, NoConvergence, ParseError,
+from .errors import (InvalidInput, ModeMismatch, NoConvergence, ParseError,
                      UnsupportedDegree)
 
 DEFAULT_EPS = 1e-9
@@ -41,6 +41,8 @@ class Field:
     fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
     composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
     witness_tol = _threshold(1e-7)      # E, G, conjugators, witnesses, LMR
+    # json's parse_float: exact mode reads 1e23 as 10^23 and 0.1 as 1/10
+    json_float = property(lambda self: Fraction if self.exact else float)
 
     def __post_init__(self):
         if not 0 < self.eps < 1e-3:  # nan, inf; at 1e-3 class_tol is 1
@@ -48,14 +50,14 @@ class Field:
                                f"got {self.eps!r}")
 
     def coerce(self, x):
-        """x as a scalar of this field; real mode refuses a value that is
-        not finite or is beyond float range."""
+        """x as a scalar of this field; refuses a non-finite value, in exact
+        mode a non-integral float, in real mode one beyond float range."""
         if isinstance(x, str):
             return self.parse(x)
         if self.exact:
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, float) and not x.is_integer():
+            if isinstance(x, float) and not REAL.coerce(x).is_integer():
                 raise InvalidInput(f"non-integral float {x!r} in exact mode")
             return Fraction(x)
         try:
@@ -80,6 +82,23 @@ class Field:
                 raise InvalidInput(f"{text!r} is not a finite scalar") from exc
             raise ParseError(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else self.coerce(frac)
+
+    def require_real(self, refusal: str) -> None:
+        if self.exact:
+            raise ModeMismatch(refusal)
+
+    def draw(self, rng, span, real_span) -> list:  # 8 seeded scalars
+        if self.exact:
+            return [rng.randint(-span, span) for _ in range(8)]
+        return [rng.uniform(-real_span, real_span) for _ in range(8)]
+
+    def class_scalars(self, T, N) -> tuple:
+        """(T D, N D^2, D) of reduce_linear: integers, or floats and D = 1."""
+        T, N = self.coerce(T), self.coerce(N)
+        if not self.exact:
+            return T, N, 1
+        D = math.lcm(dt := T.denominator, dn := N.denominator)
+        return T.numerator * (D // dt), N.numerator * (D // dn) * D, D
 
     def zero(self):
         return Fraction(0) if self.exact else 0.0
@@ -112,9 +131,6 @@ class CentralPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def eval(self, z):
         """Horner's rule: at floats, bit for bit numpy's polyval."""
@@ -164,12 +180,6 @@ class ConjClass:
             ratios = ((dT * dT / s2) ** 0.5, dN / s2)
         # inf / inf (a norm beyond float range) is nan, which max would drop
         return ratios and max(r if r == r else math.inf for r in ratios)
-
-    def of_member(self, mu) -> "ConjClass":
-        """The class of mu, which matches this one, with its multiplicity:
-        this class itself in exact mode, where matching is equality."""
-        return self if mu.params.field.exact else ConjClass(
-            mu.trace(), mu.norm(), multiplicity=self.multiplicity)
 
     def matches(self, mu) -> bool:
         """At class_tol, the one rule for membership of a class."""
@@ -407,7 +417,7 @@ def _central_roots_exact(p: CentralPoly) -> list:
 def central_roots(p: CentralPoly) -> list:
     """The root classes of a central polynomial, with multiplicities: a real
     root r as the central class (2r, r^2), a conjugate pair as (T, N)."""
-    if p.is_zero():
+    if not p.coeffs:
         raise InvalidInput("zero polynomial has no well-defined root set")
     if p.field.exact:
         return _central_roots_exact(p)

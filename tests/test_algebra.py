@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ocpoly.algebra import (AlgebraParams, Octonion, anisotropic,
-                            conjugating_element, format_octonion,
-                            parse_octonion, random_octonion)
+from ocpoly.algebra import (AlgebraParams, Octonion, conjugating_element,
+                            format_octonion, parse_octonion, random_octonion)
 from ocpoly.errors import (InvalidInput, ModeMismatch, NotConjugate,
                            NotInvertible, OcpolyError, ParseError)
 from ocpoly.opoly import OPolynomial
@@ -496,14 +495,14 @@ class TestZeroAndCloseness:
         i, j, l, il = (Octonion.basis(P, a) for a in (1, 2, 4, 5))
         x = i + j + l + il
         tol = field.witness_tol
-        assert x.norm() == 0 and not anisotropic(x, tol, 1)
-        assert anisotropic(i, tol, 1) and anisotropic(x + i, tol, 1)
-        assert not anisotropic(Octonion.zero(P), tol, 0)
+        assert x.norm() == 0 and not x.anisotropic(tol, 1)
+        assert i.anisotropic(tol, 1) and (x + i).anisotropic(tol, 1)
+        assert not Octonion.zero(P).anisotropic(tol, 0)
         near = x + i * field.coerce(Fraction(1, 10 ** 9))
         assert near.norm() != 0
-        assert anisotropic(near, tol, 1) == field.exact
+        assert near.anisotropic(tol, 1) == field.exact
         # negligible against the size given, though not isotropic
-        assert anisotropic(i, tol, 1e8) == field.exact
+        assert i.anisotropic(tol, 1e8) == field.exact
 
 
 class TestTextFormat:

@@ -657,3 +657,57 @@ class TestExitCodes:
         assert main(["orbit", str(path), "--start=0.5",
                      "--max-iter=3000000000"]) == EXIT_OK
         assert "# detected_period,2\n" in capsys.readouterr().out
+
+
+class TestJSONNumbers:
+    """A JSON number with a fraction or an exponent is read by its decimal
+    text in exact mode (as the text form reads it) and as json's float in
+    real mode."""
+
+    @staticmethod
+    def run(tmp_path, capsys, name, text, *args):
+        path = tmp_path / name
+        path.write_text(text + "\n")
+        code = main([*args, str(path)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_exponent_as_the_text_form(self, tmp_path, capsys):
+        # the JSON root was -99999999999999991611392, the float of 1e23
+        json_form = '{"params": [-1, -1, -1], "coeffs": [[1e23], [1]]}'
+        got = self.run(tmp_path, capsys, "f.json", json_form,
+                       "--mode=exact", "roots")
+        want = self.run(tmp_path, capsys, "f.txt", "x + 1e23",
+                        "--mode=exact", "roots")
+        assert got == want and got[0] == EXIT_OK
+        root = json.loads(got[1])["isolated"][0]["root"]
+        assert root[0] == str(-10 ** 23)
+
+    def test_decimal_coefficient_and_constant(self, tmp_path, capsys):
+        # JSON 0.1 exited 3: "non-integral float 0.1 in exact mode"
+        text = '{"params": [-0.5, -1, -1], "coeffs": [[0.1], [0, 1]]}'
+        code, out, _ = self.run(tmp_path, capsys, "f.json", text,
+                                "--mode=exact", "companion")
+        assert code == EXIT_OK
+        # n(i x + 1/10) = 1/100 + (1/2) x^2 with i^2 = -1/2
+        assert json.loads(out)["coeffs"] == ["1/100", "0", "1/2"]
+
+    @pytest.mark.parametrize("row,named", [
+        ("[NaN, 1]", "nan is not a finite scalar"),
+        ("[1, Infinity]", "inf is not a finite scalar")],
+        ids=["nan", "infinity"])
+    def test_non_finite_refused_in_exact_mode(self, tmp_path, capsys, row,
+                                              named):
+        # the text was "non-integral float nan in exact mode"
+        text = '{"params": [-1, -1, -1], "coeffs": [[1], %s]}' % row
+        code, _, err = self.run(tmp_path, capsys, "f.json", text,
+                                "--mode=exact", "roots")
+        assert code == EXIT_MATH and named in err
+
+    def test_real_mode_reads_floats(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"params": [-1, -1, -1], '
+                        '"coeffs": [[0.1, -0.0, 1e23, 2.5e-300], [1]]}\n')
+        a0 = cli_mod._load_poly(str(path), REAL).coeffs[0].coords
+        assert a0[:4] == (0.1, -0.0, 1e23, 2.5e-300)
+        assert math.copysign(1.0, a0[1]) == -1.0

@@ -1,13 +1,15 @@
 """Source hygiene that no installed linter checks: every name a module of
 the package imports is read somewhere in that module, only the modules
 that make thresholds read the raw tolerance eps, only algebra.py touches
-the integers of exact elements, every name of the package that the
-benchmark in perfbench/ calls or traces exists, and no module names
-numpy.polynomial."""
+the integers of exact elements, the scalar mode is read outside
+scalars.py only where an element's class is picked and by the sphere rule
+of roots._whole_class, every name of the package that the benchmark in
+perfbench/ calls or traces exists, and no module names numpy.polynomial."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ocpoly"
@@ -124,6 +126,81 @@ def test_only_algebra_reads_exact_integers():
              for path in sorted(SRC.glob("*.py")) if path.name != "algebra.py"
              for line, what in integer_reads(ast.parse(path.read_text()))]
     assert found == []
+
+
+def mode_reads(tree: ast.Module, module: str) -> list:
+    """(line, where, what) of each read of the scalar mode: an ``.exact``
+    attribute loaded outside scalars.py, and the name ExactOctonion read
+    or imported outside algebra.py; where is the qualified name of the
+    enclosing function or class, "<module>" at the top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "exact" \
+                    and isinstance(child.ctx, ast.Load) \
+                    and module != "scalars.py":
+                found.append((child.lineno, where, ".exact"))
+            if isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.ImportFrom):
+                names = [a.name for a in child.names]
+            else:
+                names = []
+            if "ExactOctonion" in names and module != "algebra.py":
+                found.append((child.lineno, where, "ExactOctonion"))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" \
+                    else f"{where}.{child.name}"
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_mode_reads_are_found():
+    tree = ast.parse("from .algebra import ExactOctonion\n"
+                     "class Octonion:\n"
+                     "    def make(cls, params):\n"
+                     "        return params.field.exact\n"
+                     "def f(x, alg):\n"
+                     "    x.exact = isinstance(x, alg.ExactOctonion)\n"
+                     "    return x.params.field.exact or ExactOctonion\n")
+    assert mode_reads(tree, "roots.py") == [
+        (1, "<module>", "ExactOctonion"), (4, "Octonion.make", ".exact"),
+        (6, "f", "ExactOctonion"), (7, "f", ".exact"),
+        (7, "f", "ExactOctonion")]
+    assert mode_reads(tree, "algebra.py") == [
+        (4, "Octonion.make", ".exact"), (7, "f", ".exact")]
+    assert [w for _, w, _ in mode_reads(tree, "scalars.py")] == [
+        "<module>", "f", "f"]
+
+
+# Where the mode may be read outside scalars.py, and how often: the choice
+# of an element's class, and the one rule that differs by mode beyond an
+# element or a scalar (exact mode asks G = 0 of a sphere, real mode bounds
+# |E| s + |G| by witness_tol sum_t |a_t| s^t).
+MODE_READERS = {("algebra.py", "Octonion.__init__"): 1,
+                ("algebra.py", "Octonion.make"): 2,
+                ("algebra.py", "_product_table"): 1,
+                ("roots.py", "_whole_class"): 2}
+
+
+def test_mode_is_read_only_where_it_is_the_rule():
+    """README: Field methods carry the scalar rules that differ by mode and
+    ExactOctonion overrides the element rules, so no call site asks for
+    the mode; ExactOctonion is not named outside algebra.py either."""
+    found = [(path.name, where, what) for path in sorted(SRC.glob("*.py"))
+             for _, where, what in mode_reads(ast.parse(path.read_text()),
+                                              path.name)]
+    assert [f for f in found if f[2] != ".exact"] == []
+    counts = Counter((module, where) for module, where, _ in found)
+    assert {k: n for k, n in counts.items()
+            if n > MODE_READERS.get(k, 0)} == {}
+    assert sum(counts.values()) <= 6
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
