@@ -18,14 +18,14 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (InvalidInput, NotConjugate, NotInvertible, ParseError,
-                     ResourceLimit, WitnessFailure)
-from .scalars import REAL, ConjClass, Field
+                     WitnessFailure)
+from .scalars import REAL, ConjClass, Field, within_digits
 
 BASIS_NAMES = ("1", "i", "j", "k", "l", "il", "jl", "kl")
 
@@ -302,6 +302,10 @@ class Octonion:
         xinv, cinv = (inv or self.inverse)(), c.inverse()
         return -((xinv * cinv) * (c * G) if left else (cinv * xinv) * (G * c))
 
+    def own_class(self, cls: ConjClass) -> ConjClass:
+        """cls, which x = self matches, at x's own trace and norm."""
+        return replace(cls, T=self.trace(), N=self.norm())
+
     def commutator(self, other: "Octonion") -> "Octonion":
         return self * other - other * self
 
@@ -516,6 +520,9 @@ class ExactOctonion(Octonion):
             t.mul(t.mul(v, u), t.mul(g, k))
         return _exact(self.params, -t.den * n * m * c.den * G.den, num)
 
+    def own_class(self, cls: ConjClass) -> ConjClass:  # matched: x's T, N
+        return cls
+
     def negligible(self, tol, scale=1.0) -> bool:  # tolerances are 0
         return self.is_zero()
 
@@ -636,8 +643,7 @@ def _read_terms(text: str, params: AlgebraParams, poly: bool) -> dict:
             unit = {"ij": "k", None: "1"}.get(m["unit"], m["unit"])
             terms = [(BASIS_NAMES.index(unit), f.one() if m["num"] is None
                       else f.parse(m["num"]))]
-        if len(m["exp"] or "") > 4300:  # more than int() converts
-            raise ResourceLimit(f"exponent of {len(m['exp'])} digits")
+        within_digits(len(m["exp"] or ""), "exponent")  # for int()
         t = 0 if m["x"] is None else int(m["exp"] or 1)
         acc = coeffs.setdefault(t, [f.zero()] * 8)
         for a, v in terms:

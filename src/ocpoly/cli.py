@@ -40,7 +40,8 @@ def _load_poly(path: str, field: Field) -> OPolynomial:
     text = text.strip()
     if text.startswith("{"):
         try:
-            data = json.loads(text, parse_float=field.json_float)
+            data = json.loads(text, parse_int=field.parse,
+                              parse_float=field.json_float)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         return OPolynomial.from_json(data, field)

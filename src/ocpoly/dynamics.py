@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Octonion
-from .errors import InvalidInput, NotAFixedPoint, OrderMismatch
+from .errors import InvalidInput, NotAFixedPoint, NotInRMR, OrderMismatch
 from .opoly import OPolynomial
-from .roots import RootSet, roots
+from .roots import RootSet, _evaluated_root, roots
 
 
 def _require_monic_quadratic(f: OPolynomial):
@@ -80,9 +80,13 @@ def verify_composition_fixed(f: OPolynomial, alpha: Octonion,
     _require_monic_quadratic(f)
     if not f.eval(alpha).isclose(alpha):
         raise NotAFixedPoint("alpha is not fixed by f")
-    tol = f.params.field.composition_tol
-    return all(f.iterate_comp(n).eval(alpha).isclose(alpha, tol)
-               for n in range(1, n_max + 1))
+    x, tol = OPolynomial.x(f.params), f.params.field.residual_tol
+    try:  # alpha a root of f^{on}(x) - x by the point rule of roots
+        for n in range(1, n_max + 1):
+            _evaluated_root(f.iterate_comp(n) - x, alpha, tol)
+    except NotInRMR:
+        return False
+    return True
 
 
 def direction_ratio(f: OPolynomial, alpha: Octonion, direction: Octonion,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,8 +181,8 @@ def roots(f: OPolynomial) -> RootSet:
             if lam is None:
                 found["spherical"].append(cls)
                 continue
-            if not cls.central:  # lam's own class (exact: equal to cls)
-                cls = replace(cls, T=lam.trace(), N=lam.norm())
+            if not cls.central:
+                cls = lam.own_class(cls)
                 _evaluated_root(f, lam, f.params.field.residual_tol)
             found["isolated"].append((lam, cls))
         except NotInRMR as exc:

@@ -10,15 +10,44 @@ from which every threshold derives and every scalar rule of the mode.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (InvalidInput, ModeMismatch, NoConvergence, ParseError,
-                     UnsupportedDegree)
+                     ResourceLimit, UnsupportedDegree)
 
 DEFAULT_EPS = 1e-9
+MAX_DIGITS = 4300  # of a number read or written: str() and int() refuse more
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of an integer n (0 for 0), from its bit length."""
+    d = int(abs(n).bit_length() * math.log10(2)) + 1
+    return d - (abs(n) < 10 ** (d - 1))
+
+
+def within_digits(digits: int, what="a number", done="read") -> None:
+    """ResourceLimit for what is read or written with too many digits."""
+    if digits > MAX_DIGITS:
+        raise ResourceLimit(f"{what} of {digits} digits; at most "
+                            f"{MAX_DIGITS} are {done}")
+
+
+def _literal(text: str) -> str:
+    """text, or ResourceLimit if the literal takes more than MAX_DIGITS
+    digits, counted on the text before any integer is built: its longest
+    run of digits (which a point or an underscore does not end) plus its
+    exponent."""
+    mant, _, exp = text.lower().replace("_", "").partition("e")
+    n = max(map(len, re.findall(r"\d+", mant.replace(".", ""))), default=0)
+    if re.fullmatch(r"[+-]?\d+", exp):
+        within_digits(len(exp.lstrip("+-")))  # which int(exp) converts
+        n += abs(int(exp))
+    within_digits(n)
+    return text
 
 
 def _threshold(at_default: float) -> property:
@@ -39,10 +68,7 @@ class Field:
     residual_tol = _threshold(1e-8)     # f(lam) of a root: backward error
     class_tol = _threshold(1e-6)        # [conj G, E^-1], class gaps
     fixed_tol = _threshold(1e-9)        # f^n(alpha) = alpha, orbit revisits
-    composition_tol = _threshold(1e-7)  # f^n(alpha) = alpha by composition
     witness_tol = _threshold(1e-7)      # E, G, conjugators, witnesses, LMR
-    # json's parse_float: exact mode reads 1e23 as 10^23 and 0.1 as 1/10
-    json_float = property(lambda self: Fraction if self.exact else float)
 
     def __post_init__(self):
         if not 0 < self.eps < 1e-3:  # nan, inf; at 1e-3 class_tol is 1
@@ -62,26 +88,32 @@ class Field:
             return Fraction(x)
         try:
             v = float(x)
-        except OverflowError:  # an int or Fraction
-            raise InvalidInput(f"{str(x):.20}... ({len(str(abs(int(x))))} "
-                               "digits) is beyond float range") from None
+        except OverflowError:  # an int or Fraction: its first 20 digits
+            d = _digits(int(x))
+            lead = int(Fraction(x) / 10 ** max(d - 20, 0))
+            raise InvalidInput(f"{lead!s:.20}... ({d} digits) is beyond float "
+                               "range") from None
         if not math.isfinite(v):
             raise InvalidInput(f"{v!r} is not a finite scalar")
         return v
 
     def parse(self, text: str):
-        """Parse a decimal or 'p/q' scalar literal.  A text that Fraction
-        refuses ('abc', '1/0') raises ParseError; a well-formed value that
-        no scalar holds raises InvalidInput: 'inf' and 'nan', and in real
-        mode a value beyond float range."""
+        """Parse a decimal or 'p/q' scalar literal.  A literal of more than
+        MAX_DIGITS digits raises ResourceLimit; a text that Fraction refuses
+        ('abc', '1/0') ParseError; a well-formed value that no scalar holds
+        InvalidInput: 'inf' and 'nan', and in real mode a value beyond float
+        range."""
         text = text.strip()
         try:
-            frac = Fraction(text)
+            frac = Fraction(_literal(text))
         except (ValueError, ZeroDivisionError) as exc:
             if text.lstrip("+-").lower() in ("inf", "infinity", "nan"):
                 raise InvalidInput(f"{text!r} is not a finite scalar") from exc
             raise ParseError(f"bad scalar literal {text!r}") from exc
         return frac if self.exact else self.coerce(frac)
+
+    def json_float(self, text: str):  # exact: 1e23 is 10^23, 0.1 is 1/10
+        return self.parse(text) if self.exact else float(_literal(text))
 
     def require_real(self, refusal: str) -> None:
         if self.exact:
@@ -107,6 +139,9 @@ class Field:
         return Fraction(1) if self.exact else 1.0
 
     def to_json(self, a):
+        if self.exact:
+            within_digits(_digits(max(abs(a.numerator), a.denominator)),
+                          done="written")
         return str(a) if self.exact else float(a)
 
 
@@ -311,20 +346,22 @@ def _quotient(f: list, g: list):
     """f / g for descending integer coefficients, or None unless g divides f
     exactly (over Q as over Z, since g is primitive)."""
     f, n = list(f), len(g) - 1
-    out = []
-    for k in range(len(f) - n):
-        c, r = divmod(f[k], g[0])
+    for k in range(len(f) - n):  # f[k] becomes the quotient's k-th term
+        f[k], r = divmod(f[k], g[0])
         if r:
             return None
-        out.append(c)
         for i in range(1, n + 1):
-            f[k + i] -= c * g[i]
-    return None if any(f[len(f) - n:]) else out
+            f[k + i] -= f[k] * g[i]
+    return None if any(f[len(f) - n:]) else f[:len(f) - n]
 
 
 def _split(q: list) -> list:
-    """The irreducible factors over Q of a primitive linear or quadratic q:
-    a quadratic splits exactly when its discriminant is a square."""
+    """The irreducible factors over Q of a primitive q: a quadratic splits
+    when its discriminant is a square, degree >= 3 by sympy's factoring."""
+    if len(q) > 3:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+        return [[int(c) for c in g] for g, _ in dup_factor_list(q, ZZ)[1]]
     if len(q) == 3:
         a, b, c = q
         disc = b * b - 4 * a * c
@@ -332,20 +369,6 @@ def _split(q: list) -> list:
         if d * d == disc:
             return [_primitive([2 * a, b - d]), _primitive([2 * a, b + d])]
     return [q]
-
-
-def _divide_out(f: list, q: list, factors: list) -> list:
-    """If q divides f, f without each factor of q as often as it divides,
-    appending (factor, multiplicity) to factors; else f unchanged."""
-    if _quotient(f, q) is None:
-        return f
-    for g in _split(q):
-        m = 0
-        while (h := _quotient(f, g)) is not None:
-            f, m = h, m + 1
-        if m:
-            factors.append((tuple(g), m))
-    return f
 
 
 def _proposals(f: list):
@@ -372,45 +395,46 @@ def _proposals(f: list):
 
 def _central_roots_exact(p: CentralPoly) -> list:
     """Factors of p over Z (its coefficients times their common denominator)
-    in the order of sympy.factor_list.  Factors proposed from float roots
-    are kept when they divide exactly; a remainder of degree >= 3 (an
-    irreducible factor, or coefficients floats cannot resolve) goes to
-    sympy's dense factoring."""
+    in the order of sympy.factor_list.  One loop splits each candidate (x,
+    the factors that float roots propose, then what is left, which sympy
+    splits at degree >= 3) and divides each factor out as often as it
+    divides exactly, which counts its multiplicity."""
     if p.degree > 4:
         raise UnsupportedDegree(
             f"exact mode supports degree <= 4, got {p.degree}")
     den = math.lcm(*(c.denominator for c in p.coeffs))
     f = _primitive([c.numerator * (den // c.denominator)
                     for c in reversed(p.coeffs)])
-    j = next(k for k, c in enumerate(reversed(f)) if c)
-    factors = [((1, 0), j)] if j else []
-    f = f[:len(f) - j]
-    if len(f) > 3:
-        for q in _proposals(f):
-            f = _divide_out(f, q, factors)
+
+    def candidates():  # proposals are drawn while f has degree >= 3
+        yield [1, 0]
+        for q in _proposals(f) if len(f) > 3 else ():
+            yield q
             if len(f) <= 3:
                 break
-    if len(f) > 3:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
-        factors += [(tuple(int(c) for c in g), m)
-                    for g, m in dup_factor_list(f, ZZ)[1]]
-    elif len(f) > 1:  # a linear or quadratic remainder: itself, or split
-        _divide_out(f, f, factors)
-    # sympy's own order: by length, multiplicity, then coefficients
-    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+        if len(f) > 1:
+            yield f
+
+    factors = {}  # each irreducible factor: how often it divides
+    for g in (tuple(g) for q in candidates() for g in _split(q)):
+        while (h := _quotient(f, g)) is not None:
+            f, factors[g] = h, factors.get(g, 0) + 1
     out = []
-    for fac, mult in factors:
-        cs = fac[::-1]
-        if len(cs) == 2:
-            out.append(ConjClass.of_scalar(Fraction(-cs[0], cs[1]), mult))
-        elif len(cs) == 3:
-            out.append(ConjClass(Fraction(-cs[1], cs[2]),
-                                 Fraction(cs[0], cs[2]), multiplicity=mult))
+    # sympy's own order: by length, multiplicity, then coefficients
+    for fac, mult in sorted(factors.items(),
+                            key=lambda fm: (len(fm[0]), fm[1], fm[0])):
+        if len(fac) == 2:  # descending: a x + b, a x^2 + b x + c
+            out.append(ConjClass.of_scalar(Fraction(-fac[1], fac[0]), mult))
+        elif len(fac) == 3:
+            out.append(ConjClass(Fraction(-fac[1], fac[0]),
+                                 Fraction(fac[2], fac[0]), multiplicity=mult))
         else:
+            named = ", ".join(str(c) if (d := _digits(c)) <= MAX_DIGITS
+                              else f"<{d} digits>" for c in fac)
             raise UnsupportedDegree(
-                f"irreducible factor of degree {len(cs) - 1} over Q; "
-                "no rational conjugacy-class data")
+                f"irreducible factor of degree {len(fac) - 1} over Q, "
+                f"coefficients {named} from x^{len(fac) - 1} down; no "
+                "rational conjugacy-class data")
     return out
 
 

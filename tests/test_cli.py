@@ -639,6 +639,41 @@ class TestExitCodes:
         assert main(["roots", str(path)]) == EXIT_RESOURCE
         assert "exponent of 5000 digits" in capsys.readouterr().err
 
+    # each exited 1 with a ValueError of int() or str(), which convert at
+    # most 4,300 digits, after 1.7 s (real) or 12.7 s (exact) on 1e3000000;
+    # the 5,001-digit text exited 2 ("bad scalar literal")
+    @pytest.mark.parametrize("text,args,digits", [
+        ("x + 1e5000", [], 5001),
+        ("x + 1" + "0" * 5000, [], 5001),
+        ("x + 1e3000000", [], 3000001),
+        (ROW % "[1e5000]", [], 5001),
+        (ROW % f"[1{'0' * 5000}]", [], 5001),
+        ("x^2", ["--element=1e5000 j"], 5001)],
+        ids=["text-exponent", "text-integer", "text-exponent-3000000",
+             "json-exponent", "json-integer", "element"])
+    @pytest.mark.parametrize("mode", ["exact", "real"])
+    def test_number_beyond_the_digit_limit(self, tmp_path, capsys, text,
+                                           args, digits, mode):
+        path = tmp_path / "f.txt"
+        path.write_text(text + "\n")
+        start = time.perf_counter()
+        code = main([f"--mode={mode}", "rmr" if args else "roots",
+                     str(path), *args])
+        assert code == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        assert f"a number of {digits} digits; at most 4300 are read" \
+            in capsys.readouterr().err
+
+    def test_exact_number_written_beyond_the_digit_limit(self, tmp_path,
+                                                         capsys):
+        # the companion's 6,001-digit constant 10^6000 died in str()
+        path = tmp_path / "f.txt"
+        path.write_text("x + 1e3000\n")
+        assert main(["--mode=exact", "companion", str(path)]) == \
+            EXIT_RESOURCE
+        assert "a number of 6001 digits; at most 4300 are written" \
+            in capsys.readouterr().err
+
     def test_render_raster_beyond_memory(self, tmp_path, capsys):
         # lattice() died with numpy's _ArrayMemoryError (exit 1)
         path = tmp_path / "sq.txt"

@@ -153,6 +153,29 @@ class TestComposition:
             assert f.eval(alpha).isclose(alpha)
             assert verify_composition_fixed(f, alpha, 3)
 
+    # the rounding of f^{o3}(alpha) grows like |alpha|^8: an absolute 1e-7
+    # (1 + |alpha|) refused 93 of these at s = 2 (|alpha| about 16) and 199
+    # at s = 4, at backward errors near 1e-16
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_large_constructed_fixed_points(self, PR, s):
+        rng = random.Random(11)
+        for _ in range(200):
+            alpha = random_octonion(PR, rng, span=4) * s
+            B = random_octonion(PR, rng, span=4)
+            f = quad(PR, B, alpha - alpha * alpha - B * alpha)
+            assert verify_composition_fixed(f, alpha, 3)
+
+    def test_wrong_composition_refused(self, PR, monkeypatch):
+        """The point rule still refuses a composition that alpha does not
+        solve: here f^{o2} gains the constant 1e-6."""
+        f = parse_opolynomial("x^2 + ix + (-0.5 i - 0.25)", PR)
+        alpha = Octonion.basis(PR, 1) * -0.5
+        assert verify_composition_fixed(f, alpha, 2)
+        comp = OPolynomial.iterate_comp
+        monkeypatch.setattr(OPolynomial, "iterate_comp", lambda g, n: comp(
+            g, n) + (1e-6 if n == 2 else 0))
+        assert not verify_composition_fixed(f, alpha, 2)
+
 
 class TestOrbits:
     def test_periodic_orbit(self, PR, basis_r):

@@ -4,6 +4,7 @@ product and sympy's factoring."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from sympy.polys.factortools import dup_factor_list
 import ocpoly
 from ocpoly.algebra import (AlgebraParams, ExactOctonion, Octonion,
                             parse_octonion, polar_form)
-from ocpoly.errors import InvalidInput, NotInvertible
+from ocpoly.errors import InvalidInput, NotInvertible, UnsupportedDegree
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (lmr_describe_class, lmr_sample_detailed,
                           reduce_linear, rmr_witness, roots)
@@ -287,8 +288,12 @@ def test_central_roots_repeated_factor_with_leading_coefficient():
     (poly_mul(poly_mul([-10 ** 400, 1], [-1, 1]), [1, 0, 1]), 1),
     # lc * r beyond float range for the root r = 10^150
     (poly_mul(poly_mul([-1, 10 ** 200], [-10 ** 150, 1]), [1, 1, 1]), 1),
+    # cubics: (2x - 1)(x^2 + x + 1), and (x - 1)(x + 2)(3x + 1)
+    (poly_mul([-1, 2], [1, 1, 1]), 0),
+    (poly_mul(poly_mul([-1, 1], [2, 1]), [1, 3]), 0),
 ], ids=["double-linear", "double-linear-quartic", "remainder", "beyond-float",
-        "overflowing-proposal"])
+        "overflowing-proposal", "cubic-linear-quadratic",
+        "cubic-three-linear"])
 def test_central_roots_fixed_cases(coeffs, sympy_calls, monkeypatch):
     """Equal to sympy, which is called only on what float roots leave."""
     p = CentralPoly.make(EXACT, coeffs)
@@ -302,6 +307,42 @@ def test_central_roots_fixed_cases(coeffs, sympy_calls, monkeypatch):
     monkeypatch.setattr(factortools, "dup_factor_list", counted)
     assert class_keys(central_roots(p)) == expected
     assert len(calls) == sympy_calls
+
+
+# a coefficient beyond the 4,300 digits str() converts is named by its
+# digit count
+@pytest.mark.parametrize("coeffs, named", [
+    ([-4, 0, 0, 2], "1, 0, 0, -2"),
+    ([3, 0, 0, 10 ** 4400 + 7], "<4401 digits>, 0, 0, 3")],
+    ids=["x^3-2", "4401-digit-lead"])
+def test_irreducible_cubic_is_named(coeffs, named, monkeypatch):
+    """No proposal divides, sympy is called once, and the refusal names the
+    factor by its integer coefficients."""
+    calls = []
+
+    def counted(f, K):
+        calls.append(f)
+        return dup_factor_list(f, K)
+
+    monkeypatch.setattr(factortools, "dup_factor_list", counted)
+    p = CentralPoly.make(EXACT, coeffs)
+    with pytest.raises(UnsupportedDegree, match=re.escape(
+            f"irreducible factor of degree 3 over Q, coefficients {named} "
+            "from x^3 down; no rational conjugacy-class data")):
+        central_roots(p)
+    assert len(calls) == 1
+
+
+def test_own_class_is_the_matched_class(P, PR):
+    """A root's class in roots(): exact mode keeps the class it matched,
+    real mode takes the root's own trace and norm."""
+    cls = ConjClass(Fraction(0), Fraction(2), multiplicity=2)
+    lam = parse_octonion("i + j", P)
+    assert cls.matches(lam) and lam.own_class(cls) is cls
+    lam_r = parse_octonion("0.1 + i + j", PR)
+    own = lam_r.own_class(ConjClass(0.2, 2.01, multiplicity=2))
+    assert (own.T, own.N, own.central, own.multiplicity) == \
+        (lam_r.trace(), lam_r.norm(), False, 2)
 
 
 def test_sympy_only_on_remainder():
@@ -333,8 +374,8 @@ def test_sympy_only_on_remainder():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.splitlines() == [
-        "False", "irreducible factor of degree 4 over Q; "
-        "no rational conjugacy-class data"]
+        "False", "irreducible factor of degree 4 over Q, coefficients "
+        "1, 0, 0, 1, 1 from x^4 down; no rational conjugacy-class data"]
 
 
 

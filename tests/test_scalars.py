@@ -10,7 +10,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from ocpoly import scalars
 from ocpoly.algebra import AlgebraParams, random_octonion
-from ocpoly.errors import InvalidInput, NoConvergence, UnsupportedDegree
+from ocpoly.errors import (InvalidInput, NoConvergence, ResourceLimit,
+                           UnsupportedDegree)
 from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
@@ -278,7 +279,6 @@ THRESHOLDS = [
     ("residual_tol", 1e-8),     # roots: |f(lam)| of a root
     ("class_tol", 1e-6),        # E, G, [conj(G), E^-1]; ConjClass.matches
     ("fixed_tol", 1e-9),        # fixed points, orbit and period revisits
-    ("composition_tol", 1e-7),  # verify_composition_fixed
     ("witness_tol", 1e-7),      # conjugation, rmr_witness, lmr_singular
 ]
 
@@ -319,6 +319,40 @@ class TestRealRange:
     def test_parse_refuses(self, text, named):
         with pytest.raises(InvalidInput, match=re.escape(named)):
             REAL.parse(text)
+
+
+class TestDigitLimit:
+    """A literal read, or an exact number written, has at most 4,300
+    decimal digits, as many as int() and str() convert; the count is made
+    on the text, or from the bit length, before any conversion."""
+
+    @pytest.mark.parametrize("field", [EXACT, REAL], ids=["exact", "real"])
+    @pytest.mark.parametrize("text,digits", [
+        ("1" + "0" * 4300, 4301), ("1e4300", 4301), ("1e-4300", 4301),
+        ("1_0e4299", 4301), ("1/" + "3" * 4301, 4301),
+        ("1e3000000", 3000001), ("1e" + "9" * 4301, 4301)],
+        ids=["integer", "exponent", "negative-exponent", "underscore",
+             "denominator", "large-exponent", "exponent-digits"])
+    def test_long_literal_refused(self, field, text, digits):
+        with pytest.raises(ResourceLimit, match=f"a number of {digits} "
+                           "digits; at most 4300 are read"):
+            field.parse(text)
+
+    def test_longest_literal_read(self):
+        assert EXACT.parse("9" * 4300) == 10 ** 4300 - 1
+        assert EXACT.parse("1e4299") == 10 ** 4299
+
+    def test_long_number_written(self):
+        assert EXACT.to_json(Fraction(1, 10 ** 4300 - 1)) == \
+            "1/" + "9" * 4300
+        with pytest.raises(ResourceLimit, match="a number of 4301 digits; "
+                           "at most 4300 are written"):
+            EXACT.to_json(Fraction(-10 ** 4300, 7))
+
+    def test_range_refusal_counts_digits_without_str(self):
+        with pytest.raises(InvalidInput, match=re.escape(
+                "-1234567890123456789... (5010 digits) is beyond")):
+            REAL.coerce(-1234567890123456789 * 10 ** 4991)
 
 
 # the one refusal of ConjClass that no other test reaches
