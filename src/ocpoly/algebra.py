@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -103,19 +103,31 @@ class ProductTable:
         xs = np.array([float(c) for c in x])
         return (xs @ self.translates).reshape(8, 8).T
 
-    @functools.cached_property
-    def mul(self):
-        """x, y -> x y (exact mode: numerators over den den_x den_y): per c,
-        the sum of v x[a] y[b] over the terms in table order from 0 or 0.0."""
-        sums = ["0" if self.int_terms else "0.0"] * 8
-        for a, b, c, v in self.int_terms or self.terms:
+    # Written out once per table, on floats or (exact mode) on numerators,
+    # over den den_x den_y: mul(x, y) = x y, and over the norm diagonal w,
+    # norm(x) = n(x) = sum w_a x_a x_a, size2(x) = sum |w_a| x_a x_a and
+    # polar(x, y) = n(x + y) - n(x) - n(y) = sum (2 w_a) x_a y_a.
+    mul = functools.cached_property(lambda t: t._written())
+    norm = functools.cached_property(lambda t: t._written(operator.pos, "x"))
+    size2 = functools.cached_property(lambda t: t._written(abs, "x"))
+    polar = functools.cached_property(lambda t: t._written(lambda w: 2 * w))
+
+    def _written(self, weight=None, y="y"):
+        """x (y = "x") or x, y -> per c, the sum from 0 (0.0: the term-by-term
+        bits) of v x[a] y[b] over the terms, or over (a, a, 0, weight(w_a))."""
+        terms = self.int_terms or self.terms
+        if weight:
+            terms = [(a, a, 0, weight(w)) for a, w in
+                     enumerate(self.int_norm_diag or self.norm_diag)]
+        sums = ["0" if self.int_terms else "0.0"] * (1 if weight else 8)
+        for a, b, c, v in terms:
             w = "" if abs(v) == 1 else f"{abs(v)!r} * "
-            sums[c] += f" {'-' if v < 0 else '+'} {w}x{a} * y{b}"
-        scope = {}
-        exec("def mul(x, y):\n x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
-             " y0, y1, y2, y3, y4, y5, y6, y7 = y\n return ("
-             + ", ".join(sums) + ")", scope)
-        return scope["mul"]
+            sums[c] += f" {'-' if v < 0 else '+'} {w}x{a} * {y}{b}"
+        args, scope = sorted({"x", y}), {"inf": math.inf}
+        exec(f"def f({', '.join(args)}):\n" + "".join(
+            f" {v}0, {v}1, {v}2, {v}3, {v}4, {v}5, {v}6, {v}7 = {v}\n"
+            for v in args) + f" return ({', '.join(sums)})", scope)
+        return scope["f"]
 
 
 def _basis_products(gammas, one) -> dict:
@@ -224,22 +236,21 @@ class Octonion:
         if self.params is not other.params and self.params != other.params:
             raise InvalidInput("operands live in different algebras")
 
-    def __add__(self, other):
-        if isinstance(other, Octonion):
-            self._check(other)
-            return Octonion(tuple(a + b for a, b in
-                                  zip(self.coords, other.coords)), self.params)
-        return self + Octonion.scalar(self.params, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Octonion(tuple(-a for a in self.coords), self.params)
-
-    def __sub__(self, other):
+    def __add__(self, other, sign=1):  # sign -1: self - other
         if not isinstance(other, Octonion):
             other = Octonion.scalar(self.params, other)
-        return self + (-other)
+        self._check(other)
+        op = operator.add if sign == 1 else operator.sub
+        return _real(self.params, tuple(map(op, self.coords, other.coords)))
+
+    def __radd__(self, other):
+        return self + other
+
+    def __neg__(self):
+        return _real(self.params, tuple(map(operator.neg, self.coords)))
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -247,10 +258,10 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._check(other)
-            return Octonion(self.params.table.mul(self.coords, other.coords),
-                            self.params)
+            return _real(self.params,
+                         self.params.table.mul(self.coords, other.coords))
         s = self.params.field.coerce(other)
-        return Octonion(tuple(a * s for a in self.coords), self.params)
+        return _real(self.params, tuple([a * s for a in self.coords]))
 
     def __rmul__(self, other):
         # scalar * octonion (scalars are central)
@@ -258,13 +269,13 @@ class Octonion:
 
     def __truediv__(self, s):
         s = self.params.field.coerce(s)
-        return Octonion(tuple(a / s for a in self.coords), self.params)
+        return _real(self.params, tuple([a / s for a in self.coords]))
 
     # -- involution, trace, norm -------------------------------------------
 
     def conj(self) -> "Octonion":
         c = self.coords
-        return Octonion((c[0],) + tuple(-v for v in c[1:]), self.params)
+        return _real(self.params, (c[0], *map(operator.neg, c[1:])))
 
     def trace(self):
         return 2 * self.re()
@@ -273,11 +284,15 @@ class Octonion:
         return self.coords[0]
 
     def im(self) -> "Octonion":
-        return Octonion((0.0,) + self.coords[1:], self.params)
+        return _real(self.params, (0.0,) + self.coords[1:])
 
     def norm(self):
-        diag = self.params.table.norm_diag
-        return sum(d * c * c for d, c in zip(diag, self.coords))
+        return self.params.table.norm(self.coords)
+
+    def polar_form(self, other: "Octonion"):
+        """The polar form of the norm: n(x + y) - n(x) - n(y), y = other."""
+        self._check(other)
+        return self.params.table.polar(self.coords, other.coords)
 
     def abs(self) -> float:
         self.params.field.require_real("abs is a real-mode operation")
@@ -304,7 +319,8 @@ class Octonion:
 
     def own_class(self, cls: ConjClass) -> ConjClass:
         """cls, which x = self matches, at x's own trace and norm."""
-        return replace(cls, T=self.trace(), N=self.norm())
+        return ConjClass(self.trace(), self.norm(), cls.central,
+                         cls.multiplicity)
 
     def commutator(self, other: "Octonion") -> "Octonion":
         return self * other - other * self
@@ -321,8 +337,7 @@ class Octonion:
     def size2(self) -> float:
         """sum |w_a| x_a^2 over the norm diagonal w: the norm on a definite
         algebra, and a squared size that no sign cancels on the others."""
-        diag = self.params.table.norm_diag
-        return float(sum(abs(d) * c * c for d, c in zip(diag, self.coords)))
+        return self.params.table.size2(self.coords)
 
     def negligible(self, tol: float, scale=1.0) -> bool:
         """sqrt(size2) <= tol * scale, by squares (exact mode: x == 0);
@@ -367,9 +382,9 @@ class Octonion:
     @staticmethod
     def combinations(xs, ps, qs, D=1) -> tuple:
         """sum_t ps[t] xs[t] and sum_t qs[t] xs[t] (D = 1 on floats)."""
-        cols = list(zip(*(x.coords for x in xs)))
-        return tuple(Octonion(tuple(sum(map(operator.mul, ws, c)) for c in
-                                    cols), xs[0].params) for ws in (ps, qs))
+        cols, P = list(zip(*(x.coords for x in xs))), xs[0].params
+        return tuple(_real(P, tuple([sum(map(operator.mul, ws, c)) for c in
+                                     cols])) for ws in (ps, qs))
 
     @staticmethod
     def horner(xs, lam) -> "Octonion":
@@ -386,7 +401,7 @@ class Octonion:
         for s, x in enumerate(xs):
             out[2 * s] += x.norm()
             for t in range(s + 1, len(xs)):
-                out[s + t] += polar_form(x, xs[t])
+                out[s + t] += x.polar_form(xs[t])
         return out
 
     # -- formatting ---------------------------------------------------------
@@ -441,11 +456,6 @@ class ExactOctonion(Octonion):
         return _exact(self.params, d * e, [a * e + sign * b * d for a, b in
                                            zip(self.num, other.num)])
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
     def __neg__(self):
         return _exact(self.params, self.den, [-a for a in self.num], 1)
 
@@ -483,8 +493,13 @@ class ExactOctonion(Octonion):
         return Fraction(self._norm_num(), self.params.table.den * self.den**2)
 
     def _norm_num(self) -> int:  # n(x) * den_t * den^2, an integer
-        w, n = self.params.table.int_norm_diag, self.num
-        return sum(map(operator.mul, map(operator.mul, w, n), n))
+        return self.params.table.norm(self.num)
+
+    def polar_form(self, other) -> Fraction:
+        self._check(other)
+        t = self.params.table
+        return Fraction(t.polar(self.num, other.num),
+                        t.den * self.den * other.den)
 
     def in_class(self, T, N) -> bool:
         """trace = T and norm = N, by integer cross-multiplication."""
@@ -561,18 +576,16 @@ class ExactOctonion(Octonion):
         """On integers over den_t L^2 (L of _common), one Fraction each."""
         t, (L, ks) = xs[0].params.table, _common(xs)
         out = [0] * (2 * len(xs) - 1)
-        for s, x in enumerate(xs):
-            wx = [w * v * ks[s] for w, v in zip(t.int_norm_diag, x.num)]
-            for u, (k, y) in enumerate(zip(ks[s:], xs[s:]), s):
-                out[s + u] += (1 + (u > s)) * k * sum(map(operator.mul, wx,
-                                                          y.num))
+        for s, (x, k) in enumerate(zip(xs, ks)):
+            out[2 * s] += k * k * t.norm(x.num)
+            for u in range(s + 1, len(xs)):
+                out[s + u] += k * ks[u] * t.polar(x.num, xs[u].num)
         return [Fraction(c, t.den * L * L) for c in out]
 
     def size2(self) -> float:
         t = self.params.table
-        n = sum(abs(v) * c * c for v, c in zip(t.int_norm_diag, self.num))
         try:
-            return n / (t.den * self.den * self.den)
+            return t.size2(self.num) / (t.den * self.den * self.den)
         except OverflowError:  # beyond float range: inf, as a real sum goes
             return math.inf
 
@@ -581,6 +594,15 @@ class ExactOctonion(Octonion):
 
     def is_central(self) -> bool:
         return not any(self.num[1:])
+
+
+_set_params, _set_coords = Octonion.params.__set__, Octonion.coords.__set__
+
+
+def _real(params: AlgebraParams, coords: tuple) -> Octonion:  # no mode test
+    _set_params(x := object.__new__(Octonion), params)
+    _set_coords(x, coords)
+    return x
 
 
 def _exact(params: AlgebraParams, den: int, num, g=0) -> ExactOctonion:
@@ -597,13 +619,6 @@ def _common(xs):
     """L = lcm of the exact xs' denominators, and each x's L / den."""
     L = math.lcm(*(x.den for x in xs))
     return L, [L // x.den for x in xs]
-
-
-def polar_form(x: Octonion, y: Octonion):
-    """Polar bilinear form of the norm: b(x,y) = norm(x+y)-norm(x)-norm(y)."""
-    x._check(y)
-    diag = x.params.table.norm_diag
-    return sum(2 * d * a * b for d, a, b in zip(diag, x.coords, y.coords))
 
 
 # ---------------------------------------------------------------------------

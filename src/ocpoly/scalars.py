@@ -282,12 +282,12 @@ def _clusters(p: CentralPoly, zs: list) -> list:
     size = CentralPoly(p.field, tuple(map(abs, p.coeffs)))
 
     def radius(i):  # of group i, from this round's cs and dist
-        c, g = cs[i], groups[i]
+        c, g, d, hs = cs[i], groups[i], dist[i], groups[:i] + groups[i + 1:]
         prod = size.coeffs[-1] * math.prod(
-            d ** len(h) for d, h in zip(dist[i], groups) if h is not g)
+            map(pow, d[:i] + d[i + 1:], map(len, hs)))
         res = n * (abs(p.eval(c)) + math.ulp(1.0) * size.eval(abs(c)))
-        return max(abs(z - c) for z in g) + (
-            (res / prod) ** (1 / len(g)) if prod else math.inf)
+        spread = max(abs(z - c) for z in g) if g[1:] else abs(g[0] - c)
+        return spread + ((res / prod) ** (1 / len(g)) if prod else math.inf)
 
     while True:
         cs = [sum(g) / len(g) for g in groups]

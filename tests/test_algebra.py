@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -169,6 +170,19 @@ class TestCopiesAndHashes:
         for y in (x, x * x):  # exact x * x has no coords until read
             for z in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
                 assert type(z) is type(y) and z == y and z.params == P
+
+    @pytest.mark.parametrize("field", [EXACT, REAL])
+    def test_results_and_polynomials_round_trip(self, field):
+        """Each kind of result (real mode: built with no mode test) and a
+        polynomial of them survive pickle and deepcopy."""
+        P = AlgebraParams(field, -2, 3, Fraction(-1, 2))
+        x = Octonion.make(P, [1, -2, Fraction(1, 4), 0, 3, 0, 0, 7])
+        ys = [x + x, x - 1, 1 - x, -x, x.conj(), x.im(), x * 3, x / 3,
+              *x.combinations([x, x * x], [1, 2], [3, 4])]
+        f = OPolynomial.make(P, ys)
+        for y in ys + [f]:
+            for z in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
+                assert type(z) is type(y) and z == y
 
     def test_real_equal_elements_hash_equal(self, PR):
         x = Octonion.make(PR, [1, 2])
@@ -386,6 +400,73 @@ def test_straight_line_product(gammas, field):
             [c.hex() for c in term_order_sum(X, Y)]
         bound = 1e-13 * np.array(product_magnitude(X, Y))
         assert np.all(np.abs(np.array(got.coords) - want) <= bound)
+
+
+def test_straight_line_code_with_infinite_terms():
+    """Structure constants whose products, or twice a norm weight, pass
+    float range write inf into the straight-line code, which then runs as
+    the term-by-term sums do."""
+    for gammas in ((1e200, 1e200, -1), (-1, -1, -1e308)):
+        params = AlgebraParams(REAL, *gammas)
+        x = Octonion.make(params, [1, -1, 1, 1, 1, 1, 1, 1])
+        assert [c.hex() for c in (x * x).coords] == \
+            [c.hex() for c in term_order_sum(x, x)]
+        assert [v.hex() for v in (x.norm(), x.size2(), x.polar_form(x))] \
+            == [sum(terms).hex() for terms in norm_form_terms(x, x)]
+
+
+NORM_FORM_GAMMAS = [(-1, -1, -1), (2, 3, 5), (-2, 3, Fraction(-1, 2)),
+                    (Fraction(3, 7), -5, Fraction(2, 3))]
+
+
+def norm_form_terms(x, y):
+    """The terms of norm(x), size2(x) and x.polar_form(y) over the norm
+    diagonal w, in order: w_a x_a x_a, |w_a| x_a x_a and (2 w_a) x_a y_a."""
+    w = x.params.table.norm_diag
+    return ([d * a * a for d, a in zip(w, x.coords)],
+            [abs(d) * a * a for d, a in zip(w, x.coords)],
+            [2 * d * a * b for d, a, b in zip(w, x.coords, y.coords)])
+
+
+@pytest.mark.parametrize("gammas", NORM_FORM_GAMMAS)
+def test_straight_line_norm_form_real(gammas):
+    """norm, size2 and polar_form, written out once per table, equal the
+    sums of their terms in order from 0 bit for bit, on coordinates of
+    scales 1e16 to 1e-16.  On these the sum reads differently when any two
+    of its terms trade places, except the first two, whose swap is exact
+    (0 + t0 + t1 = 0 + t1 + t0)."""
+    params = AlgebraParams(REAL, *gammas)
+    assert params.table.norm is params.table.norm  # built once per table
+    rng, samples = random.Random(f"norm-form-{gammas}"), []
+    for _ in range(300):
+        x, y = (Octonion.make(params, [
+            rng.choice((1e16, 1e8, 1.0, 1e-8, 1e-16)) * rng.choice((1, -1))
+            * rng.uniform(1, 2) for _ in range(8)]) for _ in range(2))
+        samples.append(norm_form_terms(x, y))
+        assert [v.hex() for v in (x.norm(), x.size2(), x.polar_form(y))] \
+            == [sum(terms).hex() for terms in samples[-1]]
+    for form in range(3):
+        for a, b in itertools.combinations(range(8), 2):
+            swapped = [t[form][:a] + [t[form][b]] + t[form][a + 1:b]
+                       + [t[form][a]] + t[form][b + 1:] for t in samples]
+            assert (a, b) == (0, 1) or any(
+                sum(u) != sum(t[form]) for u, t in zip(swapped, samples))
+
+
+@pytest.mark.parametrize("gammas", NORM_FORM_GAMMAS)
+def test_straight_line_norm_form_exact(gammas):
+    """In exact mode, on the integer numerators, the same forms equal the
+    Fraction sums of their terms (size2 that sum as a float)."""
+    params = AlgebraParams(EXACT, *gammas)
+    rng = random.Random(f"norm-form-exact-{gammas}")
+    for _ in range(100):
+        x, y = (Octonion.make(params, [Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 12))
+                                       for _ in range(8)]) for _ in range(2))
+        norm, size2, polar = map(sum, norm_form_terms(x, y))
+        assert (x.norm(), x.size2(), x.polar_form(y)) == \
+            (norm, float(size2), polar)
+        assert type(x.norm()) is type(x.polar_form(y)) is Fraction
 
 
 class TestClosedFormConjugator:

@@ -18,7 +18,7 @@ from sympy.polys.factortools import dup_factor_list
 
 import ocpoly
 from ocpoly.algebra import (AlgebraParams, ExactOctonion, Octonion,
-                            parse_octonion, polar_form)
+                            parse_octonion)
 from ocpoly.errors import InvalidInput, NotInvertible, UnsupportedDegree
 from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.roots import (lmr_describe_class, lmr_sample_detailed,
@@ -139,8 +139,8 @@ def test_equality_and_hash_leave_coords_unbuilt():
 def test_polar_form(ops):
     params, x, y = ops
     s = tuple(a + b for a, b in zip(x.coords, y.coords))
-    assert polar_form(x, y) == (cd_norm(s, params) - cd_norm(x.coords, params)
-                                - cd_norm(y.coords, params))
+    assert x.polar_form(y) == (cd_norm(s, params) - cd_norm(x.coords, params)
+                               - cd_norm(y.coords, params))
 
 
 @SETTINGS

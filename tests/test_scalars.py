@@ -15,6 +15,8 @@ from ocpoly.errors import (InvalidInput, NoConvergence, ResourceLimit,
 from ocpoly.opoly import OPolynomial
 from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
+from clusters import reference_clusters
+
 
 def classes_of(cands):
     return sorted((float(c.T), float(c.N)) for c in cands if not c.central)
@@ -31,6 +33,31 @@ def times(p, q):
         for u, b in enumerate(q):
             out[t + u] += a * b
     return out
+
+
+# Real roots a and pairs a +- b i on a grid of step scale/4, scale =
+# 2^exponent (1e-18 to 1e18), multiplicities 1-3
+PLANTED = (st.integers(-60, 60), st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(0, 8), st.integers(1, 3)),
+    min_size=1, max_size=12, unique_by=lambda c: c[:2]))
+PLANTED_SETTINGS = settings(max_examples=150, deadline=None,
+                            derandomize=True, database=None)
+
+
+def planted_poly(exponent, planted):
+    """(coefficients, degree, classes (a, b, m)) of the planted classes
+    that fit in degree 12, in order, at scale 2^exponent."""
+    scale, degree, classes = Fraction(2) ** exponent, 0, []
+    for a, b, m in planted:
+        if degree + m * (1 if b == 0 else 2) <= 12:
+            degree += m * (1 if b == 0 else 2)
+            classes.append((a * scale / 4, b * scale / 4, m))
+    poly = [Fraction(1)]
+    for a, b, m in classes:
+        for _ in range(m):
+            poly = times(poly, [-a, 1] if b == 0
+                         else [a * a + b * b, -2 * a, 1])
+    return poly, degree, classes
 
 
 class TestExactMode:
@@ -131,26 +158,15 @@ class TestRealMode:
                 assert abs(p.eval(z)) < 1e-8 * scale
             assert total == p.degree
 
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              database=None)
-    @given(st.integers(-60, 60), st.lists(
-        st.tuples(st.integers(-8, 8), st.integers(0, 8), st.integers(1, 3)),
-        min_size=1, max_size=12, unique_by=lambda c: c[:2]))
+    @PLANTED_SETTINGS
+    @given(*PLANTED)
     def test_planted_classes_come_back(self, exponent, planted):
         """Real roots a and pairs a +- b i on a grid of step scale/4, scale
         = 2^exponent (1e-18 to 1e18), multiplicities 1-3, degree <= 12: the
         float coefficients are exact, and every planted class comes back
         with its multiplicity, or the solver says it did not converge."""
-        scale, degree, classes = Fraction(2) ** exponent, 0, []
-        for a, b, m in planted:
-            if degree + m * (1 if b == 0 else 2) <= 12:
-                degree += m * (1 if b == 0 else 2)
-                classes.append((a * scale / 4, b * scale / 4, m))
-        poly = [Fraction(1)]
-        for a, b, m in classes:
-            for _ in range(m):
-                poly = times(poly, [-a, 1] if b == 0
-                             else [a * a + b * b, -2 * a, 1])
+        poly, degree, classes = planted_poly(exponent, planted)
+        scale = Fraction(2) ** exponent
         assert all(Fraction(float(c)) == c for c in poly)  # exact in float
         try:
             got = central_roots(CentralPoly.make(REAL, poly))
@@ -165,6 +181,44 @@ class TestRealMode:
                        and abs(c.T - 2 * a) <= 1e-4 * scale
                        and abs(c.N - a * a - b * b) <= 1e-4 * scale ** 2
                        for c in got), (a, b, m, got)
+
+    @PLANTED_SETTINGS
+    @given(*PLANTED)
+    def test_clusters_match_the_reference(self, exponent, planted):
+        """scalars._clusters makes the merge decisions of the loop kept in
+        tests/clusters.py, on the iterates central_roots clusters for the
+        planted classes (the companion eigenvalues where Aberth's loop
+        does not converge): the same (centroid, size) list to the bit."""
+        p = CentralPoly.make(REAL, planted_poly(exponent, planted)[0])
+        j = next(t for t, c in enumerate(p.coeffs) if c)
+        rest = CentralPoly(REAL, p.coeffs[j:])
+        try:
+            zs = scalars._aberth(rest).tolist() if rest.degree else []
+        except NoConvergence:
+            zs = scalars._companion_eigvals(np.array(rest.coeffs[::-1]))
+            zs = zs.tolist()
+        assert_same_clusters(p, [0j] * j + zs)
+
+    def test_clusters_match_the_reference_where_they_merge(self):
+        """The same on failing_cubic_companion()'s eigenvalues, on (x -
+        1)^3 (x^2 + 1)^2, whose iterates merge into groups of 3 and 2, and
+        on (x - 1)(x - 1 - d), d = 2^-30 to 2^-6, whose two iterates merge
+        up to d = 6e-8 and not beyond, so that a disc radius off by a
+        factor of 2 moves a decision."""
+        p = failing_cubic_companion()
+        assert_same_clusters(p, scalars._companion_eigvals(
+            np.array(p.coeffs[::-1])).tolist())
+        p = CentralPoly.make(REAL, times(times([-1, 3, -3, 1], [1, 0, 1]),
+                                         [1, 0, 1]))
+        got = assert_same_clusters(p, scalars._aberth(p).tolist())
+        assert sorted(k for _, k in got) == [2, 2, 3]
+        merged = []
+        for e in range(-60, -11):
+            d = 2.0 ** (e / 2)
+            p = CentralPoly.make(REAL, [1 + d, -(2 + d), 1])
+            got = assert_same_clusters(p, scalars._aberth(p).tolist())
+            merged.append(len(got) == 1)
+        assert merged == sorted(merged, reverse=True) and 0 < sum(merged) < 49
 
     def test_iterates_that_are_no_mirror_images(self, monkeypatch):
         """(x^2 + 1)(x^2 + 4), with the pair +-2i iterated as -2i and
@@ -243,6 +297,16 @@ def hexes(z):
     """The bits of a complex scalar or array, as hex."""
     return [(complex(w).real.hex(), complex(w).imag.hex())
             for w in np.ravel(z)]
+
+
+def assert_same_clusters(p, zs):
+    """scalars._clusters(p, zs), which must equal reference_clusters(p, zs)
+    bit for bit, centroid and size by centroid and size."""
+    got = scalars._clusters(p, list(zs))
+    want = reference_clusters(p, list(zs))
+    assert [(hexes(c), k) for c, k in got] == \
+        [(hexes(c), k) for c, k in want]
+    return got
 
 
 COEFFS = st.lists(st.floats(-1e3, 1e3), min_size=2,
