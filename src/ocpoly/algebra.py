@@ -317,8 +317,10 @@ class Octonion:
         xinv, cinv = (inv or self.inverse)(), c.inverse()
         return -((xinv * cinv) * (c * G) if left else (cinv * xinv) * (G * c))
 
-    def own_class(self, cls: ConjClass) -> ConjClass:
-        """cls, which x = self matches, at x's own trace and norm."""
+    def own_class(self, cls: ConjClass, check) -> ConjClass:
+        """cls, which the class root x = self matched within class_tol, at x's
+        own trace and norm, once check() (the point rule) has passed."""
+        check()
         return ConjClass(self.trace(), self.norm(), cls.central,
                          cls.multiplicity)
 
@@ -508,8 +510,9 @@ class ExactOctonion(Octonion):
             self._norm_num() * N.denominator == N.numerator * e * d * d
 
     def _inverse_num(self):
-        """(u, n) with x^-1 = u den_t / n, n = _norm_num, u = conj(num) den."""
-        if (n := self._norm_num()) == 0:
+        """(u, n), x^-1 = u den_t / n, u = conj(num) den, n = _norm_num."""
+        last = _last_norm
+        if (n := last[1] if last[0] is self else self._norm_num()) == 0:
             raise NotInvertible("zero or isotropic element")
         d = self.den
         return [self.num[0] * d, *(-a * d for a in self.num[1:])], n
@@ -525,24 +528,27 @@ class ExactOctonion(Octonion):
         return _exact(self.params, -n * G.den, self.params.table.mul(u, G.num))
 
     def multiple_root(self, G, c, left, inv=None) -> "ExactOctonion":
-        """mul(mul(u, v), mul(num_c, num_G)) / (-den_t n m den_c den_G) with
-        (u, n), (v, m) of _inverse_num of x = self and of c; right swaps each
-        pair.  One gcd."""
+        """mul(mul(e, v), mul(num_c, num_G)) / (-den_t^2 d m den_c den_G)
+        with e / d = x^-1 (inv(), which the reduction caches) and (v, m) of
+        c's _inverse_num; right swaps each pair.  One gcd."""
         self._check(c)
-        (u, n), (v, m) = self._inverse_num(), c._inverse_num()
-        t, k, g = self.params.table, c.num, G.num
-        num = t.mul(t.mul(u, v), t.mul(k, g)) if left else \
-            t.mul(t.mul(v, u), t.mul(g, k))
-        return _exact(self.params, -t.den * n * m * c.den * G.den, num)
+        xinv, (v, m) = (inv or self.inverse)(), c._inverse_num()
+        t, e, k, g = self.params.table, xinv.num, c.num, G.num
+        num = t.mul(t.mul(e, v), t.mul(k, g)) if left else \
+            t.mul(t.mul(v, e), t.mul(g, k))
+        return _exact(self.params, -t.den**2 * xinv.den * m * c.den * G.den,
+                      num)
 
-    def own_class(self, cls: ConjClass) -> ConjClass:  # matched: x's T, N
-        return cls
+    def own_class(self, cls: ConjClass, check) -> ConjClass:
+        return cls  # matched exactly: a root with no check, see roots()
 
     def negligible(self, tol, scale=1.0) -> bool:  # tolerances are 0
         return self.is_zero()
 
     def anisotropic(self, tol, size) -> bool:  # on integers, no Fraction
-        return self._norm_num() != 0
+        global _last_norm  # for the inverse that usually follows
+        _last_norm = last = (self, self._norm_num())
+        return last[1] != 0
 
     def normalized(self) -> "ExactOctonion":
         return self
@@ -597,6 +603,7 @@ class ExactOctonion(Octonion):
 
 
 _set_params, _set_coords = Octonion.params.__set__, Octonion.coords.__set__
+_last_norm = (None, 0)  # (x, x._norm_num()) of the last exact anisotropic()
 
 
 def _real(params: AlgebraParams, coords: tuple) -> Octonion:  # no mode test

@@ -64,12 +64,8 @@ def classify_fixed(f: OPolynomial, alpha: Octonion) -> FixedPointReport:
         raise NotAFixedPoint(f"f({alpha}) != {alpha}")
     B = f.coeff(1)
     M, m = growth_bounds(alpha, B)
-    if M < 1:
-        verdict = "attracting"
-    elif m > 1:
-        verdict = "repelling"
-    else:
-        verdict = "ambivalent"
+    verdict = "attracting" if M < 1 else "repelling" if m > 1 else \
+        "ambivalent"
     return FixedPointReport(alpha=alpha, B=B, M=M, m=m, verdict=verdict)
 
 
@@ -130,9 +126,7 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     seen = np.empty((min(n_max, 128) + 1, 9))
     seen[0] = (*start.coords, tol * (1 + math.sqrt(float(start.norm()))))
     iterates = [start]
-    escaped = False
-    period = None
-    val = start
+    escaped, period, val = False, None, start
     for k in range(1, n_max + 1):
         val = f.eval(val)
         iterates.append(val)

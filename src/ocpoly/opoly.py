@@ -60,9 +60,8 @@ class OPolynomial:
         return not self.coeffs
 
     def coeff(self, t: int) -> Octonion:
-        if 0 <= t < len(self.coeffs):
-            return self.coeffs[t]
-        return Octonion.zero(self.params)
+        return self.coeffs[t] if 0 <= t < len(self.coeffs) else \
+            Octonion.zero(self.params)
 
     @functools.cached_property
     def coeff_sizes(self) -> tuple:
@@ -148,8 +147,7 @@ class OPolynomial:
         if self.degree > COMPOSE_DEGREE_CAP or g.degree > COMPOSE_DEGREE_CAP:
             raise ResourceLimit(
                 f"compose input degree above {COMPOSE_DEGREE_CAP}")
-        acc = OPolynomial.zero(self.params)
-        gp = OPolynomial.one(self.params)
+        acc, gp = OPolynomial.zero(self.params), OPolynomial.one(self.params)
         for t, a in enumerate(self.coeffs):
             if t:
                 gp = gp * g
@@ -196,10 +194,8 @@ class OPolynomial:
 
     def to_json(self) -> dict:
         f = self.params.field
-        return {
-            "params": [f.to_json(g) for g in self.params.gammas],
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
+        return {"params": [f.to_json(g) for g in self.params.gammas],
+                "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict, field) -> "OPolynomial":

@@ -171,7 +171,12 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
 
 
 def roots(f: OPolynomial) -> RootSet:
-    """The root set of f, organized by companion conjugacy class."""
+    """The root set of f, organized by companion conjugacy class.  A class
+    root lam = -E^-1 G that matched its class exactly is a root: there f(lam)
+    = E lam + G (Horner's rule runs where lam and a_t associate, by Artin's
+    theorem), and E(E^-1 G) = G by x(conj(x) y) = n(x) y.  Real mode and a
+    central {r} take the point rule (on a split algebra n(f(r)) = 0 leaves
+    f(r) != 0 possible)."""
     if f.degree < 1:  # the zero polynomial has degree -1
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     found = {"isolated": [], "spherical": [], "anomalies": []}
@@ -182,8 +187,8 @@ def roots(f: OPolynomial) -> RootSet:
                 found["spherical"].append(cls)
                 continue
             if not cls.central:
-                cls = lam.own_class(cls)
-                _evaluated_root(f, lam, f.params.field.residual_tol)
+                cls = lam.own_class(cls, lambda: _evaluated_root(
+                    f, lam, f.params.field.residual_tol))
             found["isolated"].append((lam, cls))
         except NotInRMR as exc:
             found["anomalies"].append((cls, str(exc)))
@@ -297,9 +302,7 @@ def lmr_sample_detailed(desc: LMRClassDescription, count: int,
     if desc.kind != "parametrized":
         raise InvalidInput("sampling by multipliers needs a parametrized "
                            f"class, got {desc.kind}")
-    P = desc.f.params
-    rng = random.Random(seed)
-    out = []
+    P, rng, out = desc.f.params, random.Random(seed), []
     while len(out) < count:
         cs = P.field.draw(rng, 4, 2)
         c = Octonion.make(P, cs)

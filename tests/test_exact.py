@@ -334,15 +334,20 @@ def test_irreducible_cubic_is_named(coeffs, named, monkeypatch):
 
 
 def test_own_class_is_the_matched_class(P, PR):
-    """A root's class in roots(): exact mode keeps the class it matched,
-    real mode takes the root's own trace and norm."""
+    """A root's class in roots(): exact mode keeps the class it matched and
+    runs no check, real mode runs the check, then takes the root's own
+    trace and norm."""
+    checked = []
     cls = ConjClass(Fraction(0), Fraction(2), multiplicity=2)
     lam = parse_octonion("i + j", P)
-    assert cls.matches(lam) and lam.own_class(cls) is cls
+    assert cls.matches(lam) and lam.own_class(cls, checked.append) is cls
+    assert checked == []
     lam_r = parse_octonion("0.1 + i + j", PR)
-    own = lam_r.own_class(ConjClass(0.2, 2.01, multiplicity=2))
+    own = lam_r.own_class(ConjClass(0.2, 2.01, multiplicity=2),
+                          lambda: checked.append(lam_r))
     assert (own.T, own.N, own.central, own.multiplicity) == \
         (lam_r.trace(), lam_r.norm(), False, 2)
+    assert checked == [lam_r]
 
 
 def test_sympy_only_on_remainder():
@@ -697,3 +702,79 @@ def test_one_gcd_per_exact_answer(monkeypatch):
     assert roots_mod._class_root(f, cls) in (parse_octonion("j", P),
                                              parse_octonion("-i + j", P))
     assert len(calls) == 1
+
+
+def test_anisotropic_norm_serves_each_exact_lmr_sample(monkeypatch):
+    """On a described class, each exact sample takes two _norm_num: one of
+    c, which anisotropic hands on to the multiple root, and one of the
+    point, to match its class; E^-1 comes from the reduction."""
+    P = PARAMS[0]
+    f = parse_opolynomial("x^2 + ix - ij + 1", P)
+    desc = lmr_describe_class(f, ConjClass(Fraction(0), Fraction(1)))
+    calls, norm_num = [], ExactOctonion._norm_num
+    monkeypatch.setattr(ExactOctonion, "_norm_num",
+                        lambda x: calls.append(x) or norm_num(x))
+    samples = lmr_sample_detailed(desc, 6, seed=5)
+    assert calls[0::2] == [c for _, _, c, _ in samples]
+    assert calls[1::2] == [pt for *_, pt in samples]
+    for _, _, c, pt in samples:
+        assert f.scale_left(c).eval(pt).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Exact roots without evaluation: a non-central class root -E^-1 G that
+# matched its class exactly is a root by the algebra, which these tests
+# check against the doubling-rule product
+
+PLANT_PARAMS = [AlgebraParams(EXACT, *g) for g in ((-1, -1, -1),
+                                                   (-1, -2, -3))]
+
+
+def cd_horner(coeffs, lam, gammas):
+    """sum_t a_t lam^t by Horner's rule on coordinates, by cd_mul."""
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = tuple(u + v for u, v in zip(cd_mul(acc, lam, gammas), a))
+    return acc
+
+
+@SETTINGS
+@given(st.sampled_from(PLANT_PARAMS), st.integers(0, 1), st.data())
+def test_exact_roots_are_roots_by_the_doubling_rule(params, deg, data):
+    """f = g(x)(x - lam), g of degree 0 or 1 (companion degree at most 4),
+    lam central or not, g's root central or not: lam is isolated or on a
+    sphere, and f vanishes at every isolated root, evaluated by cd_mul, not
+    by the table roots() used."""
+    g = [data.draw(coords) for _ in range(deg + 1)]
+    g[-1] = data.draw(coords.filter(any))
+    if deg and data.draw(st.booleans()):  # g = g_1 (x + r): root -r
+        g[0] = tuple(data.draw(rationals) * v for v in g[1])
+    lam = data.draw(st.one_of(coords, rationals.map(
+        lambda r: (r,) + (Fraction(0),) * 7)))
+    gs = params.gammas
+    neg = [tuple(-v for v in cd_mul(a, lam, gs)) for a in g]
+    fc = [tuple(map(sum, zip(*ts))) for ts in
+          zip([(Fraction(0),) * 8] + g, neg + [(Fraction(0),) * 8])]
+    f = OPolynomial.make(params, [Octonion.make(params, a) for a in fc])
+    found = roots(f)
+    for mu, _ in found.isolated:
+        assert not any(cd_horner(fc, mu.coords, gs))
+    lam_x = Octonion.make(params, lam)
+    assert lam_x in [mu for mu, _ in found.isolated] or any(
+        c.matches(lam_x) for c in found.spherical)
+
+
+def test_exact_roots_evaluate_only_central_candidates(monkeypatch):
+    """f = (x - 2)(x - j): exact roots evaluates f at the central 2 alone,
+    real roots at 2 and at its non-central root j as well."""
+    calls, evaluate = [], OPolynomial.eval
+    monkeypatch.setattr(OPolynomial, "eval",
+                        lambda f, lam: calls.append(lam) or evaluate(f, lam))
+    for params in (PARAMS[0], AlgebraParams.octonions(REAL)):
+        calls.clear()
+        f = parse_opolynomial("x^2 - 2x - jx + 2j", params)
+        found = roots(f)
+        assert sorted(cls.central for _, cls in found.isolated) == \
+            [False, True] and not found.spherical and not found.anomalies
+        assert sorted(lam.is_central() for lam in calls) == \
+            [False] * (not params.field.exact) + [True]
