@@ -318,8 +318,7 @@ class Octonion:
         return -((xinv * cinv) * (c * G) if left else (cinv * xinv) * (G * c))
 
     def own_class(self, cls: ConjClass, check) -> ConjClass:
-        """cls, which the class root x = self matched within class_tol, at x's
-        own trace and norm, once check() (the point rule) has passed."""
+        """cls at x's own trace and norm, once check() (point rule) passes."""
         check()
         return ConjClass(self.trace(), self.norm(), cls.central,
                          cls.multiplicity)
@@ -532,12 +531,11 @@ class ExactOctonion(Octonion):
         with e / d = x^-1 (inv(), which the reduction caches) and (v, m) of
         c's _inverse_num; right swaps each pair.  One gcd."""
         self._check(c)
-        xinv, (v, m) = (inv or self.inverse)(), c._inverse_num()
-        t, e, k, g = self.params.table, xinv.num, c.num, G.num
+        xi, (v, m) = (inv or self.inverse)(), c._inverse_num()
+        t, e, k, g = self.params.table, xi.num, c.num, G.num
         num = t.mul(t.mul(e, v), t.mul(k, g)) if left else \
             t.mul(t.mul(v, e), t.mul(g, k))
-        return _exact(self.params, -t.den**2 * xinv.den * m * c.den * G.den,
-                      num)
+        return _exact(self.params, -t.den**2 * xi.den * m * c.den * G.den, num)
 
     def own_class(self, cls: ConjClass, check) -> ConjClass:
         return cls  # matched exactly: a root with no check, see roots()

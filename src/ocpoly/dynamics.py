@@ -126,7 +126,9 @@ def orbit(f: OPolynomial, start: Octonion, n_max: int,
     seen = np.empty((min(n_max, 128) + 1, 9))
     seen[0] = (*start.coords, tol * (1 + math.sqrt(float(start.norm()))))
     iterates = [start]
-    escaped, period, val = False, None, start
+    escaped = False
+    period = None
+    val = start
     for k in range(1, n_max + 1):
         val = f.eval(val)
         iterates.append(val)

@@ -147,7 +147,8 @@ class OPolynomial:
         if self.degree > COMPOSE_DEGREE_CAP or g.degree > COMPOSE_DEGREE_CAP:
             raise ResourceLimit(
                 f"compose input degree above {COMPOSE_DEGREE_CAP}")
-        acc, gp = OPolynomial.zero(self.params), OPolynomial.one(self.params)
+        acc = OPolynomial.zero(self.params)
+        gp = OPolynomial.one(self.params)
         for t, a in enumerate(self.coeffs):
             if t:
                 gp = gp * g

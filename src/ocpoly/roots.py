@@ -171,12 +171,11 @@ def _class_root(f: OPolynomial, cls: ConjClass) -> Octonion | None:
 
 
 def roots(f: OPolynomial) -> RootSet:
-    """The root set of f, organized by companion conjugacy class.  A class
-    root lam = -E^-1 G that matched its class exactly is a root: there f(lam)
-    = E lam + G (Horner's rule runs where lam and a_t associate, by Artin's
-    theorem), and E(E^-1 G) = G by x(conj(x) y) = n(x) y.  Real mode and a
-    central {r} take the point rule (on a split algebra n(f(r)) = 0 leaves
-    f(r) != 0 possible)."""
+    """The root set of f, organized by companion conjugacy class.  An exact
+    class root lam = -E^-1 G in its class is a root: there f(lam) = E lam +
+    G (by Artin's theorem lam, a_t associate) and E(E^-1 G) = G by x(conj(x)
+    y) = n(x) y.  Real roots and a central {r} (on a split algebra, n(f(r))
+    = 0 allows f(r) != 0) take the point rule."""
     if f.degree < 1:  # the zero polynomial has degree -1
         raise InvalidInput("need a nonzero polynomial of degree >= 1")
     found = {"isolated": [], "spherical": [], "anomalies": []}
