@@ -301,7 +301,8 @@ class Octonion:
         return math.sqrt(n)
 
     def inverse(self) -> "Octonion":
-        n = self.norm()
+        last = _last_norm  # n(x), if anisotropic() just took it
+        n = last[1] if last[0] is self else self.norm()
         if n == 0 or not math.isfinite(1 / n):  # exact: ExactOctonion.inverse
             raise NotInvertible("zero or isotropic element")
         return self.conj() / n
@@ -340,13 +341,13 @@ class Octonion:
         algebra, and a squared size that no sign cancels on the others."""
         return self.params.table.size2(self.coords)
 
-    def negligible(self, tol: float, scale=1.0) -> bool:
+    def negligible(self, tol: float, scale=1.0, size2=None) -> bool:
         """sqrt(size2) <= tol * scale, by squares (exact mode: x == 0);
         InvalidInput if the threshold's square is beyond float range, where
-        any size would pass."""
+        any size would pass.  size2: self.size2(), as a caller may have it."""
         try:
             if (limit2 := (tol * scale) ** 2) < math.inf:
-                return self.size2() <= limit2
+                return (self.size2() if size2 is None else size2) <= limit2
         except OverflowError:
             pass
         raise InvalidInput(f"threshold {float(tol * scale):.3e} is beyond "
@@ -372,9 +373,10 @@ class Octonion:
         """x is neither negligible against size nor isotropic: |n(x)| >
         tol * size2(x), so x^-1 = conj(x) / n(x) has a size below
         1 / (tol |x|).  Size 0 tests isotropy alone.  Exact mode: n(x) != 0,
-        so x != 0."""
-        return not self.negligible(tol, size) and \
-            abs(self.norm()) > tol * self.size2()
+        so x != 0.  n(x) is left for the inverse that usually follows."""
+        global _last_norm
+        s2, _last_norm = self.size2(), (self, n := self.norm())
+        return not self.negligible(tol, size, s2) and abs(n) > tol * s2
 
     def normalized(self) -> "Octonion":
         """x / sqrt(size2(x)), of unit size; exact mode keeps x."""
@@ -601,7 +603,7 @@ class ExactOctonion(Octonion):
 
 
 _set_params, _set_coords = Octonion.params.__set__, Octonion.coords.__set__
-_last_norm = (None, 0)  # (x, x._norm_num()) of the last exact anisotropic()
+_last_norm = (None, 0)  # (x, norm) of the last anisotropic(): exact _norm_num
 
 
 def _real(params: AlgebraParams, coords: tuple) -> Octonion:  # no mode test

@@ -78,6 +78,8 @@ class Field:
     def coerce(self, x):
         """x as a scalar of this field; refuses a non-finite value, in exact
         mode a non-integral float, in real mode one beyond float range."""
+        if type(x) is float and not self.exact and math.isfinite(x):
+            return x
         if isinstance(x, str):
             return self.parse(x)
         if self.exact:
@@ -233,23 +235,27 @@ class ConjClass:
 _MAX_ITER = 4000
 
 
-def _companion_eigvals(cs: np.ndarray) -> np.ndarray:
+def _companion_eigvals(cs) -> np.ndarray:
     """The eigenvalues of np.roots's companion matrix of the descending float
-    coefficients cs (cs[0] != 0); InvalidInput if an entry is not finite."""
-    comp = np.diag(np.ones(len(cs) - 2), -1)
-    with np.errstate(over="ignore"):
-        comp[0] = -cs[1:] / cs[0]
-    if not np.isfinite(comp).all():
+    coefficients cs (cs[0] != 0); InvalidInput if an entry is not finite.
+    The row is divided on Python floats, which give inf where numpy warns."""
+    row = [-c / cs[0] for c in cs[1:]]
+    if not all(map(math.isfinite, row)):
         raise InvalidInput(f"leading coefficient {cs[0]}: the companion "
                            "matrix is not finite")
+    comp = np.eye(len(row), k=-1)
+    comp[0] = row
     return np.linalg.eigvals(comp)
 
 
 def _aberth(p: CentralPoly) -> np.ndarray:
     """All complex roots of the real polynomial p: Aberth steps from the
-    companion eigenvalues, which most calls accept at the first test."""
+    companion eigenvalues, which most calls accept at the first test, run
+    on Python scalars (all() sees a nan residual, which max would drop)."""
     target = 1e-12 * max(1.0, max(map(abs, p.coeffs)))
-    z, best, dp = _companion_eigvals(np.array(p.coeffs[::-1])), np.inf, None
+    z, best, dp = _companion_eigvals(p.coeffs[::-1]), np.inf, None
+    if all(abs(p.eval(w)) < target for w in z.tolist()):
+        return z
     for _ in range(_MAX_ITER):
         pv = p.eval(z)
         if (res := np.max(np.abs(pv))) < target:
@@ -282,9 +288,9 @@ def _clusters(p: CentralPoly, zs: list) -> list:
     size = CentralPoly(p.field, tuple(map(abs, p.coeffs)))
 
     def radius(i):  # of group i, from this round's cs and dist
-        c, g, d, hs = cs[i], groups[i], dist[i], groups[:i] + groups[i + 1:]
-        prod = size.coeffs[-1] * math.prod(
-            map(pow, d[:i] + d[i + 1:], map(len, hs)))
+        c, g, ds = cs[i], groups[i], dist[i][:i] + dist[i][i + 1:]
+        prod = size.coeffs[-1] * math.prod(ds if len(groups) == n else map(
+            pow, ds, map(len, groups[:i] + groups[i + 1:])))  # pow(d, 1) is d
         res = n * (abs(p.eval(c)) + math.ulp(1.0) * size.eval(abs(c)))
         spread = max(abs(z - c) for z in g) if g[1:] else abs(g[0] - c)
         return spread + ((res / prod) ** (1 / len(g)) if prod else math.inf)
@@ -323,7 +329,7 @@ def _central_roots_real(p: CentralPoly) -> list:
             dd = d.deriv()
             for _ in range(3):
                 step = np.complex128(d.eval(z)) / dd.eval(z)
-                z = z - step if np.isfinite(step) else z
+                z = z - complex(step) if np.isfinite(step) else z
         if abs(z.imag) <= 1e-8 * abs(z):  # on the axis, at any scale
             out.append(ConjClass.of_scalar(float(z.real), m))
         elif z.imag > 0:
@@ -377,7 +383,7 @@ def _proposals(f: list):
     roots with real sum s and product p, times lc, rounded and primitive.
     Non-finite values propose nothing."""
     try:
-        cs = np.array([float(c) for c in f])
+        cs = [float(c) for c in f]
     except OverflowError:  # a coefficient beyond float range
         return
     zs = _companion_eigvals(cs).tolist()  # finite: |cs[0]| >= 1

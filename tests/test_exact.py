@@ -721,6 +721,29 @@ def test_anisotropic_norm_serves_each_exact_lmr_sample(monkeypatch):
         assert f.scale_left(c).eval(pt).is_zero()
 
 
+def test_anisotropic_norm_serves_each_real_lmr_sample(monkeypatch):
+    """The real twin: each sample takes two Octonion.norm, one of c, which
+    anisotropic hands on to c's inverse, and one of the point, to match
+    its class; anisotropic takes size2 once."""
+    P = AlgebraParams.octonions(REAL)
+    f = parse_opolynomial("x^2 + ix - ij + 1", P)
+    desc = lmr_describe_class(f, ConjClass(0.0, 1.0))
+    calls, norm = [], Octonion.norm
+    sizes, size2 = [], Octonion.size2
+    monkeypatch.setattr(Octonion, "norm",
+                        lambda x: calls.append(x) or norm(x))
+    monkeypatch.setattr(Octonion, "size2",
+                        lambda x: sizes.append(x) or size2(x))
+    samples = lmr_sample_detailed(desc, 6, seed=5)
+    assert len(calls) == 2 * len(samples)
+    assert all(x is c for x, (_, _, c, _) in zip(calls[0::2], samples))
+    assert all(x is pt for x, (*_, pt) in zip(calls[1::2], samples))
+    assert [x for x in sizes if any(x is c for _, _, c, _ in samples)] == \
+        [c for _, _, c, _ in samples]
+    for _, _, c, pt in samples:
+        assert f.scale_left(c).eval(pt).negligible(1e-9, 10)
+
+
 # ---------------------------------------------------------------------------
 # Exact roots without evaluation: a non-central class root -E^-1 G that
 # matched its class exactly is a root by the algebra, which these tests

@@ -12,7 +12,7 @@ from ocpoly import scalars
 from ocpoly.algebra import AlgebraParams, random_octonion
 from ocpoly.errors import (InvalidInput, NoConvergence, ResourceLimit,
                            UnsupportedDegree)
-from ocpoly.opoly import OPolynomial
+from ocpoly.opoly import OPolynomial, parse_opolynomial
 from ocpoly.scalars import (EXACT, REAL, CentralPoly, Field, central_roots)
 
 from clusters import reference_clusters
@@ -338,6 +338,82 @@ class TestAgainstNumpy:
         assert hexes(p.eval(zs)) == hexes(npp.polyval(zs, cs))
 
 
+def reference_eigvals(cs):
+    """The companion eigenvalues as numpy built the matrix before the row
+    was divided on Python floats: np.diag, and the division under
+    np.errstate."""
+    cs = np.array(cs)
+    comp = np.diag(np.ones(len(cs) - 2), -1)
+    with np.errstate(over="ignore"):
+        comp[0] = -cs[1:] / cs[0]
+    return np.linalg.eigvals(comp)
+
+
+# Descending coefficients of degree 1-16, magnitudes 1e-150 to 1e150, the
+# leading one nonzero
+MAGNITUDES = st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                       st.floats(1, 10), st.integers(-150, 149),
+                       st.sampled_from([-1, 1]))
+DESCENDING = st.tuples(MAGNITUDES, st.lists(
+    st.one_of(st.just(0.0), MAGNITUDES), min_size=1, max_size=16))
+
+
+class TestScalarStart:
+    """The companion row is divided and the eigenvalue start is judged on
+    Python scalars; numpy runs the eigenvalue solve and Aberth's loop."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(DESCENDING)
+    def test_companion_eigvals_are_the_reference(self, lead_rest):
+        cs = (lead_rest[0], *lead_rest[1])
+        want = hexes(reference_eigvals(cs))
+        for given_as in (tuple, list, np.array):
+            assert hexes(scalars._companion_eigvals(given_as(cs))) == want
+
+    @pytest.mark.parametrize("given_as", [tuple, list])
+    def test_companion_refusal_text(self, given_as):
+        with pytest.raises(InvalidInput, match=r"^leading coefficient "
+                           r"1e-320: the companion matrix is not finite$"):
+            scalars._companion_eigvals(given_as((1e-320, 1.0, 2.0)))
+
+    def test_accepted_start_evaluates_no_array(self, monkeypatch):
+        """A well-conditioned cubic's companion: its eigenvalues pass the
+        start test, no Aberth step is taken, and CentralPoly.eval sees
+        Python scalars only."""
+        P = AlgebraParams.octonions(REAL)
+        p = parse_opolynomial("x^3 + ix^2 - jx + 2", P).companion()
+        seen, evaluate = [], CentralPoly.eval
+        monkeypatch.setattr(CentralPoly, "eval", lambda q, z: seen.append(
+            type(z)) or evaluate(q, z))
+        monkeypatch.setattr(CentralPoly, "deriv", None)  # no step, no polish
+        assert sum(c.multiplicity * 2 for c in central_roots(p)) == 6
+        assert seen and not any(issubclass(t, np.ndarray) for t in seen)
+        assert set(seen) <= {complex, float}
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_residual_is_never_accepted(self, monkeypatch, at):
+        """A start with a nan eigenvalue, first or not, is not accepted:
+        whatever _aberth returns satisfies all(|p(w)| < target), which a
+        nan fails (max over Python scalars could drop it).  No Aberth step
+        follows, so the start test alone decides."""
+        p = CentralPoly.make(REAL, [-6, 11, -6, 1])
+        target = 1e-12 * 11
+        eigvals = scalars._companion_eigvals
+
+        def start(cs):
+            z = eigvals(cs).astype(complex)
+            z[at] = complex(math.nan, 0.0)
+            return z
+        monkeypatch.setattr(scalars, "_companion_eigvals", start)
+        monkeypatch.setattr(scalars, "_MAX_ITER", 0)  # the start test alone
+        try:
+            z = scalars._aberth(p)
+        except NoConvergence:
+            return
+        assert all(abs(p.eval(w)) < target for w in z.tolist())
+
+
 # Each named threshold and, at the default eps, the literal its sites used.
 THRESHOLDS = [
     ("residual_tol", 1e-8),     # roots: |f(lam)| of a root
@@ -375,6 +451,12 @@ class TestRealRange:
     def test_coerce_refuses(self, x):
         with pytest.raises(InvalidInput, match="not a finite|beyond float"):
             REAL.coerce(x)
+
+    def test_coerce_keeps_a_finite_float(self):
+        """A finite float is returned as it is, the same object (inf, nan
+        and an int beyond float range: test_coerce_refuses)."""
+        x = 0.1 + 0.2
+        assert REAL.coerce(x) is x
 
     @pytest.mark.parametrize("text,named", [
         ("1e400", "10000000000000000000... (401 digits) is beyond"),
